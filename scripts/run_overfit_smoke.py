@@ -6,10 +6,9 @@ A healthy setup drops the loss by well over half in 50 full-batch steps.
 
 import argparse
 
-from irvis.autodiff import Tensor
-from irvis.encoder import EncoderConfig, init_params
-from irvis.training import (TrainConfig, init_state, make_pretrain_pairs,
-                            train_step)
+from irvis.encoder import EncoderConfig
+from irvis.training import (TrainConfig, frozen_teacher, make_pretrain_pairs,
+                            student_state, train_step)
 
 
 def main():
@@ -20,12 +19,8 @@ def main():
     args = ap.parse_args()
 
     enc_cfg = EncoderConfig(seed=7)
-    teacher = init_params(enc_cfg)
-    for t in teacher.values():
-        t.requires_grad = False
-    student = {k: Tensor(t.data.copy(), requires_grad=True)
-               for k, t in teacher.items()}
-    state = init_state(student)
+    teacher = frozen_teacher(enc_cfg)
+    state = student_state(teacher)
     cfg = TrainConfig(epochs=args.steps, warmup_epochs=0, base_lr=args.lr,
                       weight_decay=0.0, batch_size=4, steps_per_epoch=1)
     batch = make_pretrain_pairs(4, seed=args.seed)

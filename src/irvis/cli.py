@@ -19,14 +19,16 @@ import numpy as np
 
 from . import data as datamod
 from . import tensorio
-from .encoder import EncoderConfig, encode, init_params
-from .errors import ConfigError, DataError, NumericError
-from .lora import LoraAdapter, LoraConfig, adapter_tensors, attach, forward_adapted, merge
-from .pccl import pseudo_labels, similarity
-from .training import (TrainConfig, forgetting_experiment, init_state,
-                       linear_probe, make_labeled_scenes, make_pretrain_pairs,
-                       pooled_features, to_channels, train_step)
 from .autodiff import Tensor
+from .encoder import EncoderConfig, encode
+from .encoder import init_params  # noqa: F401  (benchmark wraps cli.init_params)
+from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
+from .lora import LoraAdapter, LoraConfig, adapter_tensors, forward_adapted, merge
+from .pccl import pseudo_labels, similarity
+from .training import (TrainConfig, forgetting_experiment, frozen_teacher,
+                       linear_probe, make_labeled_scenes, make_pretrain_pairs,
+                       pooled_features, run_training, student_state, to_channels)
+from .training import train_step  # noqa: F401  (benchmark wraps cli.train_step)
 
 _SCHEMA: dict[str, tuple] = {
     # encoder
@@ -87,7 +89,10 @@ def parse_config(path) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     if "UNIV_SEED" in os.environ:
-        values["seed"] = int(os.environ["UNIV_SEED"])
+        try:
+            values["seed"] = int(os.environ["UNIV_SEED"])
+        except ValueError as exc:
+            raise ConfigError(f"bad UNIV_SEED: {exc}") from exc
     for key in sorted(values):
         print(f"config: {key}={values[key]}")
     return values
@@ -126,6 +131,10 @@ def _params_bytes(params) -> dict[str, np.ndarray]:
     return {name: t.data for name, t in params.items()}
 
 
+def _params_copy(params) -> dict[str, np.ndarray]:
+    return {name: t.data.copy() for name, t in params.items()}
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -154,32 +163,21 @@ def cmd_gen_data(args) -> int:
 
 def _run_one(enc: EncoderConfig, cfg: TrainConfig, samples, metrics_path=None):
     """Shared pretraining body: returns (teacher, state, best_params)."""
-    teacher = init_params(enc)
-    for t in teacher.values():
-        t.requires_grad = False
-    student = {k: Tensor(t.data.copy(), requires_grad=True)
-               for k, t in teacher.items()}
-    adapters = None
-    if cfg.lora is not None:
-        adapters = attach(student, cfg.lora, seed=cfg.seed)
-    state = init_state(student, adapters)
-    best = ({k: t.data.copy() for k, t in student.items()}, float("inf"))
-    if cfg.epochs > 0:
-        n_batches = max(1, -(-len(samples) // cfg.batch_size))
-        run_cfg = replace(cfg, steps_per_epoch=n_batches)
-        lines = []
-        for epoch in range(cfg.epochs):
-            for b in datamod.batch(samples, cfg.batch_size, seed=cfg.seed + epoch):
-                metrics = train_step(state, b, teacher, enc, run_cfg)
-                lines.append(json.dumps(metrics, sort_keys=False))
-                if metrics["loss"] < best[1]:
-                    best = ({k: t.data.copy() for k, t in student.items()},
-                            metrics["loss"])
-        if metrics_path is not None:
-            Path(metrics_path).write_text("".join(line + "\n" for line in lines))
-    elif metrics_path is not None:
-        Path(metrics_path).write_text("")
-    return teacher, state, best[0]
+    teacher = frozen_teacher(enc)
+    state = student_state(teacher, cfg.lora, seed=cfg.seed)
+    lines = []
+    best_loss, best_params = float("inf"), _params_copy(state.params)
+
+    def on_step(metrics):
+        nonlocal best_loss, best_params
+        lines.append(json.dumps(metrics) + "\n")
+        if metrics["loss"] < best_loss:
+            best_loss, best_params = metrics["loss"], _params_copy(state.params)
+
+    run_training(samples, teacher, state, enc, cfg, on_step)
+    if metrics_path is not None:
+        Path(metrics_path).write_text("".join(lines))
+    return teacher, state, best_params
 
 
 def cmd_pretrain(args) -> int:
@@ -257,6 +255,7 @@ def cmd_merge(args) -> int:
     params = tensorio.read_checkpoint(args.checkpoint)
     named, meta = tensorio.read_adapter_checkpoint(args.adapters)
     targets = sorted({n.rsplit(".lora_", 1)[0] for n in named})
+    rank = int(meta["rank"])
     rng = np.random.default_rng(0)
     merged = dict(params)
     worst = 0.0
@@ -264,12 +263,11 @@ def cmd_merge(args) -> int:
         wname = f"{target}.weight"
         if wname not in params:
             raise ConfigError(f"adapter target {target!r} not found in checkpoint")
-        adapter = LoraAdapter(
-            target_name=target,
-            B=Tensor(named[f"{target}.lora_B"]),
-            A=Tensor(named[f"{target}.lora_A"]),
-            rank=int(meta["rank"]), alpha=meta["alpha"],
-            dropout_p=meta["dropout"])
+        a, b = named.get(f"{target}.lora_A"), named.get(f"{target}.lora_B")
+        if a is None or b is None or a.shape[:1] != (rank,) or b.shape[1:] != (rank,):
+            raise DataError(f"adapter {target!r} lacks rank-{rank} lora_A and lora_B")
+        adapter = LoraAdapter(target_name=target, B=Tensor(b), A=Tensor(a), rank=rank,
+                              alpha=meta["alpha"], dropout_p=meta["dropout"])
         w = Tensor(params[wname])
         w_star = merge(w, adapter)
         merged[wname] = w_star.data
@@ -288,14 +286,11 @@ def cmd_dump_matrices(args) -> int:
     enc, cfg = build_configs(v)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    teacher = init_params(enc)
-    for t in teacher.values():
-        t.requires_grad = False
+    teacher = frozen_teacher(enc)
+    student = teacher  # untrained: the student is a copy of the teacher
     if args.checkpoint:
         loaded = tensorio.read_checkpoint(args.checkpoint)
         student = {k: Tensor(arr) for k, arr in loaded.items()}
-    else:
-        student = {k: Tensor(t.data.copy()) for k, t in teacher.items()}
     for sample in _load_samples(v, enc):
         vis = to_channels(sample.visible.data, enc.channels)
         ir = to_channels(sample.infrared.data, enc.channels)
@@ -303,8 +298,8 @@ def cmd_dump_matrices(args) -> int:
         labels = pseudo_labels(t_out.attention_last, cfg.gamma)
         f_i = encode(ir, student, enc).features
         f_v = encode(vis, student, enc).features
-        s_iv = similarity(f_i, t_out.features, cfg.tau, kind="cross_modal")
-        s_vv = similarity(f_v, t_out.features, cfg.tau, kind="intra_visible")
+        s_iv = similarity(f_i, t_out.features, cfg.tau)
+        s_vv = similarity(f_v, t_out.features, cfg.tau)
         tensorio.write_tensor(out / f"{sample.scene_id}.m_iv.tnsr", s_iv.values.data)
         tensorio.write_tensor(out / f"{sample.scene_id}.m_vv.tnsr", s_vv.values.data)
         tensorio.write_tensor(out / f"{sample.scene_id}.m_p.tnsr", labels.values)
@@ -359,7 +354,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, ShapeMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

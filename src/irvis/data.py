@@ -163,9 +163,12 @@ def _read_pnm_header(f, magic: bytes, path) -> tuple[int, int]:
 
     if token() != magic:
         raise DataError(f"{path}: expected {magic.decode()} magic")
-    w = int(token())
-    h = int(token())
-    maxval = int(token())
+    fields = [token() for _ in range(3)]
+    if not all(f.isdigit() for f in fields):
+        raise DataError(f"{path}: non-numeric header field in {fields}")
+    w, h, maxval = map(int, fields)
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: bad image size {w}x{h}")
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit maxval 255 supported, got {maxval}")
     return w, h

@@ -10,7 +10,7 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,12 @@ class LoraConfig:
     alpha: float = 32.0
     dropout: float = 0.1
     target_modules: tuple[str, ...] = DEFAULT_TARGETS
+
+    def __post_init__(self):
+        if not self.rank >= 1:
+            raise ConfigError(f"LoRA rank must be >= 1, got {self.rank}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"LoRA dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass

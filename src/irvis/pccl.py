@@ -2,9 +2,9 @@
 
 Similarity maps between student and frozen-teacher patch features,
 binary pseudo-labels derived from the teacher's attention map, the main
-BCE alignment losses, and the ablation/variant losses.  Pseudo-label
-construction is deliberately non-differentiable; teacher features must
-be detached by the caller.
+BCE alignment losses, and the ablation/variant losses.  ``LOSSES`` holds
+one per-branch term per loss kind.  Pseudo-label construction is deliberately
+non-differentiable; teacher features must be detached by the caller.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ ROW_SUM_TOL = 1e-6
 class SimilarityMatrix:
     values: Tensor  # (N, N), entries cosine / tau
     tau: float
-    kind: str  # "cross_modal" or "intra_visible"
 
 
 @dataclass
@@ -37,12 +36,10 @@ class PseudoLabelMatrix:
     per_row_m: np.ndarray  # minimal prefix length per row
 
 
-def similarity(f_a: Tensor, f_b: Tensor, tau: float,
-               kind: str = "cross_modal") -> SimilarityMatrix:
+def similarity(f_a: Tensor, f_b: Tensor, tau: float) -> SimilarityMatrix:
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    return SimilarityMatrix(values=ad.cosine_rows(f_a, f_b) * (1.0 / tau),
-                            tau=tau, kind=kind)
+    return SimilarityMatrix(values=ad.cosine_rows(f_a, f_b) * (1.0 / tau), tau=tau)
 
 
 def pseudo_labels(attention: np.ndarray | Tensor, gamma: float) -> PseudoLabelMatrix:
@@ -89,10 +86,8 @@ def loss_iv(s: SimilarityMatrix, p: PseudoLabelMatrix) -> Tensor:
     return ad.bce_with_logits(s.values, Tensor(p.values))
 
 
-def loss_vv(s: SimilarityMatrix, p: PseudoLabelMatrix) -> Tensor:
-    """Visible-knowledge distillation; identical contract to loss_iv."""
-    _check_match(s, p)
-    return ad.bce_with_logits(s.values, Tensor(p.values))
+# Visible-knowledge distillation: the same term, applied to the visible branch.
+loss_vv = loss_iv
 
 
 def loss_pccl(l_iv: Tensor, l_vv: Tensor, alpha: float = 1.0,
@@ -108,9 +103,7 @@ def loss_mse(f_i: Tensor, f_v: Tensor, f_vf: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"feature shapes differ: {f_i.shape}, {f_v.shape}, {f_vf.shape}"
         )
-    di = f_i - f_vf
-    dv = f_v - f_vf
-    return ad.tmean(ad.mul(di, di)) + ad.tmean(ad.mul(dv, dv))
+    return _term_mse(f_i, f_vf) + _term_mse(f_v, f_vf)
 
 
 def loss_nce(s_iv: SimilarityMatrix, s_vv: SimilarityMatrix) -> Tensor:
@@ -122,3 +115,24 @@ def loss_variant_softmax(s: SimilarityMatrix, p: PseudoLabelMatrix) -> Tensor:
     """Per row, -log of the softmax mass on label-positive positions."""
     _check_match(s, p)
     return ad.masked_softmax_nll(s.values, p.values)
+
+
+# -- per-branch terms: (f_student, f_teacher, labels, tau) -> scalar ----
+# Training applies a term to the infrared branch (L_IV) and to the visible
+# branch (L_VV) and weights the two with ``loss_pccl``.  Helpers are looked
+# up by module-global name at call time, so wrapping them reaches every kind.
+
+
+def _term_mse(f_s: Tensor, f_t: Tensor, labels=None, tau=None) -> Tensor:
+    d = f_s - f_t
+    return ad.tmean(ad.mul(d, d))
+
+
+LOSSES = {
+    "pccl": lambda f_s, f_t, p, tau: loss_iv(similarity(f_s, f_t, tau), p),
+    "pccl_softmax_variant":
+        lambda f_s, f_t, p, tau: loss_variant_softmax(similarity(f_s, f_t, tau), p),
+    "mse": _term_mse,
+    "nce": lambda f_s, f_t, p, tau: ad.diag_cross_entropy(
+        similarity(f_s, f_t, tau).values),
+}

@@ -4,11 +4,13 @@ Single tensor layout: magic ``UNIVTNSR``, u32 rank, rank x u64 extents,
 little-endian f64 payload.  A checkpoint is a container holding a u32
 entry count followed by (u16 name length, utf-8 name, tensor record)
 entries; entries are written in sorted-name order so identical parameter
-maps serialize to identical bytes.
+maps serialize to identical bytes.  Every read is bounds-checked: a
+truncated, garbled or over-long file raises ``DataError``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -26,18 +28,48 @@ def _pack_tensor(arr: np.ndarray) -> bytes:
     return head + arr.astype("<f8").tobytes(order="C")
 
 
+def _unpack(fmt: str, buf: bytes, offset: int) -> tuple[tuple, int]:
+    end = offset + struct.calcsize(fmt)
+    if end > len(buf):
+        raise DataError(f"truncated data at offset {offset}")
+    return struct.unpack_from(fmt, buf, offset), end
+
+
 def _unpack_tensor(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     if buf[offset:offset + 8] != MAGIC:
         raise DataError(f"bad tensor magic at offset {offset}")
-    offset += 8
-    (rank,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    shape = struct.unpack_from(f"<{rank}Q", buf, offset)
-    offset += 8 * rank
-    count = int(np.prod(shape)) if rank else 1
+    (rank,), offset = _unpack("<I", buf, offset + 8)
+    shape, offset = _unpack(f"<{rank}Q", buf, offset)
+    count = math.prod(shape)
+    if offset + 8 * count > len(buf):
+        raise DataError(f"truncated tensor payload at offset {offset}")
     arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    offset += 8 * count
-    return arr.reshape(shape).astype(np.float64), offset
+    try:
+        arr = arr.reshape(shape)
+    except ValueError as exc:  # more dimensions, or a larger extent, than numpy holds
+        raise DataError(f"bad tensor shape at offset {offset}: {exc}") from exc
+    return arr.astype(np.float64), offset + 8 * count
+
+
+def _unpack_container(buf: bytes, offset: int, path) -> dict[str, np.ndarray]:
+    """Named tensors of one container starting at ``offset``; it must end the file."""
+    if buf[offset:offset + 8] != MAGIC:
+        raise DataError(f"bad checkpoint magic in {path}")
+    (count,), offset = _unpack("<I", buf, offset + 8)
+    named: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (nlen,), offset = _unpack("<H", buf, offset)
+        (raw,), offset = _unpack(f"{nlen}s", buf, offset)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"bad tensor name in {path}: {exc}") from exc
+        if name in named:
+            raise DataError(f"duplicate tensor {name!r} in {path}")
+        named[name], offset = _unpack_tensor(buf, offset)
+    if offset != len(buf):
+        raise DataError(f"{len(buf) - offset} trailing bytes in {path}")
+    return named
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
@@ -45,7 +77,10 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    arr, _ = _unpack_tensor(Path(path).read_bytes(), 0)
+    buf = Path(path).read_bytes()
+    arr, offset = _unpack_tensor(buf, 0)
+    if offset != len(buf):
+        raise DataError(f"{len(buf) - offset} trailing bytes in {path}")
     return arr
 
 
@@ -64,19 +99,7 @@ def write_checkpoint(path, named: dict[str, np.ndarray]) -> None:
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    buf = Path(path).read_bytes()
-    if buf[:8] != MAGIC:
-        raise DataError(f"bad checkpoint magic in {path}")
-    (count,) = struct.unpack_from("<I", buf, 8)
-    offset = 12
-    named: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        name = buf[offset:offset + nlen].decode("utf-8")
-        offset += nlen
-        named[name], offset = _unpack_tensor(buf, offset)
-    return named
+    return _unpack_container(Path(path).read_bytes(), 0, path)
 
 
 def write_adapter_checkpoint(path, named: dict[str, np.ndarray],
@@ -92,18 +115,15 @@ def read_adapter_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, floa
     if end < 0:
         raise DataError(f"missing adapter header in {path}")
     meta: dict[str, float] = {}
-    for line in buf[:end].decode("ascii").splitlines():
+    for line in buf[:end].decode("ascii", errors="replace").splitlines():
         key, _, value = line.partition("=")
-        meta[key] = float(value)
-    if buf[end + 2:end + 10] != MAGIC:
-        raise DataError(f"bad adapter payload magic in {path}")
-    (count,) = struct.unpack_from("<I", buf, end + 10)
-    offset = end + 14
-    named: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        name = buf[offset:offset + nlen].decode("utf-8")
-        offset += nlen
-        named[name], offset = _unpack_tensor(buf, offset)
-    return named, meta
+        try:
+            meta[key] = float(value)  # a line without '=' has an empty value
+        except ValueError:
+            raise DataError(f"{path}: bad adapter header line {line!r}") from None
+    keys = ("rank", "alpha", "dropout")
+    if not all(k in meta and math.isfinite(meta[k]) for k in keys):
+        raise DataError(f"{path}: adapter header needs finite {', '.join(keys)}")
+    if meta["rank"] != int(meta["rank"]) or meta["rank"] < 1:
+        raise DataError(f"{path}: adapter rank must be a positive integer")
+    return _unpack_container(buf, end + 2, path), meta

@@ -5,20 +5,18 @@ catastrophic-forgetting probe grid.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import data as datamod
 from . import pccl
 from .autodiff import Tensor
 from .encoder import EncoderConfig, encode, init_params
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .lora import LoraConfig, adapter_tensors, attach
 
-LOSS_KINDS = ("pccl", "pccl_softmax_variant", "mse", "nce")
+LOSS_KINDS = tuple(pccl.LOSSES)
 
 ADAM_EPS = 1e-8
 
@@ -41,12 +39,19 @@ class TrainConfig:
     steps_per_epoch: int = 1
 
     def __post_init__(self):
-        if self.warmup_epochs > self.epochs:
-            raise ConfigError(
-                f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}"
-            )
-        if self.base_lr <= 0.0 or self.batch_size < 1:
+        # comparisons are written so that NaN fails them too
+        if not 0 <= self.warmup_epochs <= self.epochs:
+            raise ConfigError(f"need 0 <= warmup_epochs <= epochs, got "
+                              f"{self.warmup_epochs} and {self.epochs}")
+        if not (self.base_lr > 0.0 and self.batch_size >= 1):
             raise ConfigError("learning rate and batch size must be positive")
+        if not self.tau > 0.0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
+        if not (self.alpha >= 0.0 and self.beta >= 0.0):
+            raise ConfigError(f"alpha and beta must be nonnegative, got "
+                              f"{self.alpha} and {self.beta}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss_kind {self.loss_kind!r}")
 
@@ -74,6 +79,22 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 def init_state(params: dict[str, Tensor], adapters: dict | None = None) -> TrainState:
     return TrainState(step=0, params=params, adapters=adapters)
+
+
+def frozen_teacher(enc_cfg: EncoderConfig) -> dict[str, Tensor]:
+    """Freshly initialized encoder parameters with gradients switched off."""
+    teacher = init_params(enc_cfg)
+    for t in teacher.values():
+        t.requires_grad = False
+    return teacher
+
+
+def student_state(teacher: dict[str, Tensor], lora: LoraConfig | None = None,
+                  seed: int = 0) -> TrainState:
+    """A trainable copy of ``teacher``, with adapters attached when ``lora`` is set."""
+    student = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in teacher.items()}
+    adapters = attach(student, lora, seed=seed) if lora is not None else None
+    return init_state(student, adapters)
 
 
 def trainable_map(state: TrainState) -> dict[str, Tensor]:
@@ -116,7 +137,7 @@ def to_channels(img: np.ndarray, channels: int) -> np.ndarray:
 def _sample_losses(sample: datamod.PairedSample, teacher: dict[str, Tensor],
                    state: TrainState, enc_cfg: EncoderConfig, cfg: TrainConfig,
                    rng: np.random.Generator, training: bool):
-    """(component_iv, component_vv) loss terms for one aligned pair."""
+    """(L_IV, L_VV): the loss kind's term on the infrared and visible branch."""
     vis = to_channels(sample.visible.data, enc_cfg.channels)
     ir = to_channels(sample.infrared.data, enc_cfg.channels)
     teacher_out = encode(vis, teacher, enc_cfg)
@@ -126,20 +147,8 @@ def _sample_losses(sample: datamod.PairedSample, teacher: dict[str, Tensor],
     kwargs = dict(adapters=state.adapters, training=training, rng=rng)
     f_i = encode(ir, state.params, enc_cfg, **kwargs).features
     f_v = encode(vis, state.params, enc_cfg, **kwargs).features
-
-    if cfg.loss_kind == "mse":
-        di = f_i - f_vf
-        dv = f_v - f_vf
-        return ad.tmean(ad.mul(di, di)), ad.tmean(ad.mul(dv, dv))
-
-    s_iv = pccl.similarity(f_i, f_vf, cfg.tau, kind="cross_modal")
-    s_vv = pccl.similarity(f_v, f_vf, cfg.tau, kind="intra_visible")
-    if cfg.loss_kind == "nce":
-        return ad.diag_cross_entropy(s_iv.values), ad.diag_cross_entropy(s_vv.values)
-    if cfg.loss_kind == "pccl_softmax_variant":
-        return (pccl.loss_variant_softmax(s_iv, labels),
-                pccl.loss_variant_softmax(s_vv, labels))
-    return pccl.loss_iv(s_iv, labels), pccl.loss_vv(s_vv, labels)
+    term = pccl.LOSSES[cfg.loss_kind]
+    return term(f_i, f_vf, labels, cfg.tau), term(f_v, f_vf, labels, cfg.tau)
 
 
 def train_step(state: TrainState, batch, teacher: dict[str, Tensor],
@@ -162,10 +171,7 @@ def train_step(state: TrainState, batch, teacher: dict[str, Tensor],
         inv = 1.0 / len(batch)
         l_iv_mean = l_iv_sum * inv
         l_vv_mean = l_vv_sum * inv
-        if cfg.loss_kind in ("mse", "nce"):
-            loss = l_iv_mean + l_vv_mean
-        else:
-            loss = pccl.loss_pccl(l_iv_mean, l_vv_mean, cfg.alpha, cfg.beta)
+        loss = pccl.loss_pccl(l_iv_mean, l_vv_mean, cfg.alpha, cfg.beta)
     except NumericError as exc:
         last = state.log[-1]["loss"] if state.log else None
         raise NumericError(
@@ -173,9 +179,7 @@ def train_step(state: TrainState, batch, teacher: dict[str, Tensor],
         ) from exc
 
     lr = lr_at(state.step, cfg)
-    no_signal = (cfg.loss_kind.startswith("pccl")
-                 and cfg.alpha == 0.0 and cfg.beta == 0.0)
-    if loss.requires_grad and not no_signal:
+    if loss.requires_grad and (cfg.alpha or cfg.beta):  # alpha = beta = 0: no signal
         loss.backward()
         _adamw_update(state, cfg, lr)
     else:
@@ -194,14 +198,18 @@ def train_step(state: TrainState, batch, teacher: dict[str, Tensor],
 
 
 def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
-                 enc_cfg: EncoderConfig, cfg: TrainConfig) -> TrainState:
-    """Epoch loop over seeded shuffled batches."""
+                 enc_cfg: EncoderConfig, cfg: TrainConfig,
+                 on_step=None) -> TrainState:
+    """Epoch loop over seeded shuffled batches; ``on_step(metrics)`` after each step."""
     samples = list(samples)
-    n_batches = max(1, -(-len(samples) // cfg.batch_size))
-    cfg = replace(cfg, steps_per_epoch=n_batches)
+    if not samples:
+        raise DataError("no training samples")
+    cfg = replace(cfg, steps_per_epoch=-(-len(samples) // cfg.batch_size))
     for epoch in range(cfg.epochs):
         for b in datamod.batch(samples, cfg.batch_size, seed=cfg.seed + epoch):
-            train_step(state, b, teacher, enc_cfg, cfg)
+            metrics = train_step(state, b, teacher, enc_cfg, cfg)
+            if on_step is not None:
+                on_step(metrics)
     return state
 
 
@@ -306,31 +314,20 @@ GRID_ROWS = (
 )
 
 
-def _clone_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k: Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
-
-
 def forgetting_experiment(enc_cfg: EncoderConfig, cfg: TrainConfig,
                           seeds=(0, 1, 2, 3, 4), n_pairs: int = 24,
                           n_probe: int = 32) -> list[dict]:
     """Run the five-row loss/adapter grid and report median probe accuracies."""
-    teacher = init_params(enc_cfg)
-    for t in teacher.values():
-        t.requires_grad = False
+    teacher = frozen_teacher(enc_cfg)
     report = []
     for row_name, row in GRID_ROWS:
         vis_scores, ir_scores = [], []
         trainable = 0
         for seed in seeds:
+            lora = (cfg.lora or LoraConfig()) if row["use_lora"] else None
             run_cfg = replace(cfg, seed=cfg.seed + seed,
-                              beta=cfg.beta if row["use_vv"] else 0.0,
-                              lora=cfg.lora if row["use_lora"] else None)
-            student = _clone_params(teacher)
-            adapters = None
-            if row["use_lora"]:
-                lora_cfg = run_cfg.lora or LoraConfig()
-                adapters = attach(student, lora_cfg, seed=run_cfg.seed)
-            state = init_state(student, adapters)
+                              beta=cfg.beta if row["use_vv"] else 0.0, lora=lora)
+            state = student_state(teacher, run_cfg.lora, seed=run_cfg.seed)
             if row["train"]:
                 pairs = make_pretrain_pairs(n_pairs, seed=run_cfg.seed,
                                             height=enc_cfg.image_size,
@@ -340,10 +337,10 @@ def forgetting_experiment(enc_cfg: EncoderConfig, cfg: TrainConfig,
             probe_samples, probe_labels = make_labeled_scenes(
                 n_probe, seed=1000 + seed,
                 height=enc_cfg.image_size, width=enc_cfg.image_size)
-            vis = pooled_features(probe_samples, student, enc_cfg, adapters,
-                                  modality="visible")
-            ir = pooled_features(probe_samples, student, enc_cfg, adapters,
-                                 modality="infrared")
+            vis = pooled_features(probe_samples, state.params, enc_cfg,
+                                  state.adapters, modality="visible")
+            ir = pooled_features(probe_samples, state.params, enc_cfg,
+                                 state.adapters, modality="infrared")
             vis_scores.append(linear_probe(vis, probe_labels))
             ir_scores.append(linear_probe(ir, probe_labels))
         report.append({

@@ -19,9 +19,9 @@ from irvis.cli import main
 from irvis.data import read_pgm, read_ppm, write_pgm, write_ppm
 from irvis.encoder import EncoderConfig, encode, init_params
 from irvis.lora import LoraConfig, attach, forward_adapted, merge, unmerge
-from irvis.training import (TrainConfig, forgetting_experiment, init_state,
+from irvis.training import (TrainConfig, forgetting_experiment, frozen_teacher,
                             lr_at, make_pretrain_pairs, run_training,
-                            train_step)
+                            student_state, train_step)
 from conftest import exhaustive_pseudo_labels, random_stochastic
 
 
@@ -76,9 +76,7 @@ def test_02_gradient_suite(capsys, toy_cfg):
                 assert grad_check(f, x) < 1e-5, f"{name} trial {trial}"
 
         # end-to-end: full training objective per loss kind
-        teacher = init_params(toy_cfg)
-        for t in teacher.values():
-            t.requires_grad = False
+        teacher = frozen_teacher(toy_cfg)
         student = init_params(toy_cfg)
         from irvis.training import to_channels
         sample = make_pretrain_pairs(1, seed=21)[0]
@@ -146,16 +144,12 @@ def test_04_frozen_weights_immutable_over_200_steps(capsys, toy_cfg):
     only adapter tensors and the position embedding in the student.
     """
     with criterion(capsys, 4, "frozen weights immutable over 200 steps"):
-        teacher = init_params(toy_cfg)
-        for t in teacher.values():
-            t.requires_grad = False
+        teacher = frozen_teacher(toy_cfg)
         teacher_ref = tensorio.checkpoint_bytes(
             {k: t.data for k, t in teacher.items()})
-        student = {k: Tensor(t.data.copy(), requires_grad=True)
-                   for k, t in teacher.items()}
+        state = student_state(teacher, LoraConfig(rank=4, dropout=0.0), seed=0)
+        student, adapters = state.params, state.adapters
         student_ref = {k: t.data.copy() for k, t in student.items()}
-        adapters = attach(student, LoraConfig(rank=4, dropout=0.0), seed=0)
-        state = init_state(student, adapters)
         cfg = TrainConfig(epochs=200, warmup_epochs=10, base_lr=1e-3,
                           batch_size=4, steps_per_epoch=1,
                           lora=LoraConfig(rank=4, dropout=0.0))
@@ -230,12 +224,8 @@ def test_07_overfit_smoke(capsys, toy_cfg):
     least 50%.
     """
     with criterion(capsys, 7, "overfit smoke, >=50% loss reduction"):
-        teacher = init_params(toy_cfg)
-        for t in teacher.values():
-            t.requires_grad = False
-        student = {k: Tensor(t.data.copy(), requires_grad=True)
-                   for k, t in teacher.items()}
-        state = init_state(student)
+        teacher = frozen_teacher(toy_cfg)
+        state = student_state(teacher)
         cfg = TrainConfig(epochs=50, warmup_epochs=0, base_lr=1e-2,
                           weight_decay=0.0, batch_size=4, steps_per_epoch=1)
         batch = make_pretrain_pairs(4, seed=3)

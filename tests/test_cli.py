@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from irvis import tensorio
 from irvis.cli import main
@@ -123,6 +127,39 @@ class TestPretrain:
         assert "config: seed=11" in stdout
 
 
+class TestConfigRanges:
+    @pytest.mark.parametrize("overrides", [
+        dict(tau=0), dict(gamma=1.5), dict(alpha=-1),
+        dict(lora_enabled="true", lora_dropout=1.0),
+        dict(lora_enabled="true", lora_dropout=-0.1),
+        dict(lora_enabled="true", lora_rank=0),
+        dict(n_pairs=0), dict(epochs=-1, warmup_epochs=-1),
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_out_of_range_exit_1(self, tmp_path, capsys, overrides):
+        cfgfile = write_config(tmp_path / "c.cfg", **overrides)
+        code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_empty_manifest_exit_1(self, tmp_path, capsys):
+        (tmp_path / "manifest.tsv").write_text("")
+        cfgfile = write_config(tmp_path / "c.cfg",
+                               manifest=tmp_path / "manifest.tsv")
+        code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "no training samples" in err
+
+    def test_bad_env_seed_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("UNIV_SEED", "eleven")
+        code, _, err = run(capsys, "pretrain", "--config",
+                           str(write_config(tmp_path / "c.cfg")),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "UNIV_SEED" in err
+
+
 class TestAblate:
     def test_three_row_table(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path / "c.cfg", epochs=1, warmup_epochs=0,
@@ -209,3 +246,87 @@ class TestDumpMatrices:
         assert m_iv.shape == (16, 16) and m_p.shape == (16, 16)
         assert set(np.unique(m_p)) <= {0.0, 1.0}
         assert np.all(np.diag(m_p) == 1.0)
+
+
+@pytest.fixture(scope="module")
+def lora_run(tmp_path_factory):
+    """Checkpoint and adapter files of a short LoRA run with moved adapters."""
+    d = tmp_path_factory.mktemp("lora_run")
+    cfgfile = write_config(d / "c.cfg", epochs=1, warmup_epochs=0, n_pairs=4,
+                           base_lr=0.01, lora_enabled="true", lora_rank=4,
+                           lora_dropout=0.0)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["pretrain", "--config", str(cfgfile),
+                     "--out", str(d / "run")]) == 0
+    return d
+
+
+def merge_quietly(d, checkpoint, adapters):
+    """Exit code and stderr of ``irvis merge`` run in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["merge", "--checkpoint", str(checkpoint), "--adapters",
+                     str(adapters), "--out", str(d / "merged.ckpt")])
+    return code, err.getvalue()
+
+
+class TestMalformedFiles:
+    def _merge(self, lora_run, name, raw):
+        bad = lora_run / f"bad-{name}"
+        bad.write_bytes(raw)
+        files = {"final.ckpt": lora_run / "run" / "final.ckpt",
+                 "adapters.ckpt": lora_run / "run" / "adapters.ckpt", name: bad}
+        return merge_quietly(lora_run, files["final.ckpt"], files["adapters.ckpt"])
+
+    @pytest.mark.parametrize("name,size", [("final.ckpt", 300), ("final.ckpt", 12),
+                                           ("adapters.ckpt", 40)])
+    def test_truncated_exit_1(self, lora_run, name, size):
+        raw = (lora_run / "run" / name).read_bytes()[:size]
+        code, err = self._merge(lora_run, name, raw)
+        assert code == 1 and "truncated" in err, err
+
+    @pytest.mark.parametrize("header", [b"rank\nalpha=32\ndropout=0", b"rank=four",
+                                        b"rank=0\nalpha=32\ndropout=0",
+                                        b"alpha=32\ndropout=0"])
+    def test_bad_adapter_header_exit_1(self, lora_run, header):
+        raw = (lora_run / "run" / "adapters.ckpt").read_bytes()
+        code, err = self._merge(lora_run, "adapters.ckpt",
+                                header + raw[raw.index(b"\n\n"):])
+        assert code == 1 and "adapter" in err, err
+
+    def test_adapters_of_another_model_exit_1(self, lora_run, tmp_path, capsys):
+        cfgfile = write_config(tmp_path / "c.cfg", dim=16, epochs=1, warmup_epochs=0,
+                               n_pairs=4, lora_enabled="true", lora_rank=4)
+        run(capsys, "pretrain", "--config", str(cfgfile), "--out", str(tmp_path / "run"))
+        code, err = merge_quietly(tmp_path, lora_run / "run" / "final.ckpt",
+                                  tmp_path / "run" / "adapters.ckpt")
+        assert code == 1 and "shape mismatch" in err, err
+
+    def test_trailing_bytes_exit_1(self, lora_run):
+        raw = (lora_run / "run" / "final.ckpt").read_bytes() + b"\0"
+        code, err = self._merge(lora_run, "final.ckpt", raw)
+        assert code == 1 and "trailing" in err, err
+
+    def test_non_numeric_pnm_header_exit_1(self, tmp_path, capsys):
+        run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--pairs", "2")
+        (tmp_path / "d" / "scene-00000.ppm").write_bytes(b"P6\nxx 4\n255\n")
+        cfgfile = write_config(tmp_path / "c.cfg",
+                               manifest=tmp_path / "d" / "manifest.tsv")
+        code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1 and "non-numeric" in err, err
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["final.ckpt", "adapters.ckpt"]),
+           cut=st.booleans(), data=st.data())
+    def test_truncated_or_flipped_never_tracebacks(self, lora_run, name, cut, data):
+        raw = bytearray((lora_run / "run" / name).read_bytes())
+        # half the positions fall in the headers, names and shapes up front
+        pos = data.draw(st.one_of(st.integers(0, 300), st.integers(0, len(raw) - 1)))
+        if cut:
+            raw = raw[:pos]
+        else:
+            raw[pos] ^= 1 << data.draw(st.integers(0, 7))
+        code, err = self._merge(lora_run, name, bytes(raw))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err

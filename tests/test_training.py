@@ -7,17 +7,11 @@ from irvis.autodiff import grad_check
 from irvis.encoder import encode, init_params
 from irvis.errors import ConfigError
 from irvis.lora import LoraConfig
-from irvis.training import (TrainConfig, forgetting_experiment, init_state,
-                            linear_probe, lr_at, make_labeled_scenes,
-                            make_pretrain_pairs, pooled_features, run_training,
-                            to_channels, train_step, trainable_map)
-
-
-def frozen_teacher(cfg):
-    params = init_params(cfg)
-    for t in params.values():
-        t.requires_grad = False
-    return params
+from irvis.training import (LOSS_KINDS, TrainConfig, forgetting_experiment,
+                            frozen_teacher, init_state, linear_probe, lr_at,
+                            make_labeled_scenes, make_pretrain_pairs,
+                            pooled_features, run_training, to_channels,
+                            train_step, trainable_map)
 
 
 def fresh_student(cfg):
@@ -58,6 +52,11 @@ class TestSchedule:
             TrainConfig(loss_kind="triplet")
         with pytest.raises(ConfigError):
             TrainConfig(base_lr=0.0)
+        for bad in (dict(tau=0.0), dict(tau=float("nan")), dict(gamma=0.0),
+                    dict(gamma=1.0), dict(alpha=-1.0), dict(beta=-0.5),
+                    dict(warmup_epochs=-1), dict(epochs=-1, warmup_epochs=-1)):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
 
 
 class TestToChannels:
@@ -81,16 +80,17 @@ class TestToChannels:
 class TestTrainStep:
     def test_zero_coefficients_leave_params_untouched(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
-        student = fresh_student(toy_cfg)
-        before = {k: t.data.copy() for k, t in student.items()}
-        cfg = TrainConfig(epochs=2, warmup_epochs=0, alpha=0.0, beta=0.0,
-                          base_lr=1e-2, steps_per_epoch=1)
-        state = init_state(student)
-        metrics = train_step(state, make_pretrain_pairs(2, seed=0), teacher,
-                             toy_cfg, cfg)
-        assert metrics["loss"] == 0.0
-        for k in student:
-            assert np.array_equal(student[k].data, before[k]), k
+        for loss_kind in LOSS_KINDS:
+            student = fresh_student(toy_cfg)
+            before = {k: t.data.copy() for k, t in student.items()}
+            cfg = TrainConfig(epochs=2, warmup_epochs=0, alpha=0.0, beta=0.0,
+                              base_lr=1e-2, steps_per_epoch=1, loss_kind=loss_kind)
+            state = init_state(student)
+            metrics = train_step(state, make_pretrain_pairs(2, seed=0), teacher,
+                                 toy_cfg, cfg)
+            assert metrics["loss"] == 0.0, loss_kind
+            for k in student:
+                assert np.array_equal(student[k].data, before[k]), (loss_kind, k)
 
     def test_zero_lr_with_zero_weight_decay_freezes_params(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
@@ -103,6 +103,16 @@ class TestTrainStep:
         train_step(state, make_pretrain_pairs(2, seed=0), teacher, toy_cfg, cfg)
         for k in student:
             assert np.array_equal(student[k].data, before[k]), k
+
+    def test_alpha_beta_weight_nce(self, toy_cfg):
+        # mse would not do: its visible term is exactly 0 at step 0
+        teacher = frozen_teacher(toy_cfg)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, steps_per_epoch=1,
+                          loss_kind="nce", alpha=1.0, beta=0.0)
+        m = train_step(init_state(fresh_student(toy_cfg)),
+                       make_pretrain_pairs(4, seed=1), teacher, toy_cfg, cfg)
+        assert m["l_vv"] > 0.0
+        assert m["loss"] == m["l_iv"]
 
     def test_metrics_schema(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
