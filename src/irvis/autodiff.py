@@ -189,7 +189,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product; leading axes broadcast as in ``np.matmul``."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(
             f"matmul shape mismatch: {a.shape} x {b.shape}"
         )
@@ -197,18 +198,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(data, (a, b), backward, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(g.T)
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes by ``axes``, a permutation of ``range(ndim)``; by default reverse them."""
+    inverse = None if axes is None else np.argsort(axes)
 
-    return _make(a.data.T.copy(), (a,), backward, "transpose")
+    def backward(g):
+        a._accumulate(np.transpose(g, inverse))
+
+    return _make(np.transpose(a.data, axes).copy(), (a,), backward, "transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -227,19 +231,6 @@ def take(a: Tensor, key) -> Tensor:
         a._accumulate(full)
 
     return _make(data, (a,), backward, "take")
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accumulate(piece)
-
-    return _make(data, tuple(tensors), backward, "concat")
 
 
 def tsum(a: Tensor) -> Tensor:

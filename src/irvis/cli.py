@@ -20,14 +20,18 @@ import numpy as np
 from . import data as datamod
 from . import tensorio
 from .autodiff import Tensor
-from .encoder import EncoderConfig, encode
+from .encoder import EncoderConfig
+from .encoder import encode  # noqa: F401  (benchmark wraps cli.encode)
 from .encoder import init_params  # noqa: F401  (benchmark wraps cli.init_params)
-from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
+from .errors import (ConfigError, DataError, DegenerateInputError, NumericError,
+                     ShapeMismatchError)
 from .lora import LoraAdapter, LoraConfig, adapter_tensors, forward_adapted, merge
-from .pccl import pseudo_labels, similarity
-from .training import (TrainConfig, forgetting_experiment, frozen_teacher,
-                       linear_probe, make_labeled_scenes, make_pretrain_pairs,
-                       pooled_features, run_training, student_state, to_channels)
+from .pccl import similarity
+from .pccl import pseudo_labels  # noqa: F401  (benchmark wraps cli.pseudo_labels)
+from .training import (TrainConfig, forgetting_experiment, forward_pair,
+                       frozen_teacher, linear_probe, make_labeled_scenes,
+                       make_pretrain_pairs, pooled_features, run_training,
+                       student_state)
 from .training import train_step  # noqa: F401  (benchmark wraps cli.train_step)
 
 _SCHEMA: dict[str, tuple] = {
@@ -161,22 +165,21 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _run_one(enc: EncoderConfig, cfg: TrainConfig, samples, metrics_path=None):
+def _run_one(enc: EncoderConfig, cfg: TrainConfig, samples, metrics_path=os.devnull):
     """Shared pretraining body: returns (teacher, state, best_params)."""
     teacher = frozen_teacher(enc)
     state = student_state(teacher, cfg.lora, seed=cfg.seed)
-    lines = []
     best_loss, best_params = float("inf"), _params_copy(state.params)
+    # one flushed line per step, so a run that fails keeps its finite steps
+    with open(metrics_path, "w") as log:
+        def on_step(metrics):
+            nonlocal best_loss, best_params
+            log.write(json.dumps(metrics) + "\n")
+            log.flush()
+            if metrics["loss"] < best_loss:
+                best_loss, best_params = metrics["loss"], _params_copy(state.params)
 
-    def on_step(metrics):
-        nonlocal best_loss, best_params
-        lines.append(json.dumps(metrics) + "\n")
-        if metrics["loss"] < best_loss:
-            best_loss, best_params = metrics["loss"], _params_copy(state.params)
-
-    run_training(samples, teacher, state, enc, cfg, on_step)
-    if metrics_path is not None:
-        Path(metrics_path).write_text("".join(lines))
+        run_training(samples, teacher, state, enc, cfg, on_step)
     return teacher, state, best_params
 
 
@@ -290,16 +293,15 @@ def cmd_dump_matrices(args) -> int:
     student = teacher  # untrained: the student is a copy of the teacher
     if args.checkpoint:
         loaded = tensorio.read_checkpoint(args.checkpoint)
+        shapes = {k: t.shape for k, t in teacher.items()}
+        if {k: a.shape for k, a in loaded.items()} != shapes:
+            raise DataError(f"{args.checkpoint}: parameter names or shapes do not "
+                            f"match the configured model")
         student = {k: Tensor(arr) for k, arr in loaded.items()}
     for sample in _load_samples(v, enc):
-        vis = to_channels(sample.visible.data, enc.channels)
-        ir = to_channels(sample.infrared.data, enc.channels)
-        t_out = encode(vis, teacher, enc)
-        labels = pseudo_labels(t_out.attention_last, cfg.gamma)
-        f_i = encode(ir, student, enc).features
-        f_v = encode(vis, student, enc).features
-        s_iv = similarity(f_i, t_out.features, cfg.tau)
-        s_vv = similarity(f_v, t_out.features, cfg.tau)
+        f_i, f_v, f_vf, labels = forward_pair(sample, teacher, student, enc, cfg.gamma)
+        s_iv = similarity(f_i, f_vf, cfg.tau)
+        s_vv = similarity(f_v, f_vf, cfg.tau)
         tensorio.write_tensor(out / f"{sample.scene_id}.m_iv.tnsr", s_iv.values.data)
         tensorio.write_tensor(out / f"{sample.scene_id}.m_vv.tnsr", s_vv.values.data)
         tensorio.write_tensor(out / f"{sample.scene_id}.m_p.tnsr", labels.values)
@@ -354,7 +356,8 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, DataError, ShapeMismatchError) as exc:
+    except (ConfigError, DataError, DegenerateInputError, ShapeMismatchError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

@@ -31,6 +31,9 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (self.depth >= 1 and self.heads >= 1):
+            raise ConfigError(f"depth and heads must be positive, got "
+                              f"{self.depth} and {self.heads}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -126,29 +129,18 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
     if use_pos_embed:
         x = x + params["pos_embed"]
 
-    dh = cfg.dim // cfg.heads
+    n, dh = cfg.num_patches, cfg.dim // cfg.heads
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
-    attention_last = None
     for i in range(cfg.depth):
         pre = f"blocks.{i}"
         h = ad.layernorm(x, params[f"{pre}.norm1.weight"], params[f"{pre}.norm1.bias"],
                          eps=LN_EPS)
         qkv = _linear(h, params, f"{pre}.qkv", adapters, training, rng)
-        head_outs = []
-        head_maps = []
-        for j in range(cfg.heads):
-            q = qkv[:, j * dh:(j + 1) * dh]
-            k = qkv[:, cfg.dim + j * dh:cfg.dim + (j + 1) * dh]
-            v = qkv[:, 2 * cfg.dim + j * dh:2 * cfg.dim + (j + 1) * dh]
-            attn = ad.softmax_rows((q @ ad.transpose(k)) * inv_sqrt_dh)
-            head_maps.append(attn)
-            head_outs.append(attn @ v)
-        if i == cfg.depth - 1:
-            mean_map = head_maps[0]
-            for m in head_maps[1:]:
-                mean_map = mean_map + m
-            attention_last = mean_map * (1.0 / cfg.heads)
-        merged = ad.concat(head_outs, axis=1)
+        # columns are [q | k | v], each split into heads: to (3, heads, N, dh)
+        qkv = ad.transpose(ad.reshape(qkv, (n, 3, cfg.heads, dh)), (1, 2, 0, 3))
+        q, k, v = qkv[0], qkv[1], qkv[2]
+        attn = ad.softmax_rows((q @ ad.transpose(k, (0, 2, 1))) * inv_sqrt_dh)
+        merged = ad.reshape(ad.transpose(attn @ v, (1, 0, 2)), (n, cfg.dim))
         x = x + _linear(merged, params, f"{pre}.proj", adapters, training, rng)
 
         h = ad.layernorm(x, params[f"{pre}.norm2.weight"], params[f"{pre}.norm2.bias"],
@@ -157,4 +149,6 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
         x = x + _linear(h, params, f"{pre}.fc2", adapters, training, rng)
 
     features = ad.layernorm(x, params["norm.weight"], params["norm.bias"], eps=LN_EPS)
-    return EncoderOutput(features=features, attention_last=attention_last)
+    # pseudo-labels read the map without gradients, so it leaves the tape
+    return EncoderOutput(features=features,
+                         attention_last=Tensor(attn.data.mean(axis=0)))

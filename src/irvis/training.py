@@ -134,19 +134,27 @@ def to_channels(img: np.ndarray, channels: int) -> np.ndarray:
     raise ConfigError(f"cannot map {img.shape[0]} channels to {channels}")
 
 
+def forward_pair(sample: datamod.PairedSample, teacher: dict[str, Tensor],
+                 params: dict[str, Tensor], enc_cfg: EncoderConfig, gamma: float,
+                 **encode_kwargs):
+    """(f_i, f_v, f_vf, labels): student features of the infrared and visible
+    image, and the frozen teacher's visible features and pseudo-labels."""
+    vis = to_channels(sample.visible.data, enc_cfg.channels)
+    ir = to_channels(sample.infrared.data, enc_cfg.channels)
+    teacher_out = encode(vis, teacher, enc_cfg)
+    labels = pccl.pseudo_labels(teacher_out.attention_last, gamma)
+    f_i = encode(ir, params, enc_cfg, **encode_kwargs).features
+    f_v = encode(vis, params, enc_cfg, **encode_kwargs).features
+    return f_i, f_v, teacher_out.features, labels
+
+
 def _sample_losses(sample: datamod.PairedSample, teacher: dict[str, Tensor],
                    state: TrainState, enc_cfg: EncoderConfig, cfg: TrainConfig,
                    rng: np.random.Generator, training: bool):
     """(L_IV, L_VV): the loss kind's term on the infrared and visible branch."""
-    vis = to_channels(sample.visible.data, enc_cfg.channels)
-    ir = to_channels(sample.infrared.data, enc_cfg.channels)
-    teacher_out = encode(vis, teacher, enc_cfg)
-    f_vf = teacher_out.features  # frozen params: carries no gradient
-    labels = pccl.pseudo_labels(teacher_out.attention_last, cfg.gamma)
-
-    kwargs = dict(adapters=state.adapters, training=training, rng=rng)
-    f_i = encode(ir, state.params, enc_cfg, **kwargs).features
-    f_v = encode(vis, state.params, enc_cfg, **kwargs).features
+    f_i, f_v, f_vf, labels = forward_pair(sample, teacher, state.params, enc_cfg,
+                                          cfg.gamma, adapters=state.adapters,
+                                          training=training, rng=rng)
     term = pccl.LOSSES[cfg.loss_kind]
     return term(f_i, f_vf, labels, cfg.tau), term(f_v, f_vf, labels, cfg.tau)
 

@@ -28,6 +28,12 @@ class TestMatmul:
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    def test_batched_matches_numpy(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(2, 3, 4))
+        for b in (rng.normal(size=(4, 5)), rng.normal(size=(2, 4, 5))):
+            assert np.array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
+
     def test_backward_vs_finite_differences(self):
         rng = np.random.default_rng(11)
         a = Tensor(rng.normal(size=(3, 4)))
@@ -217,14 +223,32 @@ def _mean_case(rng):
     return ad.tmean, Tensor(rng.normal(size=(3, 4)))
 
 
-def _take_concat_case(rng):
-    return (weighted_sum(lambda t: ad.concat([t[:, 2:4], t[:, 0:2]], axis=1),
-                         rng.normal(size=(3, 4))),
+def _take_case(rng):
+    # a repeated column: its gradient must sum both uses
+    return (weighted_sum(lambda t: t[:, [2, 0, 2]], rng.normal(size=(3, 3))),
             Tensor(rng.normal(size=(3, 4))))
+
+
+def _matmul_batched_case(rng):
+    # (2,3,4) @ (4,5) broadcasts the right operand, (2,3,4) @ (2,4,5) does not;
+    # each trial differentiates one side of one of the two products
+    a_shape, b_shape = (2, 3, 4), [(4, 5), (2, 4, 5)][rng.integers(2)]
+    w = rng.normal(size=(2, 3, 5))
+    if rng.integers(2):
+        b = Tensor(rng.normal(size=b_shape))
+        return weighted_sum(lambda t: matmul(t, b), w), Tensor(rng.normal(size=a_shape))
+    a = Tensor(rng.normal(size=a_shape))
+    return weighted_sum(lambda t: matmul(a, t), w), Tensor(rng.normal(size=b_shape))
+
+
+def _transpose_axes_case(rng):
+    return (weighted_sum(lambda t: ad.transpose(t, (1, 2, 0)), rng.normal(size=(3, 4, 2))),
+            Tensor(rng.normal(size=(2, 3, 4))))
 
 
 DIFF_OPS = {
     "matmul": _matmul_case,
+    "matmul_batched": _matmul_batched_case,
     "softmax_rows": _softmax_case,
     "cosine_rows": _cosine_case,
     "bce_with_logits": _bce_case,
@@ -234,7 +258,8 @@ DIFF_OPS = {
     "add_broadcast": _add_case,
     "mul": _mul_case,
     "mean": _mean_case,
-    "take_concat": _take_concat_case,
+    "take": _take_case,
+    "transpose_axes": _transpose_axes_case,
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from irvis import tensorio
 from irvis.cli import main
 from irvis.data import read_manifest
+from irvis.encoder import EncoderConfig, init_params
 
 
 def write_config(path, **overrides):
@@ -118,6 +119,19 @@ class TestPretrain:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes(), name
 
+    def test_metrics_streamed_before_numeric_failure(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path / "c.cfg", base_lr=1e300, warmup_epochs=0,
+                               batch_size=1)
+        with np.errstate(over="ignore"):
+            code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                               "--out", str(tmp_path / "run"))
+        assert code == 2 and "at step 1" in err, err
+        lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        m = json.loads(lines[0])
+        assert list(m) == ["step", "lr", "loss", "l_iv", "l_vv"]
+        assert m["step"] == 0 and np.isfinite(m["loss"])
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfgfile = write_config(tmp_path / "c.cfg", seed=3)
         monkeypatch.setenv("UNIV_SEED", "11")
@@ -158,6 +172,51 @@ class TestConfigRanges:
                            "--out", str(tmp_path / "run"))
         assert code == 1
         assert "UNIV_SEED" in err
+
+
+class TestMissingAndDegenerateInputs:
+    def assert_exit_1(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: "), err
+        assert "Traceback" not in out + err
+        return err
+
+    def test_missing_checkpoint(self, tmp_path, capsys):
+        err = self.assert_exit_1(capsys, "merge", "--checkpoint",
+                                 str(tmp_path / "nope.ckpt"), "--adapters",
+                                 str(tmp_path / "nope.adapters"), "--out",
+                                 str(tmp_path / "m.ckpt"))
+        assert "nope.ckpt" in err
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path / "c.cfg", manifest=tmp_path / "nope.tsv")
+        err = self.assert_exit_1(capsys, "pretrain", "--config", str(cfgfile),
+                                 "--out", str(tmp_path / "run"))
+        assert "nope.tsv" in err
+
+    @pytest.mark.parametrize("model", ["missing_key", "other_dim"])
+    def test_checkpoint_of_another_model(self, tmp_path, capsys, model):
+        cfg = EncoderConfig(seed=7, dim=16 if model == "other_dim" else 32)
+        ckpt = {k: t.data for k, t in init_params(cfg).items()}
+        if model == "missing_key":
+            del ckpt["norm.bias"]
+        tensorio.write_checkpoint(tmp_path / "m.ckpt", ckpt)
+        err = self.assert_exit_1(capsys, "dump-matrices", "--config",
+                                 str(write_config(tmp_path / "c.cfg", n_pairs=2)),
+                                 "--out", str(tmp_path / "mats"),
+                                 "--checkpoint", str(tmp_path / "m.ckpt"))
+        assert "do not match the configured model" in err
+
+    def test_zero_norm_features(self, tmp_path, capsys):
+        ckpt = {k: t.data for k, t in init_params(EncoderConfig(seed=7)).items()}
+        ckpt["norm.weight"] = np.zeros_like(ckpt["norm.weight"])
+        ckpt["norm.bias"] = np.zeros_like(ckpt["norm.bias"])
+        tensorio.write_checkpoint(tmp_path / "zero.ckpt", ckpt)
+        err = self.assert_exit_1(capsys, "dump-matrices", "--config",
+                                 str(write_config(tmp_path / "c.cfg", n_pairs=2)),
+                                 "--out", str(tmp_path / "mats"),
+                                 "--checkpoint", str(tmp_path / "zero.ckpt"))
+        assert "zero-norm row" in err
 
 
 class TestAblate:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from irvis.encoder import EncoderConfig, encode, init_params, param_count, patchify
+from irvis.encoder import (LN_EPS, EncoderConfig, encode, init_params, param_count,
+                           patchify)
 from irvis.errors import ConfigError
 
 
@@ -10,6 +12,10 @@ def test_config_validation():
         EncoderConfig(image_size=15, patch_size=4)
     with pytest.raises(ConfigError):
         EncoderConfig(dim=30, heads=4)
+    with pytest.raises(ConfigError):
+        EncoderConfig(depth=0)
+    with pytest.raises(ConfigError):
+        EncoderConfig(heads=0)
     cfg = EncoderConfig(image_size=16, patch_size=4)
     assert cfg.num_patches == 16
 
@@ -101,3 +107,52 @@ def test_features_differentiable_wrt_params(toy_cfg, toy_params):
             return tmean(encode(img, p, toy_cfg).features)
         err = grad_check(f, toy_params[name], sample=15, seed=1)
         assert err < 1e-4, name
+
+
+def reference_forward(img, params, cfg):
+    """Plain-numpy forward pass that runs the attention heads one at a time."""
+    p = {name: t.data for name, t in params.items()}
+
+    def linear(x, name):
+        return x @ p[f"{name}.weight"] + p[f"{name}.bias"]
+
+    def norm(x, name):
+        mu, var = x.mean(axis=1, keepdims=True), x.var(axis=1, keepdims=True)
+        return (x - mu) / np.sqrt(var + LN_EPS) * p[f"{name}.weight"] + p[f"{name}.bias"]
+
+    x = linear(patchify(img, cfg), "patch_embed") + p["pos_embed"]
+    dh = cfg.dim // cfg.heads
+    for i in range(cfg.depth):
+        pre = f"blocks.{i}"
+        qkv = linear(norm(x, f"{pre}.norm1"), f"{pre}.qkv")
+        outs, maps = [], []
+        for j in range(cfg.heads):
+            q, k, v = (qkv[:, s * cfg.dim + j * dh:s * cfg.dim + (j + 1) * dh]
+                       for s in range(3))
+            z = q @ k.T / np.sqrt(dh)
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            maps.append(e / e.sum(axis=1, keepdims=True))
+            outs.append(maps[-1] @ v)
+        x = x + linear(np.hstack(outs), f"{pre}.proj")
+        h = linear(norm(x, f"{pre}.norm2"), f"{pre}.fc1")
+        x = x + linear(h * 0.5 * (1.0 + erf(h / np.sqrt(2.0))), f"{pre}.fc2")
+    return norm(x, "norm"), sum(maps) / cfg.heads
+
+
+def assert_matches_reference(cfg, params):
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        img = rng.random((cfg.channels, cfg.image_size, cfg.image_size))
+        out = encode(img, params, cfg)
+        features, attention = reference_forward(img, params, cfg)
+        assert np.abs(out.features.data - features).max() <= 1e-12
+        assert np.abs(out.attention_last.data - attention).max() <= 1e-12
+
+
+def test_fused_heads_match_per_head_reference(toy_cfg, toy_params):
+    assert_matches_reference(toy_cfg, toy_params)
+
+
+def test_fused_heads_match_per_head_reference_two_heads_one_block():
+    cfg = EncoderConfig(depth=1, heads=2, seed=3)
+    assert_matches_reference(cfg, init_params(cfg))

@@ -4,21 +4,14 @@ import pytest
 import irvis.autodiff as ad
 from irvis import pccl, tensorio
 from irvis.autodiff import grad_check
-from irvis.encoder import encode, init_params
+from irvis.encoder import encode
 from irvis.errors import ConfigError
 from irvis.lora import LoraConfig
 from irvis.training import (LOSS_KINDS, TrainConfig, forgetting_experiment,
-                            frozen_teacher, init_state, linear_probe, lr_at,
+                            frozen_teacher, linear_probe, lr_at,
                             make_labeled_scenes, make_pretrain_pairs,
-                            pooled_features, run_training, to_channels,
-                            train_step, trainable_map)
-
-
-def fresh_student(cfg):
-    params = init_params(cfg)
-    for t in params.values():
-        t.requires_grad = True
-    return params
+                            pooled_features, run_training, student_state,
+                            to_channels, train_step, trainable_map)
 
 
 class TestSchedule:
@@ -81,11 +74,11 @@ class TestTrainStep:
     def test_zero_coefficients_leave_params_untouched(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
         for loss_kind in LOSS_KINDS:
-            student = fresh_student(toy_cfg)
+            state = student_state(teacher)
+            student = state.params
             before = {k: t.data.copy() for k, t in student.items()}
             cfg = TrainConfig(epochs=2, warmup_epochs=0, alpha=0.0, beta=0.0,
                               base_lr=1e-2, steps_per_epoch=1, loss_kind=loss_kind)
-            state = init_state(student)
             metrics = train_step(state, make_pretrain_pairs(2, seed=0), teacher,
                                  toy_cfg, cfg)
             assert metrics["loss"] == 0.0, loss_kind
@@ -94,12 +87,12 @@ class TestTrainStep:
 
     def test_zero_lr_with_zero_weight_decay_freezes_params(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
-        student = fresh_student(toy_cfg)
+        state = student_state(teacher)
+        student = state.params
         before = {k: t.data.copy() for k, t in student.items()}
         # warmup covers the whole schedule, so step 0 sees lr exactly 0
         cfg = TrainConfig(epochs=1, warmup_epochs=1, base_lr=1e-2,
                           weight_decay=0.0, steps_per_epoch=4)
-        state = init_state(student)
         train_step(state, make_pretrain_pairs(2, seed=0), teacher, toy_cfg, cfg)
         for k in student:
             assert np.array_equal(student[k].data, before[k]), k
@@ -109,14 +102,14 @@ class TestTrainStep:
         teacher = frozen_teacher(toy_cfg)
         cfg = TrainConfig(epochs=2, warmup_epochs=1, steps_per_epoch=1,
                           loss_kind="nce", alpha=1.0, beta=0.0)
-        m = train_step(init_state(fresh_student(toy_cfg)),
+        m = train_step(student_state(teacher),
                        make_pretrain_pairs(4, seed=1), teacher, toy_cfg, cfg)
         assert m["l_vv"] > 0.0
         assert m["loss"] == m["l_iv"]
 
     def test_metrics_schema(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
-        state = init_state(fresh_student(toy_cfg))
+        state = student_state(teacher)
         cfg = TrainConfig(epochs=2, warmup_epochs=1, steps_per_epoch=1)
         m = train_step(state, make_pretrain_pairs(2, seed=1), teacher, toy_cfg, cfg)
         assert sorted(m) == ["l_iv", "l_vv", "loss", "lr", "step"]
@@ -126,19 +119,17 @@ class TestTrainStep:
     def test_teacher_bytes_unchanged_by_run(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
         ref = tensorio.checkpoint_bytes({k: t.data for k, t in teacher.items()})
-        state = init_state(fresh_student(toy_cfg))
+        state = student_state(teacher)
         cfg = TrainConfig(epochs=3, warmup_epochs=1, base_lr=1e-3, batch_size=4)
         run_training(make_pretrain_pairs(8, seed=2), teacher, state, toy_cfg, cfg)
         assert tensorio.checkpoint_bytes(
             {k: t.data for k, t in teacher.items()}) == ref
 
     def test_lora_run_changes_adapters_and_pos_embed_only(self, toy_cfg):
-        from irvis.lora import attach
         teacher = frozen_teacher(toy_cfg)
-        student = fresh_student(toy_cfg)
-        adapters = attach(student, LoraConfig(rank=4, dropout=0.0), seed=0)
+        state = student_state(teacher, LoraConfig(rank=4, dropout=0.0), seed=0)
+        student, adapters = state.params, state.adapters
         before = {k: t.data.copy() for k, t in student.items()}
-        state = init_state(student, adapters)
         cfg = TrainConfig(epochs=3, warmup_epochs=1, base_lr=1e-3, batch_size=4,
                           lora=LoraConfig(rank=4, dropout=0.0))
         run_training(make_pretrain_pairs(8, seed=3), teacher, state, toy_cfg, cfg)
@@ -153,7 +144,7 @@ class TestTrainStep:
         teacher = frozen_teacher(toy_cfg)
         logs = []
         for _ in range(2):
-            state = init_state(fresh_student(toy_cfg))
+            state = student_state(teacher)
             cfg = TrainConfig(epochs=3, warmup_epochs=1, base_lr=1e-3,
                               batch_size=4, seed=5)
             run_training(make_pretrain_pairs(8, seed=4), teacher, state, toy_cfg,
@@ -163,7 +154,7 @@ class TestTrainStep:
 
     def test_loss_decreases_on_fixed_batch(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
-        state = init_state(fresh_student(toy_cfg))
+        state = student_state(teacher)
         cfg = TrainConfig(epochs=50, warmup_epochs=0, base_lr=1e-2,
                           weight_decay=0.0, batch_size=4, steps_per_epoch=1)
         batch = make_pretrain_pairs(4, seed=3)
@@ -178,7 +169,7 @@ class TestEndToEndGradients:
                                            "pccl_softmax_variant"])
     def test_param_gradient_matches_finite_differences(self, toy_cfg, loss_kind):
         teacher = frozen_teacher(toy_cfg)
-        student = fresh_student(toy_cfg)
+        student = student_state(teacher).params
         sample = make_pretrain_pairs(1, seed=6)[0]
         vis = to_channels(sample.visible.data, toy_cfg.channels)
         ir = to_channels(sample.infrared.data, toy_cfg.channels)
@@ -267,8 +258,8 @@ def test_pooled_features_shape(toy_cfg, toy_params):
 
 
 def test_trainable_map_respects_flags(toy_cfg):
-    student = fresh_student(toy_cfg)
-    state = init_state(student)
+    state = student_state(frozen_teacher(toy_cfg))
+    student = state.params
     assert sorted(trainable_map(state)) == sorted(student)
     student["norm.weight"].requires_grad = False
     assert "norm.weight" not in trainable_map(state)
