@@ -194,7 +194,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"matmul shape mismatch: {a.shape} x {b.shape}"
         )
-    data = a.data @ b.data
+    try:
+        data = a.data @ b.data
+    except ValueError:  # leading axes that do not broadcast
+        raise ShapeMismatchError(
+            f"matmul shape mismatch: {a.shape} x {b.shape}"
+        ) from None
 
     def backward(g):
         if a.requires_grad:
@@ -219,7 +224,11 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         a._accumulate(g.reshape(a.shape))
 
-    return _make(a.data.reshape(shape).copy(), (a,), backward, "reshape")
+    try:
+        data = a.data.reshape(shape).copy()
+    except ValueError:
+        raise ShapeMismatchError(f"cannot reshape {a.shape} to {shape}") from None
+    return _make(data, (a,), backward, "reshape")
 
 
 def take(a: Tensor, key) -> Tensor:
@@ -314,30 +323,33 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs cosine similarity between rows of ``a`` and rows of ``b``."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+    """All-pairs cosine similarity between rows of ``a`` and rows of ``b``;
+    leading axes are a batch: ``(..., N, D)`` and ``(..., M, D)`` give ``(..., N, M)``."""
+    if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-1]):
         raise ShapeMismatchError(
             f"cosine_rows shape mismatch: {a.shape} vs {b.shape}"
         )
-    na = np.linalg.norm(a.data, axis=1)
-    nb = np.linalg.norm(b.data, axis=1)
+    na = np.linalg.norm(a.data, axis=-1, keepdims=True)
+    nb = np.linalg.norm(b.data, axis=-1, keepdims=True)
     for name, norms in (("a", na), ("b", nb)):
-        zero = np.flatnonzero(norms == 0.0)
+        zero = np.argwhere(norms[..., 0] == 0.0)
         if zero.size:
+            *sample, row = (int(i) for i in zero[0])
+            at = f" of batch entry {tuple(sample)}" if sample else ""
             raise DegenerateInputError(
-                f"cosine_rows: zero-norm row {int(zero[0])} in argument {name}"
+                f"cosine_rows: zero-norm row {row}{at} in argument {name}"
             )
-    an = a.data / na[:, None]
-    bn = b.data / nb[:, None]
-    out = an @ bn.T
+    an = a.data / na
+    bn = b.data / nb
+    out = an @ np.swapaxes(bn, -1, -2)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate((g @ bn - (g * out).sum(axis=1, keepdims=True) * an)
-                          / na[:, None])
+            a._accumulate((g @ bn - (g * out).sum(axis=-1, keepdims=True) * an) / na)
         if b.requires_grad:
-            b._accumulate((g.T @ an - (g * out).sum(axis=0)[:, None] * bn)
-                          / nb[:, None])
+            col = np.swapaxes((g * out).sum(axis=-2, keepdims=True), -1, -2)
+            b._accumulate((np.swapaxes(g, -1, -2) @ an - col * bn) / nb)
 
     return _make(out, (a, b), backward, "cosine_rows")
 
@@ -363,40 +375,43 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
 
 
 def diag_cross_entropy(x: Tensor) -> Tensor:
-    """Row-wise softmax cross-entropy with target class = row index, mean over rows."""
-    if x.data.ndim != 2 or x.shape[0] != x.shape[1]:
+    """Row-wise softmax cross-entropy with target class = row index, mean over
+    rows; leading axes are a batch of square matrices, averaged over too."""
+    if x.data.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ShapeMismatchError(f"diag_cross_entropy needs a square matrix, got {x.shape}")
-    n = x.shape[0]
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    data = np.array((lse - np.diag(z)).mean())
+    n = x.shape[-1]
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    data = np.array((lse - np.diagonal(z, axis1=-2, axis2=-1)).mean())
+    rows = lse.size
 
     def backward(g):
         p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        x._accumulate(float(g) * (p - np.eye(n)) / n)
+        p /= p.sum(axis=-1, keepdims=True)
+        x._accumulate(float(g) * (p - np.eye(n)) / rows)
 
     return _make(data, (x,), backward, "diag_cross_entropy")
 
 
 def masked_softmax_nll(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Per row: negative log of the softmax mass on masked-in positions, mean over rows."""
-    if x.data.ndim != 2 or x.data.shape != mask.shape:
+    """Per row: negative log of the softmax mass on masked-in positions, mean
+    over rows; leading axes are a batch, averaged over too."""
+    if x.data.ndim < 2 or x.data.shape != mask.shape:
         raise ShapeMismatchError(
             f"masked_softmax_nll shape mismatch: {x.shape} vs {mask.shape}"
         )
-    if not np.all(mask.sum(axis=1) >= 1):
+    if not np.all(mask.sum(axis=-1) >= 1):
         raise DegenerateInputError("masked_softmax_nll: a row has no selected position")
     m = mask.astype(np.float64)
-    z = x.data - x.data.max(axis=1, keepdims=True)
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    q = (p * m).sum(axis=1)
+    p = e / e.sum(axis=-1, keepdims=True)
+    q = (p * m).sum(axis=-1, keepdims=True)
     data = np.array((-np.log(q)).mean())
-    n = x.shape[0]
+    rows = q.size
 
     def backward(g):
-        x._accumulate(float(g) * p * (q[:, None] - m) / q[:, None] / n)
+        x._accumulate(float(g) * p * (q - m) / q / rows)
 
     return _make(data, (x,), backward, "masked_softmax_nll")
 

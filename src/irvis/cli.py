@@ -298,13 +298,16 @@ def cmd_dump_matrices(args) -> int:
             raise DataError(f"{args.checkpoint}: parameter names or shapes do not "
                             f"match the configured model")
         student = {k: Tensor(arr) for k, arr in loaded.items()}
-    for sample in _load_samples(v, enc):
-        f_i, f_v, f_vf, labels = forward_pair(sample, teacher, student, enc, cfg.gamma)
+    samples = _load_samples(v, enc)
+    for start in range(0, len(samples), cfg.batch_size):
+        chunk = samples[start:start + cfg.batch_size]
+        f_i, f_v, f_vf, labels = forward_pair(chunk, teacher, student, enc, cfg.gamma)
         s_iv = similarity(f_i, f_vf, cfg.tau)
         s_vv = similarity(f_v, f_vf, cfg.tau)
-        tensorio.write_tensor(out / f"{sample.scene_id}.m_iv.tnsr", s_iv.values.data)
-        tensorio.write_tensor(out / f"{sample.scene_id}.m_vv.tnsr", s_vv.values.data)
-        tensorio.write_tensor(out / f"{sample.scene_id}.m_p.tnsr", labels.values)
+        for j, sample in enumerate(chunk):
+            tensorio.write_tensor(out / f"{sample.scene_id}.m_iv.tnsr", s_iv.values.data[j])
+            tensorio.write_tensor(out / f"{sample.scene_id}.m_vv.tnsr", s_vv.values.data[j])
+            tensorio.write_tensor(out / f"{sample.scene_id}.m_p.tnsr", labels.values[j])
     print(f"dumped matrices to {out}")
     return 0
 
@@ -355,7 +358,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        # non-finite values raise NumericError (exit 2); numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, DataError, DegenerateInputError, ShapeMismatchError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,8 +52,8 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    features: Tensor        # (N, dim)
-    attention_last: Tensor  # (N, N), row-stochastic, head-averaged
+    features: Tensor        # (N, dim), or (B, N, dim) for a batch
+    attention_last: Tensor  # (N, N) or (B, N, N), row-stochastic, head-averaged
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
@@ -97,16 +97,19 @@ def param_count(params: dict[str, Tensor]) -> int:
 
 
 def patchify(img: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """(C, H, W) image to (N, C*P*P) row-major patch matrix."""
-    c, h, w = img.shape
-    if (c, h, w) != (cfg.channels, cfg.image_size, cfg.image_size):
+    """(C, H, W) image to (N, C*P*P) row-major patch matrix; a leading batch
+    axis, (B, C, H, W), gives (B, N, C*P*P)."""
+    lead, chw = img.shape[:-3], img.shape[-3:]
+    if img.ndim not in (3, 4) or chw != (cfg.channels, cfg.image_size, cfg.image_size):
         raise ConfigError(
             f"image shape {img.shape} does not match config "
-            f"({cfg.channels},{cfg.image_size},{cfg.image_size})"
+            f"([B,]{cfg.channels},{cfg.image_size},{cfg.image_size})"
         )
-    n = cfg.image_size // cfg.patch_size
-    x = img.reshape(c, n, cfg.patch_size, n, cfg.patch_size)
-    return x.transpose(1, 3, 0, 2, 4).reshape(n * n, cfg.patch_dim)
+    c, p, n = cfg.channels, cfg.patch_size, cfg.image_size // cfg.patch_size
+    b = len(lead)
+    x = img.reshape(lead + (c, n, p, n, p))
+    x = x.transpose(*range(b), b + 1, b + 3, b, b + 2, b + 4)
+    return x.reshape(lead + (n * n, cfg.patch_dim))
 
 
 def _linear(x: Tensor, params: dict[str, Tensor], name: str,
@@ -122,13 +125,19 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
            adapters=None, training: bool = False,
            rng: np.random.Generator | None = None,
            use_pos_embed: bool = True) -> EncoderOutput:
-    """Forward pass; pure in (img, params), deterministic unless dropout is live."""
+    """Forward pass; pure in (img, params), deterministic unless dropout is live.
+
+    ``img`` is one (C, H, W) image or a (B, C, H, W) batch; a batch gives
+    features (B, N, dim) and attention maps (B, N, N).
+    """
     data = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
     patches = Tensor(patchify(data, cfg))
     x = _linear(patches, params, "patch_embed", adapters, training, rng)
     if use_pos_embed:
         x = x + params["pos_embed"]
 
+    lead = patches.shape[:-2]
+    b, batch_axes = len(lead), tuple(range(len(lead)))
     n, dh = cfg.num_patches, cfg.dim // cfg.heads
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
     for i in range(cfg.depth):
@@ -136,11 +145,14 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
         h = ad.layernorm(x, params[f"{pre}.norm1.weight"], params[f"{pre}.norm1.bias"],
                          eps=LN_EPS)
         qkv = _linear(h, params, f"{pre}.qkv", adapters, training, rng)
-        # columns are [q | k | v], each split into heads: to (3, heads, N, dh)
-        qkv = ad.transpose(ad.reshape(qkv, (n, 3, cfg.heads, dh)), (1, 2, 0, 3))
+        # columns are [q | k | v], each split into heads: to (3, *lead, heads, N, dh)
+        qkv = ad.transpose(ad.reshape(qkv, lead + (n, 3, cfg.heads, dh)),
+                           (b + 1, *batch_axes, b + 2, b, b + 3))
         q, k, v = qkv[0], qkv[1], qkv[2]
-        attn = ad.softmax_rows((q @ ad.transpose(k, (0, 2, 1))) * inv_sqrt_dh)
-        merged = ad.reshape(ad.transpose(attn @ v, (1, 0, 2)), (n, cfg.dim))
+        k_t = ad.transpose(k, (*batch_axes, b, b + 2, b + 1))
+        attn = ad.softmax_rows((q @ k_t) * inv_sqrt_dh)
+        merged = ad.reshape(ad.transpose(attn @ v, (*batch_axes, b + 1, b, b + 2)),
+                            lead + (n, cfg.dim))
         x = x + _linear(merged, params, f"{pre}.proj", adapters, training, rng)
 
         h = ad.layernorm(x, params[f"{pre}.norm2.weight"], params[f"{pre}.norm2.bias"],
@@ -151,4 +163,4 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
     features = ad.layernorm(x, params["norm.weight"], params["norm.bias"], eps=LN_EPS)
     # pseudo-labels read the map without gradients, so it leaves the tape
     return EncoderOutput(features=features,
-                         attention_last=Tensor(attn.data.mean(axis=0)))
+                         attention_last=Tensor(attn.data.mean(axis=-3)))

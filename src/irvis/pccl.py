@@ -25,15 +25,15 @@ ROW_SUM_TOL = 1e-6
 
 @dataclass
 class SimilarityMatrix:
-    values: Tensor  # (N, N), entries cosine / tau
+    values: Tensor  # (N, N) or (B, N, N), entries cosine / tau
     tau: float
 
 
 @dataclass
 class PseudoLabelMatrix:
-    values: np.ndarray  # binary (N, N)
+    values: np.ndarray  # binary (N, N) or (B, N, N)
     gamma: float
-    per_row_m: np.ndarray  # minimal prefix length per row
+    per_row_m: np.ndarray  # minimal prefix length per row: (N,) or (B, N)
 
 
 def similarity(f_a: Tensor, f_b: Tensor, tau: float) -> SimilarityMatrix:
@@ -44,32 +44,31 @@ def similarity(f_a: Tensor, f_b: Tensor, tau: float) -> SimilarityMatrix:
 
 def pseudo_labels(attention: np.ndarray | Tensor, gamma: float) -> PseudoLabelMatrix:
     """Binary labels per row: diagonal plus the minimal descending-attention
-    prefix whose mass strictly exceeds gamma.
+    prefix whose mass strictly exceeds gamma.  Leading axes are a batch.
 
     Sorting is stable, lower original index first on ties.
     """
     a = attention.data if isinstance(attention, Tensor) else np.asarray(attention)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatchError(f"attention must be square, got {a.shape}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    if np.any(a < 0.0) or np.any(np.abs(a.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-        bad = int(np.argmax(np.abs(a.sum(axis=1) - 1.0)))
+    row_err = np.abs(a.sum(axis=-1) - 1.0)
+    if np.any(a < 0.0) or np.any(row_err > ROW_SUM_TOL):
+        bad = np.unravel_index(np.argmax(row_err), row_err.shape)
+        where = ", ".join(str(int(i)) for i in bad)
         raise DegenerateInputError(
-            f"attention rows must be stochastic; row {bad} sums to {a[bad].sum():.9f}"
+            f"attention rows must be stochastic; row {where} sums to {a[bad].sum():.9f}"
         )
-    n = a.shape[0]
-    labels = np.zeros((n, n))
-    per_row_m = np.zeros(n, dtype=np.int64)
+    n = a.shape[-1]
     # stable descending sort = stable ascending sort of negated values
-    order = np.argsort(-a, axis=1, kind="stable")
-    for i in range(n):
-        csum = np.cumsum(a[i, order[i]])
-        m = int(np.searchsorted(csum > gamma, True)) + 1
-        m = min(m, n)
-        per_row_m[i] = m
-        labels[i, order[i, :m]] = 1.0
-        labels[i, i] = 1.0
+    order = np.argsort(-a, axis=-1, kind="stable")
+    csum = np.cumsum(np.take_along_axis(a, order, axis=-1), axis=-1)
+    # rows are nonnegative, so csum > gamma is False then True along each row
+    per_row_m = np.minimum((csum <= gamma).sum(axis=-1) + 1, n)
+    labels = np.zeros(a.shape)
+    np.put_along_axis(labels, order, np.arange(n) < per_row_m[..., None], axis=-1)
+    labels[..., np.arange(n), np.arange(n)] = 1.0
     return PseudoLabelMatrix(values=labels, gamma=gamma, per_row_m=per_row_m)
 
 

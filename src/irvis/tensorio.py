@@ -5,12 +5,14 @@ little-endian f64 payload.  A checkpoint is a container holding a u32
 entry count followed by (u16 name length, utf-8 name, tensor record)
 entries; entries are written in sorted-name order so identical parameter
 maps serialize to identical bytes.  Every read is bounds-checked: a
-truncated, garbled or over-long file raises ``DataError``.
+truncated, garbled or over-long file raises ``DataError``.  Every write
+goes to a temporary file that is then renamed over the target.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -72,8 +74,21 @@ def _unpack_container(buf: bytes, offset: int, path) -> dict[str, np.ndarray]:
     return named
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write a temporary file beside ``path``, then rename it over ``path``:
+    a write that fails part-way leaves any old file whole and no temporary
+    file behind."""
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_tensor(path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(_pack_tensor(arr))
+    _write_atomic(path, _pack_tensor(arr))
 
 
 def read_tensor(path) -> np.ndarray:
@@ -95,7 +110,7 @@ def checkpoint_bytes(named: dict[str, np.ndarray]) -> bytes:
 
 
 def write_checkpoint(path, named: dict[str, np.ndarray]) -> None:
-    Path(path).write_bytes(checkpoint_bytes(named))
+    _write_atomic(path, checkpoint_bytes(named))
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
@@ -106,7 +121,7 @@ def write_adapter_checkpoint(path, named: dict[str, np.ndarray],
                              rank: int, alpha: float, dropout: float) -> None:
     """Adapter container: plain-text header then a checkpoint blob."""
     header = f"rank={rank}\nalpha={alpha:g}\ndropout={dropout:g}\n\n".encode("ascii")
-    Path(path).write_bytes(header + checkpoint_bytes(named))
+    _write_atomic(path, header + checkpoint_bytes(named))
 
 
 def read_adapter_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:

@@ -5,6 +5,7 @@ catastrophic-forgetting probe grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -134,52 +135,81 @@ def to_channels(img: np.ndarray, channels: int) -> np.ndarray:
     raise ConfigError(f"cannot map {img.shape[0]} channels to {channels}")
 
 
-def forward_pair(sample: datamod.PairedSample, teacher: dict[str, Tensor],
-                 params: dict[str, Tensor], enc_cfg: EncoderConfig, gamma: float,
+def forward_pair(batch, teacher: dict[str, Tensor], params: dict[str, Tensor],
+                 enc_cfg: EncoderConfig, gamma: float, *, teacher_cache=None,
                  **encode_kwargs):
-    """(f_i, f_v, f_vf, labels): student features of the infrared and visible
-    image, and the frozen teacher's visible features and pseudo-labels."""
-    vis = to_channels(sample.visible.data, enc_cfg.channels)
-    ir = to_channels(sample.infrared.data, enc_cfg.channels)
-    teacher_out = encode(vis, teacher, enc_cfg)
-    labels = pccl.pseudo_labels(teacher_out.attention_last, gamma)
-    f_i = encode(ir, params, enc_cfg, **encode_kwargs).features
-    f_v = encode(vis, params, enc_cfg, **encode_kwargs).features
-    return f_i, f_v, teacher_out.features, labels
+    """(f_i, f_v, f_vf, labels) for a batch of pairs, each with a leading batch
+    axis: student features of the infrared and visible images, and the frozen
+    teacher's visible features and pseudo-labels.
+
+    The student sees one (2B, C, H, W) stack in the order ir_0, vis_0, ir_1,
+    vis_1, ...  ``teacher_cache`` maps ``id(sample)`` to the teacher's outputs
+    for that sample, so the teacher runs, as one batch, only on samples the
+    cache lacks; the caller keeps the samples alive while it uses the cache.
+    """
+    cache = {} if teacher_cache is None else teacher_cache
+    vis = {id(s): to_channels(s.visible.data, enc_cfg.channels) for s in batch}
+    misses = [key for key in vis if key not in cache]
+    if misses:
+        out = encode(np.stack([vis[key] for key in misses]), teacher, enc_cfg)
+        labels = pccl.pseudo_labels(out.attention_last, gamma)
+        for j, key in enumerate(misses):
+            cache[key] = (out.features.data[j], labels.values[j], labels.per_row_m[j])
+    f_vf, values, per_row_m = (np.stack(col) for col in zip(*(cache[id(s)] for s in batch)))
+    images = [img for s in batch
+              for img in (to_channels(s.infrared.data, enc_cfg.channels), vis[id(s)])]
+    student = encode(np.stack(images), params, enc_cfg, **encode_kwargs).features
+    return (student[0::2], student[1::2], Tensor(f_vf),
+            pccl.PseudoLabelMatrix(values=values, gamma=gamma, per_row_m=per_row_m))
 
 
-def _sample_losses(sample: datamod.PairedSample, teacher: dict[str, Tensor],
-                   state: TrainState, enc_cfg: EncoderConfig, cfg: TrainConfig,
-                   rng: np.random.Generator, training: bool):
-    """(L_IV, L_VV): the loss kind's term on the infrared and visible branch."""
-    f_i, f_v, f_vf, labels = forward_pair(sample, teacher, state.params, enc_cfg,
-                                          cfg.gamma, adapters=state.adapters,
-                                          training=training, rng=rng)
-    term = pccl.LOSSES[cfg.loss_kind]
-    return term(f_i, f_vf, labels, cfg.tau), term(f_v, f_vf, labels, cfg.tau)
+class _RowDraws:
+    """``random(shape)`` over one pre-drawn ``(rows, cols)`` uniform block:
+    each call takes the next column segment, reshaped to ``shape``, whose
+    first axis is the rows.
+
+    A generator fills an array in C order, so row ``r`` of the block holds,
+    segment by segment, the values that the ``r``-th of ``rows`` sequential
+    forward passes would have drawn.  A batched forward pass that takes its
+    dropout masks from here therefore drops exactly what one pass per row did.
+    """
+
+    def __init__(self, block: np.ndarray):
+        self.block = block
+        self.col = 0
+
+    def random(self, shape):
+        width = math.prod(shape[1:])
+        segment = self.block[:, self.col:self.col + width]
+        self.col += width
+        return segment.reshape(shape)
 
 
 def train_step(state: TrainState, batch, teacher: dict[str, Tensor],
                enc_cfg: EncoderConfig, cfg: TrainConfig,
-               rng: np.random.Generator | None = None) -> dict:
-    """One optimization step on a batch of aligned pairs; mutates ``state``."""
+               rng: np.random.Generator | None = None, *,
+               teacher_cache: dict | None = None) -> dict:
+    """One optimization step on a batch of aligned pairs; mutates ``state``.
+
+    ``teacher_cache`` is passed on to ``forward_pair``.
+    """
     if rng is None:
         rng = np.random.default_rng(cfg.seed + state.step)
-    training = bool(state.adapters) and any(
-        a.dropout_p > 0.0 for a in state.adapters.values()
-    )
+    dropped = [a for a in (state.adapters or {}).values() if a.dropout_p > 0.0]
+    training = bool(dropped)
+    if training:
+        # one draw for the batch: a row per student image, a segment per adapter
+        width = enc_cfg.num_patches * sum(a.A.shape[1] for a in dropped)
+        rng = _RowDraws(rng.random((2 * len(batch), width)))
     try:
-        l_iv_sum = None
-        l_vv_sum = None
-        for sample in batch:
-            l_iv, l_vv = _sample_losses(sample, teacher, state, enc_cfg, cfg, rng,
-                                        training)
-            l_iv_sum = l_iv if l_iv_sum is None else l_iv_sum + l_iv
-            l_vv_sum = l_vv if l_vv_sum is None else l_vv_sum + l_vv
-        inv = 1.0 / len(batch)
-        l_iv_mean = l_iv_sum * inv
-        l_vv_mean = l_vv_sum * inv
-        loss = pccl.loss_pccl(l_iv_mean, l_vv_mean, cfg.alpha, cfg.beta)
+        f_i, f_v, f_vf, labels = forward_pair(
+            batch, teacher, state.params, enc_cfg, cfg.gamma,
+            teacher_cache=teacher_cache, adapters=state.adapters,
+            training=training, rng=rng)
+        term = pccl.LOSSES[cfg.loss_kind]
+        l_iv = term(f_i, f_vf, labels, cfg.tau)
+        l_vv = term(f_v, f_vf, labels, cfg.tau)
+        loss = pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta)
     except NumericError as exc:
         last = state.log[-1]["loss"] if state.log else None
         raise NumericError(
@@ -197,8 +227,8 @@ def train_step(state: TrainState, batch, teacher: dict[str, Tensor],
         "step": state.step,
         "lr": lr,
         "loss": float(loss.data),
-        "l_iv": float(l_iv_mean.data),
-        "l_vv": float(l_vv_mean.data),
+        "l_iv": float(l_iv.data),
+        "l_vv": float(l_vv.data),
     }
     state.step += 1
     state.log.append(metrics)
@@ -208,14 +238,20 @@ def train_step(state: TrainState, batch, teacher: dict[str, Tensor],
 def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
                  enc_cfg: EncoderConfig, cfg: TrainConfig,
                  on_step=None) -> TrainState:
-    """Epoch loop over seeded shuffled batches; ``on_step(metrics)`` after each step."""
-    samples = list(samples)
+    """Epoch loop over seeded shuffled batches; ``on_step(metrics)`` after each step.
+
+    The teacher's outputs are cached per sample for this call only, so each
+    scene goes through the frozen teacher once however many epochs run.
+    """
+    samples = list(samples)  # holds the ids that key the teacher cache
     if not samples:
         raise DataError("no training samples")
     cfg = replace(cfg, steps_per_epoch=-(-len(samples) // cfg.batch_size))
+    teacher_cache: dict = {}
     for epoch in range(cfg.epochs):
         for b in datamod.batch(samples, cfg.batch_size, seed=cfg.seed + epoch):
-            metrics = train_step(state, b, teacher, enc_cfg, cfg)
+            metrics = train_step(state, b, teacher, enc_cfg, cfg,
+                                 teacher_cache=teacher_cache)
             if on_step is not None:
                 on_step(metrics)
     return state
@@ -226,14 +262,18 @@ def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
 
 def pooled_features(samples, params: dict[str, Tensor], enc_cfg: EncoderConfig,
                     adapters=None, modality: str = "visible") -> np.ndarray:
-    """Mean-pooled patch features per sample, gradient-free."""
-    rows = []
-    for s in samples:
-        img = s.visible.data if modality == "visible" else s.infrared.data
-        out = encode(to_channels(img, enc_cfg.channels), params, enc_cfg,
-                     adapters=adapters)
-        rows.append(out.features.data.mean(axis=0))
-    return np.array(rows)
+    """Mean-pooled patch features per sample, from one batched forward pass."""
+    images = [to_channels(s.visible.data if modality == "visible" else s.infrared.data,
+                          enc_cfg.channels) for s in samples]
+    if not images:
+        raise DataError("no samples to pool features from")
+    # weights without gradients: the pass records no tape for the whole probe set
+    params = {name: Tensor(t.data) for name, t in params.items()}
+    if adapters is not None:
+        adapters = {name: replace(a, A=Tensor(a.A.data), B=Tensor(a.B.data))
+                    for name, a in adapters.items()}
+    out = encode(np.stack(images), params, enc_cfg, adapters=adapters)
+    return out.features.data.mean(axis=-2)
 
 
 def linear_probe(features: np.ndarray, labels, ridge: float = 1e-3) -> float:

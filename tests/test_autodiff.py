@@ -28,6 +28,10 @@ class TestMatmul:
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    def test_leading_axes_must_broadcast(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
     def test_batched_matches_numpy(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(2, 3, 4))
@@ -94,6 +98,20 @@ class TestCosineRows:
         a[1] = 0.0
         with pytest.raises(DegenerateInputError, match="row 1"):
             cosine_rows(Tensor(a), Tensor(np.ones((3, 2))))
+        batched = np.ones((2, 3, 2))
+        batched[1] = a
+        with pytest.raises(DegenerateInputError, match=r"row 1 of batch entry \(1,\) "
+                                                       r"in argument b"):
+            cosine_rows(Tensor(np.ones((2, 3, 2))), Tensor(batched))
+
+    def test_batched_equals_stacked_and_shapes_checked(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 6, 5))
+        stacked = np.stack([cosine_rows(Tensor(x), Tensor(y)).data for x, y in zip(a, b)])
+        assert np.array_equal(cosine_rows(Tensor(a), Tensor(b)).data, stacked)
+        for bad in (b[0], b[:2], rng.normal(size=(3, 6, 4))):
+            with pytest.raises(ShapeMismatchError):
+                cosine_rows(Tensor(a), Tensor(bad))
 
 
 class TestBceWithLogits:
@@ -129,6 +147,30 @@ class TestBceWithLogits:
             bce_with_logits(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ValueError, match="binary"):
             bce_with_logits(Tensor(np.zeros((2, 2))), Tensor(np.full((2, 2), 0.5)))
+
+
+class TestReshape:
+    def test_size_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(6,\) to \(4, 2\)"):
+            ad.reshape(Tensor(np.zeros(6)), (4, 2))
+
+
+class TestBatchedLosses:
+    """A batch of matrices averages over batch x rows, the mean of the
+    per-matrix losses when every matrix has the same number of rows."""
+
+    def test_diag_cross_entropy(self):
+        x = np.random.default_rng(4).normal(size=(3, 5, 5))
+        per = [float(ad.diag_cross_entropy(Tensor(m)).data) for m in x]
+        assert abs(float(ad.diag_cross_entropy(Tensor(x)).data) - np.mean(per)) <= 1e-15
+
+    def test_masked_softmax_nll(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(3, 5, 5))
+        mask = (rng.random((3, 5, 5)) < 0.3) | np.eye(5, dtype=bool)
+        per = [float(ad.masked_softmax_nll(Tensor(m), k).data) for m, k in zip(x, mask)]
+        assert abs(float(ad.masked_softmax_nll(Tensor(x), mask).data)
+                   - np.mean(per)) <= 1e-15
 
 
 class TestGradCheck:
@@ -241,6 +283,25 @@ def _matmul_batched_case(rng):
     return weighted_sum(lambda t: matmul(a, t), w), Tensor(rng.normal(size=b_shape))
 
 
+def _cosine_batched_case(rng):
+    # each trial differentiates one side of a (2,5,3) x (2,4,3) similarity
+    w = rng.normal(size=(2, 5, 4))
+    if rng.integers(2):
+        b = Tensor(rng.normal(size=(2, 4, 3)))
+        return weighted_sum(lambda t: cosine_rows(t, b), w), Tensor(rng.normal(size=(2, 5, 3)))
+    a = Tensor(rng.normal(size=(2, 5, 3)))
+    return weighted_sum(lambda t: cosine_rows(a, t), w), Tensor(rng.normal(size=(2, 4, 3)))
+
+
+def _diag_ce_batched_case(rng):
+    return ad.diag_cross_entropy, Tensor(rng.normal(size=(3, 4, 4)))
+
+
+def _masked_nll_batched_case(rng):
+    mask = (rng.random((3, 4, 4)) < 0.4) | np.eye(4, dtype=bool)
+    return lambda t: ad.masked_softmax_nll(t, mask), Tensor(rng.normal(size=(3, 4, 4)))
+
+
 def _transpose_axes_case(rng):
     return (weighted_sum(lambda t: ad.transpose(t, (1, 2, 0)), rng.normal(size=(3, 4, 2))),
             Tensor(rng.normal(size=(2, 3, 4))))
@@ -251,10 +312,13 @@ DIFF_OPS = {
     "matmul_batched": _matmul_batched_case,
     "softmax_rows": _softmax_case,
     "cosine_rows": _cosine_case,
+    "cosine_rows_batched": _cosine_batched_case,
     "bce_with_logits": _bce_case,
     "layernorm": _layernorm_case,
     "gelu": _gelu_case,
     "diag_cross_entropy": _diag_ce_case,
+    "diag_cross_entropy_batched": _diag_ce_batched_case,
+    "masked_softmax_nll_batched": _masked_nll_batched_case,
     "add_broadcast": _add_case,
     "mul": _mul_case,
     "mean": _mean_case,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,15 +123,25 @@ class TestPretrain:
     def test_metrics_streamed_before_numeric_failure(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path / "c.cfg", base_lr=1e300, warmup_epochs=0,
                                batch_size=1)
-        with np.errstate(over="ignore"):
-            code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
-                               "--out", str(tmp_path / "run"))
+        code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
         assert code == 2 and "at step 1" in err, err
         lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 1
         m = json.loads(lines[0])
         assert list(m) == ["step", "lr", "loss", "l_iv", "l_vv"]
         assert m["step"] == 0 and np.isfinite(m["loss"])
+
+    def test_numeric_failure_prints_no_numpy_warning(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path / "c.cfg", base_lr=1e300, warmup_epochs=0,
+                               batch_size=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                               "--out", str(tmp_path / "run"))
+        assert code == 2 and "numeric failure:" in err, err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfgfile = write_config(tmp_path / "c.cfg", seed=3)

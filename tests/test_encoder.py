@@ -4,7 +4,7 @@ from scipy.special import erf
 
 from irvis.encoder import (LN_EPS, EncoderConfig, encode, init_params, param_count,
                            patchify)
-from irvis.errors import ConfigError
+from irvis.errors import ConfigError, ShapeMismatchError
 
 
 def test_config_validation():
@@ -156,3 +156,28 @@ def test_fused_heads_match_per_head_reference(toy_cfg, toy_params):
 def test_fused_heads_match_per_head_reference_two_heads_one_block():
     cfg = EncoderConfig(depth=1, heads=2, seed=3)
     assert_matches_reference(cfg, init_params(cfg))
+
+
+def test_batched_encode_matches_stacked_single_images(toy_cfg, toy_params):
+    imgs = np.random.default_rng(9).random((5, 3, 16, 16))
+    batched = encode(imgs, toy_params, toy_cfg)
+    assert batched.features.shape == (5, toy_cfg.num_patches, toy_cfg.dim)
+    assert batched.attention_last.shape == (5, toy_cfg.num_patches, toy_cfg.num_patches)
+    assert np.array_equal(patchify(imgs, toy_cfg),
+                          np.stack([patchify(img, toy_cfg) for img in imgs]))
+    for img, features, attention in zip(imgs, batched.features.data,
+                                         batched.attention_last.data):
+        single = encode(img, toy_params, toy_cfg)
+        assert np.abs(single.features.data - features).max() <= 1e-12
+        assert np.abs(single.attention_last.data - attention).max() <= 1e-12
+
+
+def test_batched_input_rank_checked(toy_cfg, toy_params):
+    with pytest.raises(ConfigError):
+        encode(np.zeros((2, 2, 3, 16, 16)), toy_params, toy_cfg)
+
+
+def test_parameters_of_another_width_rejected(toy_cfg):
+    wide = init_params(EncoderConfig(dim=48, heads=4, seed=1))
+    with pytest.raises(ShapeMismatchError):
+        encode(np.zeros((3, 16, 16)), wide, toy_cfg)

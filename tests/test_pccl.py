@@ -103,6 +103,17 @@ class TestPseudoLabels:
         assert np.array_equal(pseudo_labels(conj, 0.6).values,
                               exhaustive_pseudo_labels(conj, 0.6))
 
+    def test_batched_equals_per_matrix(self):
+        rng = np.random.default_rng(13)
+        a = np.stack([random_stochastic(rng, 9) for _ in range(4)])
+        batched = pseudo_labels(a, 0.6)
+        assert batched.values.shape == (4, 9, 9) and batched.per_row_m.shape == (4, 9)
+        for i, matrix in enumerate(a):
+            single = pseudo_labels(matrix, 0.6)
+            assert np.array_equal(batched.values[i], single.values)
+            assert np.array_equal(batched.values[i], exhaustive_pseudo_labels(matrix, 0.6))
+            assert np.array_equal(batched.per_row_m[i], single.per_row_m)
+
     def test_input_validation(self):
         with pytest.raises(DegenerateInputError, match="row 0"):
             pseudo_labels(np.ones((3, 3)), 0.6)

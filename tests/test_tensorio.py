@@ -1,3 +1,7 @@
+import errno
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,3 +65,49 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     # plain-text header is readable before the binary payload
     head = path.read_bytes().split(b"\n\n", 1)[0].decode()
     assert "rank=8" in head and "alpha=32" in head
+
+
+WRITERS = {
+    "tensor": lambda path: tensorio.write_tensor(path, np.ones((64, 64))),
+    "checkpoint": lambda path: tensorio.write_checkpoint(path, {"w": np.ones((64, 64))}),
+    "adapters": lambda path: tensorio.write_adapter_checkpoint(
+        path, {"a.lora_A": np.ones((1, 64))}, rank=1, alpha=1.0, dropout=0.0),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("failure", ["disk full mid-write", "rename fails"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, writer, failure):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old contents")
+    if failure == "disk full mid-write":
+        real_write = Path.write_bytes
+
+        def write_half(self, data):
+            real_write(self, data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half)
+    else:
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        WRITERS[writer](path)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    WRITERS[writer](path)
+    assert path.read_bytes() != b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("target", [".", "sub"])
+def test_write_onto_a_directory_is_an_os_error(tmp_path, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(OSError):
+        tensorio.write_tensor(target, np.zeros(2))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []

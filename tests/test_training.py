@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import irvis.autodiff as ad
+import irvis.training as training
 from irvis import pccl, tensorio
 from irvis.autodiff import grad_check
 from irvis.encoder import encode
-from irvis.errors import ConfigError
+from irvis.errors import ConfigError, DataError
 from irvis.lora import LoraConfig
-from irvis.training import (LOSS_KINDS, TrainConfig, forgetting_experiment,
+from irvis.training import (LOSS_KINDS, TrainConfig, _adamw_update,
+                            forgetting_experiment,
                             frozen_teacher, linear_probe, lr_at,
                             make_labeled_scenes, make_pretrain_pairs,
                             pooled_features, run_training, student_state,
@@ -164,6 +166,67 @@ class TestTrainStep:
         assert last < 0.5 * first
 
 
+def reference_train_step(state, batch, teacher, enc_cfg, cfg):
+    """The step as one forward pass per image: per pair the teacher, then the
+    infrared and the visible student pass, each drawing its own dropout masks
+    from the step's generator; the loss averages the per-pair losses."""
+    rng = np.random.default_rng(cfg.seed + state.step)
+    live = bool(state.adapters) and any(a.dropout_p > 0 for a in state.adapters.values())
+    term = pccl.LOSSES[cfg.loss_kind]
+    l_iv = l_vv = 0.0
+    for sample in batch:
+        vis = to_channels(sample.visible.data, enc_cfg.channels)
+        ir = to_channels(sample.infrared.data, enc_cfg.channels)
+        t = encode(vis, teacher, enc_cfg)
+        labels = pccl.pseudo_labels(t.attention_last, cfg.gamma)
+        kw = dict(adapters=state.adapters, training=live, rng=rng)
+        f_i = encode(ir, state.params, enc_cfg, **kw).features
+        f_v = encode(vis, state.params, enc_cfg, **kw).features
+        l_iv = l_iv + term(f_i, t.features, labels, cfg.tau)
+        l_vv = l_vv + term(f_v, t.features, labels, cfg.tau)
+    l_iv, l_vv = l_iv * (1.0 / len(batch)), l_vv * (1.0 / len(batch))
+    loss = pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta)
+    loss.backward()
+    _adamw_update(state, cfg, lr_at(state.step, cfg))
+    state.step += 1
+    return [float(x.data) for x in (loss, l_iv, l_vv)]
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    @pytest.mark.parametrize("lora", [LoraConfig(rank=4, dropout=0.1), None],
+                             ids=["lora", "full"])
+    def test_matches_per_image_reference(self, toy_cfg, loss_kind, lora):
+        teacher = frozen_teacher(toy_cfg)
+        cfg = TrainConfig(epochs=2, warmup_epochs=0, steps_per_epoch=1, lora=lora,
+                          loss_kind=loss_kind, seed=4)
+        batched, reference = (student_state(teacher, lora, seed=4) for _ in range(2))
+        for batch in (make_pretrain_pairs(3, seed=8), make_pretrain_pairs(2, seed=9)):
+            m = train_step(batched, batch, teacher, toy_cfg, cfg)
+            expected = reference_train_step(reference, batch, teacher, toy_cfg, cfg)
+            for got, want in zip((m["loss"], m["l_iv"], m["l_vv"]), expected):
+                assert abs(got - want) <= 1e-12 * abs(want)
+            want = trainable_map(reference)
+            for name, t in trainable_map(batched).items():
+                assert np.abs(t.data - want[name].data).max() <= 1e-12, name
+
+    def test_teacher_sees_each_scene_once_per_run(self, toy_cfg, monkeypatch):
+        teacher = frozen_teacher(toy_cfg)
+        seen = []
+
+        def counting_encode(img, params, *args, **kwargs):
+            if params is teacher:
+                seen.extend(image.tobytes() for image in img)
+            return encode(img, params, *args, **kwargs)
+
+        monkeypatch.setattr(training, "encode", counting_encode)
+        pairs = make_pretrain_pairs(6, seed=10)
+        cfg = TrainConfig(epochs=3, warmup_epochs=1, batch_size=4)
+        for run in (1, 2):  # the cache lives for one call
+            run_training(pairs, teacher, student_state(teacher), toy_cfg, cfg)
+            assert len(seen) == 6 * run and len(set(seen)) == 6
+
+
 class TestEndToEndGradients:
     @pytest.mark.parametrize("loss_kind", ["pccl", "mse", "nce",
                                            "pccl_softmax_variant"])
@@ -255,6 +318,33 @@ def test_pooled_features_shape(toy_cfg, toy_params):
     assert feats.shape == (4, toy_cfg.dim)
     ir = pooled_features(samples, toy_params, toy_cfg, modality="infrared")
     assert not np.array_equal(feats, ir)
+
+
+def test_pooled_features_equal_per_image_means_without_a_tape(toy_cfg, monkeypatch):
+    state = student_state(frozen_teacher(toy_cfg), LoraConfig(rank=4), seed=1)
+    for a in state.adapters.values():
+        a.B.data = np.full(a.B.shape, 0.01)
+    samples, _ = make_labeled_scenes(5, seed=2)
+    taped = []
+
+    def recording_encode(*args, **kwargs):
+        out = encode(*args, **kwargs)
+        taped.append(out.features.requires_grad)
+        return out
+
+    monkeypatch.setattr(training, "encode", recording_encode)
+    for modality in ("visible", "infrared"):
+        per_image = [encode(to_channels(getattr(s, modality).data, toy_cfg.channels),
+                            state.params, toy_cfg, adapters=state.adapters
+                            ).features.data.mean(axis=0)
+                     for s in samples]
+        assert np.array_equal(
+            pooled_features(samples, state.params, toy_cfg, state.adapters,
+                            modality=modality),
+            np.array(per_image))
+    assert taped == [False, False]
+    with pytest.raises(DataError):
+        pooled_features([], state.params, toy_cfg)
 
 
 def test_trainable_map_respects_flags(toy_cfg):
