@@ -8,7 +8,7 @@ import argparse
 
 from irvis.encoder import EncoderConfig
 from irvis.training import (TrainConfig, frozen_teacher, make_pretrain_pairs,
-                            student_state, train_step)
+                            student_state, teacher_targets, train_step)
 
 
 def main():
@@ -24,10 +24,11 @@ def main():
     cfg = TrainConfig(epochs=args.steps, warmup_epochs=0, base_lr=args.lr,
                       weight_decay=0.0, batch_size=4, steps_per_epoch=1)
     batch = make_pretrain_pairs(4, seed=args.seed)
+    targets = teacher_targets(batch, teacher, enc_cfg, cfg.gamma)
 
     first = None
     for step in range(args.steps):
-        m = train_step(state, batch, teacher, enc_cfg, cfg)
+        m = train_step(state, batch, targets, enc_cfg, cfg)
         if first is None:
             first = m["loss"]
         if step % 10 == 0 or step == args.steps - 1:

@@ -47,16 +47,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never ``g`` itself: ``add`` hands one buffer to both parents
+            self.grad = np.array(g, order="C")
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse sweep from this (scalar) tensor through the recorded tape."""

@@ -28,10 +28,10 @@ from .errors import (ConfigError, DataError, DegenerateInputError, NumericError,
 from .lora import LoraAdapter, LoraConfig, adapter_tensors, forward_adapted, merge
 from .pccl import similarity
 from .pccl import pseudo_labels  # noqa: F401  (benchmark wraps cli.pseudo_labels)
-from .training import (TrainConfig, forgetting_experiment, forward_pair,
-                       frozen_teacher, linear_probe, make_labeled_scenes,
-                       make_pretrain_pairs, pooled_features, run_training,
-                       student_state)
+from .training import (TrainConfig, forgetting_experiment, frozen_teacher,
+                       linear_probe, make_labeled_scenes, make_pretrain_pairs,
+                       pooled_features, run_training, student_features,
+                       student_state, teacher_targets)
 from .training import train_step  # noqa: F401  (benchmark wraps cli.train_step)
 
 _SCHEMA: dict[str, tuple] = {
@@ -76,8 +76,12 @@ _SCHEMA: dict[str, tuple] = {
 
 
 def parse_config(path) -> dict:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc}") from exc
     values = {key: default for key, (_, default) in _SCHEMA.items()}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -102,23 +106,24 @@ def parse_config(path) -> dict:
     return values
 
 
+def _lora_config(v: dict) -> LoraConfig:
+    return LoraConfig(rank=v["lora_rank"], alpha=v["lora_alpha"],
+                      dropout=v["lora_dropout"], target_modules=v["lora_targets"])
+
+
 def build_configs(v: dict) -> tuple[EncoderConfig, TrainConfig]:
     enc = EncoderConfig(
         image_size=v["image_size"], patch_size=v["patch_size"],
         channels=v["channels"], depth=v["depth"], dim=v["dim"],
         heads=v["heads"], mlp_ratio=v["mlp_ratio"], seed=v["model_seed"],
     )
-    lora_cfg = None
-    if v["lora_enabled"]:
-        lora_cfg = LoraConfig(rank=v["lora_rank"], alpha=v["lora_alpha"],
-                              dropout=v["lora_dropout"],
-                              target_modules=tuple(v["lora_targets"]))
     train = TrainConfig(
         epochs=v["epochs"], warmup_epochs=v["warmup_epochs"],
         base_lr=v["base_lr"], weight_decay=v["weight_decay"],
         betas=(v["beta1"], v["beta2"]), batch_size=v["batch_size"],
         tau=v["tau"], gamma=v["gamma"], alpha=v["alpha"], beta=v["beta"],
-        lora=lora_cfg, loss_kind=v["loss_kind"], seed=v["seed"],
+        lora=_lora_config(v) if v["lora_enabled"] else None,
+        loss_kind=v["loss_kind"], seed=v["seed"],
     )
     return enc, train
 
@@ -237,10 +242,8 @@ def cmd_ablate(args) -> int:
 def cmd_forget(args) -> int:
     v = parse_config(args.config)
     enc, cfg = build_configs(v)
-    if cfg.lora is None:
-        cfg = replace(cfg, lora=LoraConfig(rank=v["lora_rank"],
-                                           alpha=v["lora_alpha"],
-                                           dropout=v["lora_dropout"]))
+    if cfg.lora is None:  # grid rows d and e train adapters either way
+        cfg = replace(cfg, lora=_lora_config(v))
     seeds = tuple(range(v["grid_seeds"]))
     report = forgetting_experiment(enc, cfg, seeds=seeds,
                                    n_pairs=v["n_pairs"], n_probe=v["n_probe"])
@@ -269,7 +272,7 @@ def cmd_merge(args) -> int:
         a, b = named.get(f"{target}.lora_A"), named.get(f"{target}.lora_B")
         if a is None or b is None or a.shape[:1] != (rank,) or b.shape[1:] != (rank,):
             raise DataError(f"adapter {target!r} lacks rank-{rank} lora_A and lora_B")
-        adapter = LoraAdapter(target_name=target, B=Tensor(b), A=Tensor(a), rank=rank,
+        adapter = LoraAdapter(B=Tensor(b), A=Tensor(a), rank=rank,
                               alpha=meta["alpha"], dropout_p=meta["dropout"])
         w = Tensor(params[wname])
         w_star = merge(w, adapter)
@@ -301,7 +304,8 @@ def cmd_dump_matrices(args) -> int:
     samples = _load_samples(v, enc)
     for start in range(0, len(samples), cfg.batch_size):
         chunk = samples[start:start + cfg.batch_size]
-        f_i, f_v, f_vf, labels = forward_pair(chunk, teacher, student, enc, cfg.gamma)
+        f_vf, labels = teacher_targets(chunk, teacher, enc, cfg.gamma)
+        f_i, f_v = student_features(chunk, student, enc)
         s_iv = similarity(f_i, f_vf, cfg.tau)
         s_vv = similarity(f_v, f_vf, cfg.tau)
         for j, sample in enumerate(chunk):

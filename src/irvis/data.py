@@ -9,6 +9,7 @@ illumination-invariant.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,7 +47,6 @@ class PairedSample:
     visible: Tensor   # (3, H, W) in [0,1]
     infrared: Tensor  # (1, H, W) in [0,1]
     scene_id: str
-    source: str
 
 
 def _object_mask(obj: SceneObject, h: int, w: int) -> np.ndarray:
@@ -60,8 +60,7 @@ def _object_mask(obj: SceneObject, h: int, w: int) -> np.ndarray:
     raise ConfigError(f"unknown object kind {obj.kind!r}")
 
 
-def gen_scene(spec: SceneSpec, seed: int, scene_id: str = "synthetic",
-              source: str = "generator") -> PairedSample:
+def gen_scene(spec: SceneSpec, seed: int, scene_id: str = "synthetic") -> PairedSample:
     """Render the same geometry into both modalities, deterministically."""
     h, w = spec.height, spec.width
     for obj in spec.objects:
@@ -86,7 +85,6 @@ def gen_scene(spec: SceneSpec, seed: int, scene_id: str = "synthetic",
         visible=Tensor(np.clip(visible, 0.0, 1.0)),
         infrared=Tensor(np.clip(infrared, 0.0, 1.0)),
         scene_id=scene_id,
-        source=source,
     )
 
 
@@ -174,24 +172,28 @@ def _read_pnm_header(f, magic: bytes, path) -> tuple[int, int]:
     return w, h
 
 
-def read_ppm(path) -> np.ndarray:
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """(channels, H, W) floats in [0,1] from an 8-bit binary PNM file."""
     with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P6", path)
-        raw = f.read(3 * w * h)
-    if len(raw) != 3 * w * h:
-        raise DataError(f"{path}: truncated pixel payload")
-    u8 = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+        w, h = _read_pnm_header(f, magic, path)
+        size = channels * w * h
+        # checked before reading, so a huge declared size allocates nothing
+        held = os.fstat(f.fileno()).st_size - f.tell()
+        if held != size:
+            what = "truncated" if held < size else "trailing bytes after"
+            raise DataError(f"{path}: {what} pixel payload "
+                            f"({size} bytes declared, {held} in the file)")
+        raw = f.read(size)
+    u8 = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, channels)
     return u8.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
+def read_ppm(path) -> np.ndarray:
+    return _read_pnm(path, b"P6", 3)
+
+
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        w, h = _read_pnm_header(f, b"P5", path)
-        raw = f.read(w * h)
-    if len(raw) != w * h:
-        raise DataError(f"{path}: truncated pixel payload")
-    u8 = np.frombuffer(raw, dtype=np.uint8).reshape(1, h, w)
-    return u8.astype(np.float64) / 255.0
+    return _read_pnm(path, b"P5", 1)
 
 
 # -- manifests ---------------------------------------------------------
@@ -206,8 +208,12 @@ class ManifestEntry:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file: {exc}") from exc
     entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -241,10 +247,8 @@ def load_pairs(manifest_path):
                 f"{entry.scene_id}: resolution mismatch "
                 f"{visible.shape[1:]} vs {infrared.shape[1:]}"
             )
-        yield PairedSample(
-            visible=Tensor(visible), infrared=Tensor(infrared),
-            scene_id=entry.scene_id, source=str(manifest_path),
-        )
+        yield PairedSample(visible=Tensor(visible), infrared=Tensor(infrared),
+                           scene_id=entry.scene_id)
 
 
 def downsample_frames(entries, stride: int):

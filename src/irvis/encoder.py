@@ -31,9 +31,10 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.depth >= 1 and self.heads >= 1):
-            raise ConfigError(f"depth and heads must be positive, got "
-                              f"{self.depth} and {self.heads}")
+        for name in ("image_size", "patch_size", "channels", "depth", "dim",
+                     "heads", "mlp_ratio"):
+            if not getattr(self, name) >= 1:  # NaN fails it too
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -123,8 +124,7 @@ def _linear(x: Tensor, params: dict[str, Tensor], name: str,
 
 def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
            adapters=None, training: bool = False,
-           rng: np.random.Generator | None = None,
-           use_pos_embed: bool = True) -> EncoderOutput:
+           rng: np.random.Generator | None = None) -> EncoderOutput:
     """Forward pass; pure in (img, params), deterministic unless dropout is live.
 
     ``img`` is one (C, H, W) image or a (B, C, H, W) batch; a batch gives
@@ -132,9 +132,7 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
     """
     data = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
     patches = Tensor(patchify(data, cfg))
-    x = _linear(patches, params, "patch_embed", adapters, training, rng)
-    if use_pos_embed:
-        x = x + params["pos_embed"]
+    x = _linear(patches, params, "patch_embed", adapters, training, rng) + params["pos_embed"]
 
     lead = patches.shape[:-2]
     b, batch_axes = len(lead), tuple(range(len(lead)))

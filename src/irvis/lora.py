@@ -10,6 +10,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,12 @@ class LoraConfig:
             raise ConfigError(f"LoRA rank must be >= 1, got {self.rank}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"LoRA dropout must be in [0, 1), got {self.dropout}")
+        if not -math.inf < self.alpha < math.inf:
+            raise ConfigError(f"LoRA alpha must be finite, got {self.alpha}")
 
 
 @dataclass
 class LoraAdapter:
-    target_name: str
     B: Tensor  # (d, r), zero at init
     A: Tensor  # (r, k), Gaussian at init
     rank: int
@@ -115,7 +117,6 @@ def attach(params: dict[str, Tensor], cfg: LoraConfig,
                 f"rank {cfg.rank} exceeds min dim of {target} ({min(d, k)})"
             )
         adapters[target] = LoraAdapter(
-            target_name=target,
             B=Tensor(np.zeros((d, cfg.rank)), requires_grad=True),
             A=Tensor(trunc_normal(rng, (cfg.rank, k)), requires_grad=True),
             rank=cfg.rank,

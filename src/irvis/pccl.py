@@ -32,7 +32,6 @@ class SimilarityMatrix:
 @dataclass
 class PseudoLabelMatrix:
     values: np.ndarray  # binary (N, N) or (B, N, N)
-    gamma: float
     per_row_m: np.ndarray  # minimal prefix length per row: (N,) or (B, N)
 
 
@@ -69,7 +68,7 @@ def pseudo_labels(attention: np.ndarray | Tensor, gamma: float) -> PseudoLabelMa
     labels = np.zeros(a.shape)
     np.put_along_axis(labels, order, np.arange(n) < per_row_m[..., None], axis=-1)
     labels[..., np.arange(n), np.arange(n)] = 1.0
-    return PseudoLabelMatrix(values=labels, gamma=gamma, per_row_m=per_row_m)
+    return PseudoLabelMatrix(values=labels, per_row_m=per_row_m)
 
 
 def _check_match(s: SimilarityMatrix, p: PseudoLabelMatrix) -> None:

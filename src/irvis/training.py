@@ -135,32 +135,26 @@ def to_channels(img: np.ndarray, channels: int) -> np.ndarray:
     raise ConfigError(f"cannot map {img.shape[0]} channels to {channels}")
 
 
-def forward_pair(batch, teacher: dict[str, Tensor], params: dict[str, Tensor],
-                 enc_cfg: EncoderConfig, gamma: float, *, teacher_cache=None,
-                 **encode_kwargs):
-    """(f_i, f_v, f_vf, labels) for a batch of pairs, each with a leading batch
-    axis: student features of the infrared and visible images, and the frozen
-    teacher's visible features and pseudo-labels.
+def teacher_targets(samples, teacher: dict[str, Tensor], enc_cfg: EncoderConfig,
+                    gamma: float):
+    """(f_vf, labels): the frozen teacher's visible features and pseudo-labels
+    for ``samples``, in sample order, from one batched pass.
 
-    The student sees one (2B, C, H, W) stack in the order ir_0, vis_0, ir_1,
-    vis_1, ...  ``teacher_cache`` maps ``id(sample)`` to the teacher's outputs
-    for that sample, so the teacher runs, as one batch, only on samples the
-    cache lacks; the caller keeps the samples alive while it uses the cache.
+    The teacher's weights take no gradient, so the pass records no tape.
     """
-    cache = {} if teacher_cache is None else teacher_cache
-    vis = {id(s): to_channels(s.visible.data, enc_cfg.channels) for s in batch}
-    misses = [key for key in vis if key not in cache]
-    if misses:
-        out = encode(np.stack([vis[key] for key in misses]), teacher, enc_cfg)
-        labels = pccl.pseudo_labels(out.attention_last, gamma)
-        for j, key in enumerate(misses):
-            cache[key] = (out.features.data[j], labels.values[j], labels.per_row_m[j])
-    f_vf, values, per_row_m = (np.stack(col) for col in zip(*(cache[id(s)] for s in batch)))
-    images = [img for s in batch
-              for img in (to_channels(s.infrared.data, enc_cfg.channels), vis[id(s)])]
-    student = encode(np.stack(images), params, enc_cfg, **encode_kwargs).features
-    return (student[0::2], student[1::2], Tensor(f_vf),
-            pccl.PseudoLabelMatrix(values=values, gamma=gamma, per_row_m=per_row_m))
+    vis = np.stack([to_channels(s.visible.data, enc_cfg.channels) for s in samples])
+    out = encode(vis, teacher, enc_cfg)
+    return out.features, pccl.pseudo_labels(out.attention_last, gamma)
+
+
+def student_features(batch, params: dict[str, Tensor], enc_cfg: EncoderConfig,
+                     **encode_kwargs):
+    """(f_i, f_v): student features of the infrared and visible images of a
+    batch of pairs, from one (2B, C, H, W) stack ordered ir_0, vis_0, ir_1, ..."""
+    images = [to_channels(img.data, enc_cfg.channels)
+              for s in batch for img in (s.infrared, s.visible)]
+    features = encode(np.stack(images), params, enc_cfg, **encode_kwargs).features
+    return features[0::2], features[1::2]
 
 
 class _RowDraws:
@@ -185,14 +179,13 @@ class _RowDraws:
         return segment.reshape(shape)
 
 
-def train_step(state: TrainState, batch, teacher: dict[str, Tensor],
-               enc_cfg: EncoderConfig, cfg: TrainConfig,
-               rng: np.random.Generator | None = None, *,
-               teacher_cache: dict | None = None) -> dict:
+def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
+               cfg: TrainConfig, rng: np.random.Generator | None = None) -> dict:
     """One optimization step on a batch of aligned pairs; mutates ``state``.
 
-    ``teacher_cache`` is passed on to ``forward_pair``.
+    ``targets`` is ``teacher_targets`` of the batch.
     """
+    f_vf, labels = targets
     if rng is None:
         rng = np.random.default_rng(cfg.seed + state.step)
     dropped = [a for a in (state.adapters or {}).values() if a.dropout_p > 0.0]
@@ -202,10 +195,8 @@ def train_step(state: TrainState, batch, teacher: dict[str, Tensor],
         width = enc_cfg.num_patches * sum(a.A.shape[1] for a in dropped)
         rng = _RowDraws(rng.random((2 * len(batch), width)))
     try:
-        f_i, f_v, f_vf, labels = forward_pair(
-            batch, teacher, state.params, enc_cfg, cfg.gamma,
-            teacher_cache=teacher_cache, adapters=state.adapters,
-            training=training, rng=rng)
+        f_i, f_v = student_features(batch, state.params, enc_cfg,
+                                    adapters=state.adapters, training=training, rng=rng)
         term = pccl.LOSSES[cfg.loss_kind]
         l_iv = term(f_i, f_vf, labels, cfg.tau)
         l_vv = term(f_v, f_vf, labels, cfg.tau)
@@ -240,18 +231,25 @@ def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
                  on_step=None) -> TrainState:
     """Epoch loop over seeded shuffled batches; ``on_step(metrics)`` after each step.
 
-    The teacher's outputs are cached per sample for this call only, so each
-    scene goes through the frozen teacher once however many epochs run.
+    The teacher's targets are computed once per call, in ``batch_size`` chunks,
+    so each scene goes through the frozen teacher once however many epochs run.
     """
-    samples = list(samples)  # holds the ids that key the teacher cache
+    samples = list(samples)
     if not samples:
         raise DataError("no training samples")
     cfg = replace(cfg, steps_per_epoch=-(-len(samples) // cfg.batch_size))
-    teacher_cache: dict = {}
+    chunks = [teacher_targets(samples[i:i + cfg.batch_size], teacher, enc_cfg, cfg.gamma)
+              for i in range(0, len(samples), cfg.batch_size)]
+    f_vf = np.concatenate([f.data for f, _ in chunks])
+    values = np.concatenate([p.values for _, p in chunks])
+    per_row_m = np.concatenate([p.per_row_m for _, p in chunks])
+    del chunks  # the copies replace them; keeping both doubles the targets' memory
     for epoch in range(cfg.epochs):
-        for b in datamod.batch(samples, cfg.batch_size, seed=cfg.seed + epoch):
-            metrics = train_step(state, b, teacher, enc_cfg, cfg,
-                                 teacher_cache=teacher_cache)
+        for idx in datamod.batch(range(len(samples)), cfg.batch_size,
+                                 seed=cfg.seed + epoch):
+            targets = (Tensor(f_vf[idx]),
+                       pccl.PseudoLabelMatrix(values=values[idx], per_row_m=per_row_m[idx]))
+            metrics = train_step(state, [samples[i] for i in idx], targets, enc_cfg, cfg)
             if on_step is not None:
                 on_step(metrics)
     return state
@@ -366,6 +364,8 @@ def forgetting_experiment(enc_cfg: EncoderConfig, cfg: TrainConfig,
                           seeds=(0, 1, 2, 3, 4), n_pairs: int = 24,
                           n_probe: int = 32) -> list[dict]:
     """Run the five-row loss/adapter grid and report median probe accuracies."""
+    if not seeds:
+        raise ConfigError("the forgetting grid needs at least one seed")
     teacher = frozen_teacher(enc_cfg)
     report = []
     for row_name, row in GRID_ROWS:

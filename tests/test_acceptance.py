@@ -21,7 +21,7 @@ from irvis.encoder import EncoderConfig, encode, init_params
 from irvis.lora import LoraConfig, attach, forward_adapted, merge, unmerge
 from irvis.training import (TrainConfig, forgetting_experiment, frozen_teacher,
                             lr_at, make_pretrain_pairs, run_training,
-                            student_state, train_step)
+                            student_state, teacher_targets, train_step)
 from conftest import exhaustive_pseudo_labels, random_stochastic
 
 
@@ -154,8 +154,9 @@ def test_04_frozen_weights_immutable_over_200_steps(capsys, toy_cfg):
                           batch_size=4, steps_per_epoch=1,
                           lora=LoraConfig(rank=4, dropout=0.0))
         batch = make_pretrain_pairs(4, seed=5)
+        targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
         for _ in range(200):
-            train_step(state, batch, teacher, toy_cfg, cfg)
+            train_step(state, batch, targets, toy_cfg, cfg)
         assert state.step == 200
         assert tensorio.checkpoint_bytes(
             {k: t.data for k, t in teacher.items()}) == teacher_ref
@@ -229,10 +230,11 @@ def test_07_overfit_smoke(capsys, toy_cfg):
         cfg = TrainConfig(epochs=50, warmup_epochs=0, base_lr=1e-2,
                           weight_decay=0.0, batch_size=4, steps_per_epoch=1)
         batch = make_pretrain_pairs(4, seed=3)
-        first = train_step(state, batch, teacher, toy_cfg, cfg)["loss"]
+        targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
+        first = train_step(state, batch, targets, toy_cfg, cfg)["loss"]
         last = first
         for _ in range(49):
-            last = train_step(state, batch, teacher, toy_cfg, cfg)["loss"]
+            last = train_step(state, batch, targets, toy_cfg, cfg)["loss"]
         assert last <= 0.5 * first, (first, last)
 
 

@@ -204,6 +204,14 @@ class TestTensorInvariants:
         y.backward()
         assert w.grad[0, 0] == 8.0
 
+    def test_first_gradient_is_not_aliased(self):
+        # add hands one gradient buffer to both of its parents
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        z = x + x
+        ad.tsum(z).backward()
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+        assert np.array_equal(z.grad, np.ones((2, 3)))
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ShapeMismatchError):

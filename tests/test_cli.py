@@ -159,6 +159,11 @@ class TestConfigRanges:
         dict(lora_enabled="true", lora_dropout=-0.1),
         dict(lora_enabled="true", lora_rank=0),
         dict(n_pairs=0), dict(epochs=-1, warmup_epochs=-1),
+        dict(patch_size=0), dict(patch_size=-4), dict(image_size=0),
+        dict(image_size=-4), dict(dim=0), dict(mlp_ratio=0),
+        dict(mlp_ratio=-1),
+        dict(lora_enabled="true", lora_alpha="nan"),
+        dict(lora_enabled="true", lora_alpha="inf"),
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_out_of_range_exit_1(self, tmp_path, capsys, overrides):
         cfgfile = write_config(tmp_path / "c.cfg", **overrides)
@@ -256,6 +261,25 @@ class TestForget:
         rows = [l for l in stdout.splitlines() if l.startswith("(")]
         assert [r[:3] for r in rows] == ["(a)", "(b)", "(c)", "(d)", "(e)"]
 
+    def test_adapters_follow_lora_targets_without_lora_enabled(self, tmp_path, capsys):
+        trainable = []
+        for extra in ({}, {"lora_enabled": "true"}):
+            cfgfile = write_config(tmp_path / "c.cfg", epochs=1, warmup_epochs=0,
+                                   n_pairs=4, n_probe=8, grid_seeds=1,
+                                   lora_targets="qkv", **extra)
+            code, stdout, _ = run(capsys, "forget", "--config", str(cfgfile))
+            assert code == 0
+            row_d = next(l for l in stdout.splitlines() if l.startswith("(d)"))
+            trainable.append(int(row_d.split()[4]))
+        # rank-8 qkv adapters in both blocks, plus the position embedding
+        assert trainable == [2 * (8 * 32 + 8 * 96) + 16 * 32] * 2
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_no_grid_seeds_exit_1(self, tmp_path, capsys, seeds):
+        cfgfile = write_config(tmp_path / "c.cfg", grid_seeds=seeds)
+        code, _, err = run(capsys, "forget", "--config", str(cfgfile))
+        assert code == 1 and "seed" in err, err
+
 
 class TestMerge:
     def _pretrained(self, tmp_path, capsys, **cfg):
@@ -331,6 +355,19 @@ def lora_run(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def pair_files(tmp_path_factory):
+    """A directory to train from, and the bytes of the two real pairs and the
+    manifest that ``gen-data`` writes there."""
+    d = tmp_path_factory.mktemp("pairs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-data", "--out", str(d), "--pairs", "2"]) == 0
+    files = {p.name: p.read_bytes() for p in d.iterdir()}
+    write_config(d / "c.cfg", epochs=1, warmup_epochs=0, batch_size=2,
+                 manifest=d / "manifest.tsv")
+    return d, files
+
+
 def merge_quietly(d, checkpoint, adapters):
     """Exit code and stderr of ``irvis merge`` run in this process."""
     err = io.StringIO()
@@ -385,6 +422,55 @@ class TestMalformedFiles:
         code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
                            "--out", str(tmp_path / "run"))
         assert code == 1 and "non-numeric" in err, err
+
+    @pytest.mark.parametrize("size", [b"1000000 1000000", b"99999999999 99999999999"])
+    def test_pnm_size_beyond_file_exit_1(self, tmp_path, capsys, size):
+        run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--pairs", "2")
+        (tmp_path / "d" / "scene-00000.pgm").write_bytes(
+            b"P5\n" + size + b"\n255\n" + bytes(256))
+        cfgfile = write_config(tmp_path / "c.cfg",
+                               manifest=tmp_path / "d" / "manifest.tsv")
+        code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1 and "truncated pixel payload" in err, err
+
+    def test_manifest_not_text_exit_1(self, tmp_path, capsys):
+        run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--pairs", "2")
+        manifest = tmp_path / "d" / "manifest.tsv"
+        manifest.write_bytes(b"\xff" + manifest.read_bytes())
+        code, _, err = run(capsys, "pretrain", "--config",
+                           str(write_config(tmp_path / "c.cfg", manifest=manifest)),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1 and "manifest.tsv" in err, err
+
+    def test_config_not_text_exit_1(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path / "c.cfg")
+        cfgfile.write_bytes(cfgfile.read_bytes() + b"\xff\n")
+        code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1 and "c.cfg" in err, err
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["scene-00000.ppm", "scene-00000.pgm", "manifest.tsv"]),
+           cut=st.booleans(), data=st.data())
+    def test_pairs_truncated_or_flipped_never_traceback(self, pair_files, name, cut,
+                                                         data):
+        work, files = pair_files
+        raw = bytearray(files[name])
+        # half the positions fall in the PNM headers, which take 13 bytes
+        pos = data.draw(st.one_of(st.integers(0, 13), st.integers(0, len(raw) - 1)))
+        if cut:
+            raw = raw[:pos]
+        else:
+            raw[pos] ^= 1 << data.draw(st.integers(0, 7))
+        for other, content in files.items():
+            (work / other).write_bytes(bytes(raw) if other == name else content)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["pretrain", "--config", str(work / "c.cfg"),
+                         "--out", str(work / "run")])
+        assert code in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(name=st.sampled_from(["final.ckpt", "adapters.ckpt"]),

@@ -111,6 +111,12 @@ class TestCodecs:
         with pytest.raises(DataError, match="truncated"):
             read_pgm(p)
 
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "a.ppm"
+        p.write_bytes(b"P6\n2 2\n255\n" + bytes(13))
+        with pytest.raises(DataError, match="trailing bytes"):
+            read_ppm(p)
+
     def test_unsupported_maxval(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from irvis.autodiff import Tensor
 from irvis.encoder import (LN_EPS, EncoderConfig, encode, init_params, param_count,
                            patchify)
 from irvis.errors import ConfigError, ShapeMismatchError
@@ -16,6 +17,10 @@ def test_config_validation():
         EncoderConfig(depth=0)
     with pytest.raises(ConfigError):
         EncoderConfig(heads=0)
+    for name in ("image_size", "patch_size", "channels", "dim", "mlp_ratio"):
+        for bad in (0, -4):
+            with pytest.raises(ConfigError, match=name):
+                EncoderConfig(**{name: bad})
     cfg = EncoderConfig(image_size=16, patch_size=4)
     assert cfg.num_patches == 16
 
@@ -89,8 +94,10 @@ def test_patch_permutation_equivariance(toy_cfg, toy_params):
     img_p = _permute_patch_blocks(img, perm, toy_cfg.patch_size)
     assert np.array_equal(patchify(img_p, toy_cfg), patchify(img, toy_cfg)[perm])
 
-    base = encode(img, toy_params, toy_cfg, use_pos_embed=False)
-    permuted = encode(img_p, toy_params, toy_cfg, use_pos_embed=False)
+    # without position embeddings the encoder cannot tell the patches apart
+    params = dict(toy_params, pos_embed=Tensor(np.zeros(toy_params["pos_embed"].shape)))
+    base = encode(img, params, toy_cfg)
+    permuted = encode(img_p, params, toy_cfg)
     assert np.allclose(permuted.features.data, base.features.data[perm], atol=1e-9)
     conjugated = base.attention_last.data[np.ix_(perm, perm)]
     assert np.allclose(permuted.attention_last.data, conjugated, atol=1e-9)

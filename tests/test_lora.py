@@ -10,7 +10,7 @@ from irvis.lora import (LoraAdapter, LoraConfig, adapter_tensors, attach,
 
 def make_adapter(rng, k=16, d=24, rank=4, alpha=8.0, zero_b=False, dropout=0.0):
     b = np.zeros((d, rank)) if zero_b else rng.normal(size=(d, rank))
-    return LoraAdapter(target_name="t", B=Tensor(b, requires_grad=True),
+    return LoraAdapter(B=Tensor(b, requires_grad=True),
                        A=Tensor(rng.normal(size=(rank, k)), requires_grad=True),
                        rank=rank, alpha=alpha, dropout_p=dropout)
 
@@ -117,6 +117,11 @@ class TestAttach:
         params = init_params(toy_cfg)
         with pytest.raises(ConfigError, match="nonexistent"):
             attach(params, LoraConfig(target_modules=("qkv", "nonexistent")), seed=0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            LoraConfig(alpha=alpha)
 
     def test_rank_too_large(self, toy_cfg):
         params = init_params(toy_cfg)

@@ -12,8 +12,7 @@ from conftest import exhaustive_pseudo_labels, random_stochastic
 
 def labels_from(values):
     values = np.asarray(values, dtype=float)
-    return PseudoLabelMatrix(values=values, gamma=0.6,
-                             per_row_m=values.sum(axis=1).astype(int))
+    return PseudoLabelMatrix(values=values, per_row_m=values.sum(axis=1).astype(int))
 
 
 class TestSimilarity:

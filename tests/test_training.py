@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import irvis.autodiff as ad
 import irvis.training as training
+from irvis import data as datamod
 from irvis import pccl, tensorio
 from irvis.autodiff import grad_check
 from irvis.encoder import encode
@@ -13,7 +16,8 @@ from irvis.training import (LOSS_KINDS, TrainConfig, _adamw_update,
                             frozen_teacher, linear_probe, lr_at,
                             make_labeled_scenes, make_pretrain_pairs,
                             pooled_features, run_training, student_state,
-                            to_channels, train_step, trainable_map)
+                            teacher_targets, to_channels, train_step,
+                            trainable_map)
 
 
 class TestSchedule:
@@ -81,7 +85,9 @@ class TestTrainStep:
             before = {k: t.data.copy() for k, t in student.items()}
             cfg = TrainConfig(epochs=2, warmup_epochs=0, alpha=0.0, beta=0.0,
                               base_lr=1e-2, steps_per_epoch=1, loss_kind=loss_kind)
-            metrics = train_step(state, make_pretrain_pairs(2, seed=0), teacher,
+            batch = make_pretrain_pairs(2, seed=0)
+            metrics = train_step(state, batch,
+                                 teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
                                  toy_cfg, cfg)
             assert metrics["loss"] == 0.0, loss_kind
             for k in student:
@@ -95,7 +101,9 @@ class TestTrainStep:
         # warmup covers the whole schedule, so step 0 sees lr exactly 0
         cfg = TrainConfig(epochs=1, warmup_epochs=1, base_lr=1e-2,
                           weight_decay=0.0, steps_per_epoch=4)
-        train_step(state, make_pretrain_pairs(2, seed=0), teacher, toy_cfg, cfg)
+        batch = make_pretrain_pairs(2, seed=0)
+        train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
+                   toy_cfg, cfg)
         for k in student:
             assert np.array_equal(student[k].data, before[k]), k
 
@@ -104,8 +112,9 @@ class TestTrainStep:
         teacher = frozen_teacher(toy_cfg)
         cfg = TrainConfig(epochs=2, warmup_epochs=1, steps_per_epoch=1,
                           loss_kind="nce", alpha=1.0, beta=0.0)
-        m = train_step(student_state(teacher),
-                       make_pretrain_pairs(4, seed=1), teacher, toy_cfg, cfg)
+        batch = make_pretrain_pairs(4, seed=1)
+        m = train_step(student_state(teacher), batch,
+                       teacher_targets(batch, teacher, toy_cfg, cfg.gamma), toy_cfg, cfg)
         assert m["l_vv"] > 0.0
         assert m["loss"] == m["l_iv"]
 
@@ -113,7 +122,9 @@ class TestTrainStep:
         teacher = frozen_teacher(toy_cfg)
         state = student_state(teacher)
         cfg = TrainConfig(epochs=2, warmup_epochs=1, steps_per_epoch=1)
-        m = train_step(state, make_pretrain_pairs(2, seed=1), teacher, toy_cfg, cfg)
+        batch = make_pretrain_pairs(2, seed=1)
+        m = train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
+                       toy_cfg, cfg)
         assert sorted(m) == ["l_iv", "l_vv", "loss", "lr", "step"]
         assert m["step"] == 0 and state.step == 1
         assert np.isfinite(m["loss"])
@@ -160,9 +171,10 @@ class TestTrainStep:
         cfg = TrainConfig(epochs=50, warmup_epochs=0, base_lr=1e-2,
                           weight_decay=0.0, batch_size=4, steps_per_epoch=1)
         batch = make_pretrain_pairs(4, seed=3)
-        first = train_step(state, batch, teacher, toy_cfg, cfg)["loss"]
+        targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
+        first = train_step(state, batch, targets, toy_cfg, cfg)["loss"]
         for _ in range(49):
-            last = train_step(state, batch, teacher, toy_cfg, cfg)["loss"]
+            last = train_step(state, batch, targets, toy_cfg, cfg)["loss"]
         assert last < 0.5 * first
 
 
@@ -202,7 +214,8 @@ class TestBatchedStep:
                           loss_kind=loss_kind, seed=4)
         batched, reference = (student_state(teacher, lora, seed=4) for _ in range(2))
         for batch in (make_pretrain_pairs(3, seed=8), make_pretrain_pairs(2, seed=9)):
-            m = train_step(batched, batch, teacher, toy_cfg, cfg)
+            m = train_step(batched, batch,
+                           teacher_targets(batch, teacher, toy_cfg, cfg.gamma), toy_cfg, cfg)
             expected = reference_train_step(reference, batch, teacher, toy_cfg, cfg)
             for got, want in zip((m["loss"], m["l_iv"], m["l_vv"]), expected):
                 assert abs(got - want) <= 1e-12 * abs(want)
@@ -216,15 +229,35 @@ class TestBatchedStep:
 
         def counting_encode(img, params, *args, **kwargs):
             if params is teacher:
+                assert len(img) <= cfg.batch_size
                 seen.extend(image.tobytes() for image in img)
             return encode(img, params, *args, **kwargs)
 
         monkeypatch.setattr(training, "encode", counting_encode)
         pairs = make_pretrain_pairs(6, seed=10)
         cfg = TrainConfig(epochs=3, warmup_epochs=1, batch_size=4)
-        for run in (1, 2):  # the cache lives for one call
+        for run in (1, 2):  # the targets live for one call
             run_training(pairs, teacher, student_state(teacher), toy_cfg, cfg)
             assert len(seen) == 6 * run and len(set(seen)) == 6
+
+    def test_run_equals_steps_on_per_batch_targets(self, toy_cfg):
+        # run_training computes the targets once and slices them by position
+        teacher = frozen_teacher(toy_cfg)
+        lora = LoraConfig(rank=4, dropout=0.1)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=3, lora=lora, seed=1)
+        pairs = make_pretrain_pairs(7, seed=11)
+        ran = run_training(pairs, teacher, student_state(teacher, lora, seed=1),
+                           toy_cfg, cfg)
+        state = student_state(teacher, lora, seed=1)
+        stepped = replace(cfg, steps_per_epoch=3)
+        for epoch in range(cfg.epochs):
+            for batch in datamod.batch(pairs, cfg.batch_size, seed=cfg.seed + epoch):
+                train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
+                           toy_cfg, stepped)
+        assert state.log == ran.log
+        want = trainable_map(ran)
+        for name, t in trainable_map(state).items():
+            assert np.array_equal(t.data, want[name].data), name
 
 
 class TestEndToEndGradients:
