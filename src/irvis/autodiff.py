@@ -1,10 +1,15 @@
 """Dense f64 tensors with reverse-mode gradient accumulation.
 
-Tensors record the op graph as they are built (parents + a backward
-closure per op); ``Tensor.backward`` replays the tape in reverse
-topological order, accumulating into ``.grad`` with ``+=`` so shared
-parameters sum contributions from every branch.  Every op validates
-finiteness of its output: NaN/Inf raises instead of propagating.
+Tensors record the op graph as they are built (parents, a backward
+closure and the op's name per node); ``Tensor.backward`` replays the tape in
+reverse topological order, accumulating into ``.grad`` with ``+=`` so shared
+parameters sum contributions from every branch.  The hot chains of the
+encoder are one op each: ``linear``, ``lora_delta`` and ``attention``.
+
+Ops do not scan their outputs for NaN/Inf.  Finiteness is checked where
+values enter autodiff (``Tensor`` construction) and where they leave it:
+callers pass results through ``check_finite``, which on a failure walks the
+tape already in memory and names the first op whose output is non-finite.
 """
 
 from __future__ import annotations
@@ -18,23 +23,24 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values produced by {op}")
+def _finite(arr: np.ndarray) -> bool:
+    return bool(np.isfinite(arr).all())
 
 
 class Tensor:
     """A dense float64 array plus optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data, "tensor construction")
+        if not _finite(self.data):
+            raise NumericError("non-finite values in tensor construction")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._op: str | None = None  # a leaf; ops name the tensors they make
 
     @property
     def shape(self):
@@ -60,23 +66,8 @@ class Tensor:
             raise ShapeMismatchError(
                 f"backward requires a scalar, got shape {self.shape}"
             )
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        for node in reversed(_topo(self)):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
@@ -124,13 +115,66 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _topo(root: Tensor) -> list[Tensor]:
+    """The tensors reachable from ``root`` through the tape, parents first."""
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return topo
+
+
+def _origin(node: Tensor) -> str:
+    """What made ``node``, as far as the tape can tell."""
+    if node._op is None:
+        return "a leaf tensor"
+    if not node._parents:  # made by an op whose inputs took no gradient
+        return f"{node._op} or an op before it that recorded no tape"
+    return node._op
+
+
+def check_finite(t: Tensor, where: str) -> Tensor:
+    """``t`` itself when every value is finite.  Otherwise raise
+    ``NumericError`` naming what made the first tensor on ``t``'s tape,
+    parents before children, whose value is non-finite."""
+    if not _finite(t.data):
+        first = next(n for n in _topo(t) if not _finite(n.data))
+        raise NumericError(f"non-finite values in {where}, "
+                           f"first produced by {_origin(first)}")
+    return t
+
+
+def check_grads_finite(loss: Tensor, tensors) -> None:
+    """After ``loss.backward()``: raise ``NumericError`` if a gradient of
+    ``tensors`` is non-finite, naming the first op in the reverse sweep that
+    has an input with a non-finite gradient."""
+    if all(t.grad is None or _finite(t.grad) for t in tensors):
+        return
+    for node in reversed(_topo(loss)):
+        if any(p.grad is not None and not _finite(p.grad) for p in node._parents):
+            raise NumericError(f"non-finite gradient, first seen in the reverse "
+                               f"sweep at an input of {_origin(node)}")
+    raise NumericError("non-finite gradient")
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._parents = ()
     out._backward = None
+    out._op = op
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
@@ -227,12 +271,23 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), backward, "reshape")
 
 
+def _basic_key(key) -> bool:
+    """An int, a slice or a tuple of those: it selects each element at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(isinstance(k, slice) or (isinstance(k, (int, np.integer))
+                                        and not isinstance(k, bool)) for k in parts)
+
+
 def take(a: Tensor, key) -> Tensor:
     data = np.array(a.data[key])
+    basic = _basic_key(key)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:
+            full[key] += g
+        else:  # a fancy key may repeat an index: each use adds its gradient
+            np.add.at(full, key, g)
         a._accumulate(full)
 
     return _make(data, (a,), backward, "take")
@@ -265,21 +320,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "gelu")
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; the caller owns the RNG and the train/eval switch."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0,1), got {p}")
-    if p == 0.0:
-        return a
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    data = a.data * mask
-
-    def backward(g):
-        a._accumulate(g * mask)
-
-    return _make(data, (a,), backward, "dropout")
-
-
 def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     mu = x.data.mean(axis=-1, keepdims=True)
@@ -303,19 +343,96 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-6) -> Ten
     return _make(data, (x, weight, bias), backward, "layernorm")
 
 
-# -- row-structured ops used by the contrastive machinery --------------
+# -- fused encoder ops --------------------------------------------------
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction; rows of the output sum to 1."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for ``x`` (..., k), ``w`` (k, d) and ``b`` (d,)."""
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeMismatchError(
+            f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}"
+        )
+    k, d = w.shape
+    data = x.data @ w.data + b.data
 
     def backward(g):
-        x._accumulate(p * (g - (g * p).sum(axis=-1, keepdims=True)))
+        g2 = g.reshape(-1, d)
+        if w.requires_grad:
+            w._accumulate(x.data.reshape(-1, k).T @ g2)
+        if b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
 
-    return _make(p, (x,), backward, "softmax_rows")
+    return _make(data, (x, w, b), backward, "linear")
+
+
+def lora_delta(x: Tensor, A: Tensor, B: Tensor, scale: float,
+               mask: np.ndarray | None = None) -> Tensor:
+    """The low-rank branch ``scale * (x * mask) @ A.T @ B.T`` for ``x`` (..., k),
+    ``A`` (r, k) and ``B`` (d, r); ``mask`` (x's shape) is the dropout mask,
+    already divided by the keep probability, and ``None`` keeps every input."""
+    if (x.data.ndim < 2 or A.data.ndim != 2 or B.data.ndim != 2
+            or x.shape[-1] != A.shape[1] or B.shape[1] != A.shape[0]
+            or (mask is not None and mask.shape != x.shape)):
+        raise ShapeMismatchError(
+            f"lora_delta shape mismatch: x {x.shape}, A {A.shape}, B {B.shape}"
+        )
+    r, k = A.shape
+    xm = x.data if mask is None else x.data * mask
+    h = xm @ A.data.T
+    data = (h @ B.data.T) * scale
+
+    def backward(g):
+        if B.requires_grad:
+            B._accumulate(scale * (g.reshape(-1, B.shape[0]).T @ h.reshape(-1, r)))
+        gh = (g @ B.data) * scale
+        if A.requires_grad:
+            A._accumulate(gh.reshape(-1, r).T @ xm.reshape(-1, k))
+        if x.requires_grad:
+            gx = gh @ A.data
+            x._accumulate(gx if mask is None else gx * mask)
+
+    return _make(data, (x, A, B), backward, "lora_delta")
+
+
+def attention(qkv: Tensor, heads: int, dh: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head softmax self-attention over packed ``[q | k | v]`` columns.
+
+    ``qkv`` is (..., N, 3 * heads * dh), each third split into ``heads`` blocks
+    of ``dh`` columns.  Returns the heads' outputs merged back to
+    (..., N, heads * dh), and the row-stochastic attention maps
+    (..., heads, N, N) as a plain array, off the tape.
+    """
+    lead, b = qkv.shape[:-2], qkv.data.ndim - 2
+    if b < 0 or qkv.shape[-1] != 3 * heads * dh:
+        raise ShapeMismatchError(
+            f"attention needs 3 * {heads} heads * {dh} packed columns, got {qkv.shape}"
+        )
+    n = qkv.shape[-2]
+    # to (3, *lead, heads, N, dh): q, k and v of every head
+    q, k, v = np.transpose(qkv.data.reshape(lead + (n, 3, heads, dh)),
+                           (b + 1, *range(b), b + 2, b, b + 3))
+    c = 1.0 / np.sqrt(dh)
+    s = (q @ np.swapaxes(k, -1, -2)) * c
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    data = np.swapaxes(p @ v, -2, -3).reshape(lead + (n, heads * dh))
+
+    def backward(g):
+        go = np.swapaxes(g.reshape(lead + (n, heads, dh)), -2, -3)
+        gp = go @ np.swapaxes(v, -1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
+        parts = (gs @ k, np.swapaxes(gs, -1, -2) @ q, np.swapaxes(p, -1, -2) @ go)
+        # back to (*lead, N, 3, heads, dh), the packed column order
+        grad = np.stack([np.swapaxes(t, -2, -3) for t in parts], axis=-3)
+        qkv._accumulate(grad.reshape(qkv.shape))
+
+    return _make(data, (qkv,), backward, "attention"), p
+
+
+# -- row-structured ops used by the contrastive machinery --------------
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from . import tensorio
-from .autodiff import Tensor
+from .autodiff import Tensor, check_finite
 from .encoder import EncoderConfig
 from .encoder import encode  # noqa: F401  (benchmark wraps cli.encode)
 from .encoder import init_params  # noqa: F401  (benchmark wraps cli.init_params)
@@ -148,10 +148,10 @@ def _params_copy(params) -> dict[str, np.ndarray]:
 
 
 def cmd_gen_data(args) -> int:
+    n_night = datamod.night_count(args.pairs, args.night_fraction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    n_night = int(round(args.pairs * args.night_fraction))
     entries = []
     for i in range(args.pairs):
         night = i >= args.pairs - n_night
@@ -280,7 +280,7 @@ def cmd_merge(args) -> int:
         for _ in range(10):
             x = Tensor(rng.normal(size=(4, w.shape[0])))
             two_path = forward_adapted(x, w, adapter)
-            single = x @ w_star
+            single = check_finite(x @ w_star, "merged forward")
             worst = max(worst, float(np.abs(two_path.data - single.data).max()))
     tensorio.write_checkpoint(args.out, merged)
     print(f"merged {len(targets)} adapters; max two-path vs merged diff {worst:.3e}")

@@ -122,6 +122,13 @@ def random_scene_spec(rng: np.random.Generator, *, height: int = 16, width: int 
     )
 
 
+def night_count(n: int, night_fraction: float) -> int:
+    """How many of ``n`` generated scenes are night scenes (taken from the end)."""
+    if not 0.0 <= night_fraction <= 1.0:  # NaN fails it too
+        raise ConfigError(f"night_fraction must be in [0, 1], got {night_fraction}")
+    return int(round(n * night_fraction))
+
+
 # -- PPM (P6) / PGM (P5) codecs, 8-bit --------------------------------
 
 

@@ -115,11 +115,10 @@ def patchify(img: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
 
 def _linear(x: Tensor, params: dict[str, Tensor], name: str,
             adapters=None, training: bool = False, rng=None) -> Tensor:
-    w = params[f"{name}.weight"]
-    y = x @ w
+    y = ad.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
     if adapters is not None and name in adapters:
         y = y + adapters[name].delta(x, training=training, rng=rng)
-    return y + params[f"{name}.bias"]
+    return y
 
 
 def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
@@ -134,23 +133,13 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
     patches = Tensor(patchify(data, cfg))
     x = _linear(patches, params, "patch_embed", adapters, training, rng) + params["pos_embed"]
 
-    lead = patches.shape[:-2]
-    b, batch_axes = len(lead), tuple(range(len(lead)))
-    n, dh = cfg.num_patches, cfg.dim // cfg.heads
-    inv_sqrt_dh = 1.0 / np.sqrt(dh)
+    dh = cfg.dim // cfg.heads
     for i in range(cfg.depth):
         pre = f"blocks.{i}"
         h = ad.layernorm(x, params[f"{pre}.norm1.weight"], params[f"{pre}.norm1.bias"],
                          eps=LN_EPS)
         qkv = _linear(h, params, f"{pre}.qkv", adapters, training, rng)
-        # columns are [q | k | v], each split into heads: to (3, *lead, heads, N, dh)
-        qkv = ad.transpose(ad.reshape(qkv, lead + (n, 3, cfg.heads, dh)),
-                           (b + 1, *batch_axes, b + 2, b, b + 3))
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        k_t = ad.transpose(k, (*batch_axes, b, b + 2, b + 1))
-        attn = ad.softmax_rows((q @ k_t) * inv_sqrt_dh)
-        merged = ad.reshape(ad.transpose(attn @ v, (*batch_axes, b + 1, b, b + 2)),
-                            lead + (n, cfg.dim))
+        merged, attn = ad.attention(qkv, cfg.heads, dh)
         x = x + _linear(merged, params, f"{pre}.proj", adapters, training, rng)
 
         h = ad.layernorm(x, params[f"{pre}.norm2.weight"], params[f"{pre}.norm2.bias"],
@@ -160,5 +149,5 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
 
     features = ad.layernorm(x, params["norm.weight"], params["norm.bias"], eps=LN_EPS)
     # pseudo-labels read the map without gradients, so it leaves the tape
-    return EncoderOutput(features=features,
-                         attention_last=Tensor(attn.data.mean(axis=-3)))
+    return EncoderOutput(features=ad.check_finite(features, "encode features"),
+                         attention_last=Tensor(attn.mean(axis=-3)))

@@ -53,12 +53,15 @@ class LoraAdapter:
 
     def delta(self, x: Tensor, training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
-        """Adapter branch (alpha/r) * drop(x) A^T B^T; dropout only in training."""
+        """Adapter branch (alpha/r) * drop(x) A^T B^T; dropout only in training.
+
+        The inverted-dropout mask comes from one ``rng.random(x.shape)`` draw."""
+        mask = None
         if training and self.dropout_p > 0.0:
             if rng is None:
                 raise ValueError("training-mode adapter forward needs an RNG")
-            x = ad.dropout(x, self.dropout_p, rng)
-        return (x @ ad.transpose(self.A) @ ad.transpose(self.B)) * self.scaling
+            mask = (rng.random(x.shape) >= self.dropout_p) / (1.0 - self.dropout_p)
+        return ad.lora_delta(x, self.A, self.B, self.scaling, mask)
 
     def update_matrix(self) -> np.ndarray:
         """(k, d) matrix added to W by merging."""
@@ -71,7 +74,8 @@ def forward_adapted(x: Tensor, w: Tensor, adapter: LoraAdapter,
     """Two-path forward x W + adapter branch; gradients reach B and A only."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeMismatchError(f"forward shape mismatch: {x.shape} x {w.shape}")
-    return x @ w + adapter.delta(x, training=training, rng=rng)
+    return ad.check_finite(x @ w + adapter.delta(x, training=training, rng=rng),
+                           "adapted forward")
 
 
 def merge(w: Tensor, adapter: LoraAdapter) -> Tensor:

@@ -38,7 +38,8 @@ class PseudoLabelMatrix:
 def similarity(f_a: Tensor, f_b: Tensor, tau: float) -> SimilarityMatrix:
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    return SimilarityMatrix(values=ad.cosine_rows(f_a, f_b) * (1.0 / tau), tau=tau)
+    values = ad.check_finite(ad.cosine_rows(f_a, f_b) * (1.0 / tau), "similarity")
+    return SimilarityMatrix(values=values, tau=tau)
 
 
 def pseudo_labels(attention: np.ndarray | Tensor, gamma: float) -> PseudoLabelMatrix:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import data as datamod
 from . import pccl
-from .autodiff import Tensor
+from .autodiff import Tensor, check_finite, check_grads_finite
 from .encoder import EncoderConfig, encode, init_params
 from .errors import ConfigError, DataError, NumericError
 from .lora import LoraConfig, adapter_tensors, attach
@@ -44,10 +44,16 @@ class TrainConfig:
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ConfigError(f"need 0 <= warmup_epochs <= epochs, got "
                               f"{self.warmup_epochs} and {self.epochs}")
-        if not (self.base_lr > 0.0 and self.batch_size >= 1):
-            raise ConfigError("learning rate and batch size must be positive")
-        if not self.tau > 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not (0.0 < self.base_lr < math.inf and self.batch_size >= 1):
+            raise ConfigError("learning rate and batch size must be positive, "
+                              "and the learning rate finite")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be nonnegative and finite, "
+                              f"got {self.weight_decay}")
+        if not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError(f"betas must be in [0, 1), got {self.betas}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
         if not (self.alpha >= 0.0 and self.beta >= 0.0):
@@ -200,16 +206,19 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
         term = pccl.LOSSES[cfg.loss_kind]
         l_iv = term(f_i, f_vf, labels, cfg.tau)
         l_vv = term(f_v, f_vf, labels, cfg.tau)
-        loss = pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta)
+        loss = check_finite(pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta), "the loss")
+        learns = loss.requires_grad and (cfg.alpha or cfg.beta)  # alpha = beta = 0: no signal
+        if learns:
+            loss.backward()
+            check_grads_finite(loss, trainable_map(state).values())
     except NumericError as exc:
         last = state.log[-1]["loss"] if state.log else None
         raise NumericError(
-            f"non-finite loss at step {state.step} (last finite loss: {last}): {exc}"
+            f"non-finite values at step {state.step} (last finite loss: {last}): {exc}"
         ) from exc
 
     lr = lr_at(state.step, cfg)
-    if loss.requires_grad and (cfg.alpha or cfg.beta):  # alpha = beta = 0: no signal
-        loss.backward()
+    if learns:
         _adamw_update(state, cfg, lr)
     else:
         for p in trainable_map(state).values():
@@ -337,7 +346,7 @@ def make_pretrain_pairs(n: int, seed: int, *, height: int = 16, width: int = 16,
                         night_fraction: float = 0.0):
     """Unlabeled multi-object pairs for contrastive pretraining."""
     rng = np.random.default_rng(seed)
-    n_night = int(round(n * night_fraction))
+    n_night = datamod.night_count(n, night_fraction)
     samples = []
     for i in range(n):
         illum = 0.1 if i >= n - n_night else 1.0

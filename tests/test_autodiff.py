@@ -5,7 +5,7 @@ import pytest
 
 import irvis.autodiff as ad
 from irvis.autodiff import (Tensor, bce_with_logits, cosine_rows, grad_check,
-                            matmul, softmax_rows)
+                            matmul)
 from irvis.errors import DegenerateInputError, NumericError, ShapeMismatchError
 
 
@@ -47,24 +47,129 @@ class TestMatmul:
         assert grad_check(weighted_sum(lambda t: matmul(a, t), w), b) < 1e-6
 
 
-class TestSoftmaxRows:
+def attention_map(logits):
+    """The map of one attention head whose scaled scores are exactly ``logits``
+    (N, N), N <= 16: with dh = 16, q = 4 [logits | 0] and k = [I | 0] give
+    q k^T / sqrt(dh) = logits bit for bit."""
+    n = logits.shape[-1]
+    q = np.zeros((n, 16))
+    q[:, :n] = 4.0 * logits
+    qkv = np.concatenate([q, np.eye(n, 16), np.zeros((n, 16))], axis=-1)
+    return ad.attention(Tensor(qkv), heads=1, dh=16)[1][0]
+
+
+class TestAttention:
+    """The row softmax that ``attention`` inlines, on the inputs and bounds
+    of the former ``softmax_rows`` op, then the fused op against its chain."""
+
     def test_uniform(self):
-        out = softmax_rows(Tensor([[0.0, 0.0, 0.0, 0.0]]))
-        assert np.allclose(out.data, 0.25, atol=0)
+        out = attention_map(np.zeros((4, 4)))
+        assert np.allclose(out, 0.25, atol=0)
 
     def test_forced(self):
-        out = softmax_rows(Tensor([[np.log(1.0), np.log(3.0)]]))
-        assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-15)
+        out = attention_map(np.array([[np.log(1.0), np.log(3.0)]] * 2))
+        assert np.allclose(out, [[0.25, 0.75]] * 2, atol=1e-15)
 
     def test_row_sums(self):
         rng = np.random.default_rng(3)
-        out = softmax_rows(Tensor(rng.normal(size=(8, 8)) * 10))
-        assert np.abs(out.data.sum(axis=1) - 1.0).max() <= 1e-12
-        assert np.all(out.data > 0)
+        out = attention_map(rng.normal(size=(8, 8)) * 10)
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.all(out > 0)
 
     def test_stability_large_inputs(self):
-        out = softmax_rows(Tensor([[1000.0, 999.0]]))
-        assert np.all(np.isfinite(out.data))
+        out = attention_map(np.array([[1000.0, 999.0]] * 2))
+        assert np.all(np.isfinite(out))
+
+    def test_packed_width_checked(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(5, 30\)"):
+            ad.attention(Tensor(np.zeros((5, 30))), heads=2, dh=4)
+
+    def test_equals_unfused_chain(self):
+        rng = np.random.default_rng(13)
+        qkv = rng.normal(size=(2, 5, 3 * 2 * 3))
+        w = Tensor(rng.normal(size=(2, 5, 6)))
+        fused_in, chain_in = (Tensor(qkv, requires_grad=True) for _ in range(2))
+        merged, maps = ad.attention(fused_in, heads=2, dh=3)
+        ad.tsum(ad.mul(merged, w)).backward()
+        chain, chain_maps = unfused_attention(chain_in, heads=2, dh=3)
+        ad.tsum(ad.mul(chain, w)).backward()
+        assert np.abs(merged.data - chain.data).max() <= 1e-12
+        assert np.abs(maps - chain_maps.data).max() <= 1e-12
+        assert np.abs(fused_in.grad - chain_in.grad).max() <= 1e-12
+
+
+def softmax_rows(x):
+    """The row softmax op the fused ``attention`` replaced, kept as the
+    reference chain's step."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    p = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        x._accumulate(p * (g - (g * p).sum(axis=-1, keepdims=True)))
+
+    return ad._make(p, (x,), backward, "softmax_rows")
+
+
+def unfused_attention(qkv, heads, dh):
+    """The chain of taped ops that ``encode`` ran before ``attention``."""
+    lead, n = qkv.shape[:-2], qkv.shape[-2]
+    b, batch_axes = len(lead), tuple(range(len(lead)))
+    qkv = ad.transpose(ad.reshape(qkv, lead + (n, 3, heads, dh)),
+                       (b + 1, *batch_axes, b + 2, b, b + 3))
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    k_t = ad.transpose(k, (*batch_axes, b, b + 2, b + 1))
+    attn = softmax_rows((q @ k_t) * (1.0 / np.sqrt(dh)))
+    merged = ad.reshape(ad.transpose(attn @ v, (*batch_axes, b + 1, b, b + 2)),
+                        lead + (n, heads * dh))
+    return merged, attn
+
+
+class TestLinear:
+    def test_equals_unfused_chain(self):
+        rng = np.random.default_rng(14)
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        g = Tensor(rng.normal(size=(2, 3, 5)))
+        fused, chain = ([Tensor(a, requires_grad=True) for a in (x, w, b)] for _ in range(2))
+        ad.tsum(ad.mul(ad.linear(*fused), g)).backward()
+        ad.tsum(ad.mul(chain[0] @ chain[1] + chain[2], g)).backward()
+        assert np.abs(ad.linear(*fused).data - (x @ w + b)).max() <= 1e-12
+        for f, c in zip(fused, chain):
+            assert np.abs(f.grad - c.grad).max() <= 1e-12
+
+    def test_shape_mismatch_message(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 3\) x \(2, 3\)"):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeMismatchError, match=r"\+ \(4,\)"):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), Tensor(np.zeros(4)))
+
+
+class TestLoraDelta:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equals_unfused_chain(self, masked):
+        rng = np.random.default_rng(15)
+        x, a, b = rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 6)), rng.normal(size=(4, 2))
+        mask = (rng.random(x.shape) >= 0.3) / 0.7 if masked else None
+        g = Tensor(rng.normal(size=(2, 3, 4)))
+        fused, chain = ([Tensor(t, requires_grad=True) for t in (x, a, b)] for _ in range(2))
+        out = ad.lora_delta(*fused, 2.5, mask)
+        ad.tsum(ad.mul(out, g)).backward()
+        xc, ac, bc = chain
+        if masked:  # the former dropout op multiplied by the mask
+            xc = ad.mul(xc, Tensor(mask))
+        ref = (xc @ ad.transpose(ac) @ ad.transpose(bc)) * 2.5
+        ad.tsum(ad.mul(ref, g)).backward()
+        assert np.abs(out.data - ref.data).max() <= 1e-12
+        for f, c in zip(fused, chain):
+            assert np.abs(f.grad - c.grad).max() <= 1e-12
+
+    def test_shape_mismatch(self):
+        x, a = Tensor(np.zeros((3, 6))), Tensor(np.zeros((2, 6)))
+        with pytest.raises(ShapeMismatchError):
+            ad.lora_delta(x, a, Tensor(np.zeros((4, 3))), 1.0)
+        with pytest.raises(ShapeMismatchError):
+            ad.lora_delta(x, Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 2))), 1.0)
+        with pytest.raises(ShapeMismatchError):
+            ad.lora_delta(x, a, Tensor(np.zeros((4, 2))), 1.0, np.ones((3, 5)))
 
 
 class TestCosineRows:
@@ -173,6 +278,20 @@ class TestBatchedLosses:
                    - np.mean(per)) <= 1e-15
 
 
+class TestTake:
+    def test_repeated_fancy_index_sums(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        ad.tsum(x[[0, 0, 2, 0]]).backward()
+        assert np.array_equal(x.grad, [3.0, 0.0, 1.0, 0.0])
+
+    def test_basic_keys(self):
+        x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        ad.tsum(x[0::2]).backward()
+        ad.tsum(x[1, 1:]).backward()
+        ad.tsum(ad.mul(x[np.int64(3)], Tensor([1.0, 2.0, 3.0]))).backward()
+        assert np.array_equal(x.grad, [[1, 1, 1], [0, 1, 1], [1, 1, 1], [1, 2, 3]])
+
+
 class TestGradCheck:
     def test_quadratic(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 3)))
@@ -189,6 +308,42 @@ class TestGradCheck:
         big = Tensor(np.full((2, 2), 500.0))
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             grad_check(lambda t: ad.tsum(t) * 1e300 * 1e300, big)
+
+
+class TestFiniteAtTheBoundary:
+    """Ops do not check their outputs; ``check_finite`` and
+    ``check_grads_finite`` do, and name the op from the tape."""
+
+    def test_ops_pass_non_finite_values_on(self):
+        with np.errstate(over="ignore"):
+            y = Tensor([1e300], requires_grad=True) * 1e300
+        assert np.isinf(y.data).all()
+
+    def test_names_first_non_finite_op(self):
+        x = Tensor([1e300, 1.0], requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = ad.gelu(ad.layernorm(x * 1e300, Tensor([1.0, 1.0]), Tensor([0.0, 0.0])))
+        with pytest.raises(NumericError, match=r"in the test, first produced by scale$"):
+            ad.check_finite(out, "the test")
+        assert ad.check_finite(x, "the test") is x
+
+    def test_names_a_leaf_and_an_untaped_op(self):
+        w = Tensor([1.0], requires_grad=True)
+        w.data = np.array([np.inf])  # as an optimizer update may leave it
+        with pytest.raises(NumericError, match="first produced by a leaf tensor"):
+            ad.check_finite(ad.gelu(w + 1.0), "the test")
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="scale or an op before it"):
+            ad.check_finite(Tensor([1e300]) * 1e300, "the test")
+
+    def test_non_finite_gradient_names_op(self):
+        x = Tensor([1e-300], requires_grad=True)
+        loss = ad.tsum((x * 1e300) * 1e300)  # 1e300: finite, as is every value
+        with np.errstate(over="ignore"):
+            loss.backward()
+        with pytest.raises(NumericError, match="at an input of scale"):
+            ad.check_grads_finite(loss, [x])
+        ad.check_grads_finite(loss, [Tensor([1.0], requires_grad=True)])
 
 
 class TestTensorInvariants:
@@ -225,9 +380,47 @@ def _matmul_case(rng):
             Tensor(rng.normal(size=(3, 4))))
 
 
-def _softmax_case(rng):
-    return (weighted_sum(softmax_rows, rng.normal(size=(4, 4))),
-            Tensor(rng.normal(size=(4, 4))))
+def _attention_batched_case(rng):
+    # 2 images of 4 patches, 2 heads of width 2; scores scaled by 2 so that
+    # the maps are far from uniform
+    w = rng.normal(size=(2, 4, 4))
+    return (weighted_sum(lambda t: ad.attention(t * 2.0, heads=2, dh=2)[0], w),
+            Tensor(rng.normal(size=(2, 4, 12))))
+
+
+def _linear_cases():
+    """One case per differentiable input of ``linear`` on a batched ``x``."""
+    shapes = {"x": (2, 3, 4), "w": (4, 5), "b": (5,)}
+
+    def case(wrt):
+        def make(rng):
+            args = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+            w = rng.normal(size=(2, 3, 5))
+
+            def f(t):
+                return ad.linear(**dict(args, **{wrt: t}))
+            return weighted_sum(f, w), Tensor(rng.normal(size=shapes[wrt]))
+        return make
+    return {f"linear_{name}": case(name) for name in shapes}
+
+
+def _lora_delta_cases():
+    """One case per differentiable input of ``lora_delta``, without and with
+    a dropout mask (keep probability 0.7)."""
+    shapes = {"x": (2, 3, 6), "A": (2, 6), "B": (4, 2)}
+
+    def case(wrt, masked):
+        def make(rng):
+            args = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+            mask = (rng.random(shapes["x"]) >= 0.3) / 0.7 if masked else None
+            w = rng.normal(size=(2, 3, 4))
+
+            def f(t):
+                return ad.lora_delta(**dict(args, **{wrt: t}), scale=2.5, mask=mask)
+            return weighted_sum(f, w), Tensor(rng.normal(size=shapes[wrt]))
+        return make
+    return {f"lora_delta{'_masked' if masked else ''}_{name}": case(name, masked)
+            for name in shapes for masked in (False, True)}
 
 
 def _cosine_case(rng):
@@ -318,7 +511,9 @@ def _transpose_axes_case(rng):
 DIFF_OPS = {
     "matmul": _matmul_case,
     "matmul_batched": _matmul_batched_case,
-    "softmax_rows": _softmax_case,
+    "attention_batched": _attention_batched_case,
+    **_linear_cases(),
+    **_lora_delta_cases(),
     "cosine_rows": _cosine_case,
     "cosine_rows_batched": _cosine_batched_case,
     "bce_with_logits": _bce_case,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -60,6 +61,13 @@ class TestGenData:
     def test_missing_required_arg_exit_1(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen-data", "--out", str(tmp_path))
         assert code == 1
+
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "-0.1", "1.5"])
+    def test_night_fraction_out_of_range_exit_1(self, tmp_path, capsys, fraction):
+        code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"),
+                           "--pairs", "4", "--night-fraction", fraction)
+        assert code == 1 and "night_fraction" in err, err
+        assert not (tmp_path / "d").exists()
 
 
 class TestPretrain:
@@ -126,6 +134,9 @@ class TestPretrain:
         code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
                            "--out", str(tmp_path / "run"))
         assert code == 2 and "at step 1" in err, err
+        # the message names the op, found by walking the step's tape
+        assert re.search(r"first produced by (linear|lora_delta|attention|layernorm"
+                         r"|gelu|add|scale|cosine_rows|bce_with_logits)\b", err), err
         lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 1
         m = json.loads(lines[0])
@@ -164,6 +175,10 @@ class TestConfigRanges:
         dict(mlp_ratio=-1),
         dict(lora_enabled="true", lora_alpha="nan"),
         dict(lora_enabled="true", lora_alpha="inf"),
+        dict(base_lr="inf"), dict(tau="inf"), dict(weight_decay=-1),
+        dict(weight_decay="nan"), dict(beta2=2.0), dict(beta1="nan"),
+        dict(night_fraction="nan"), dict(night_fraction="inf"),
+        dict(night_fraction=-0.1), dict(night_fraction=1.5),
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_out_of_range_exit_1(self, tmp_path, capsys, overrides):
         cfgfile = write_config(tmp_path / "c.cfg", **overrides)
@@ -313,6 +328,18 @@ class TestMerge:
         assert worst < 1e-10
         assert merged.read_bytes() != (out / "final.ckpt").read_bytes()
 
+    def test_overflowing_forward_exit_2(self, tmp_path, capsys):
+        # finite weights whose products overflow: the two-path and merged
+        # forward passes are inf, and their difference NaN
+        out = self._pretrained(tmp_path, capsys)
+        ckpt = tensorio.read_checkpoint(out / "final.ckpt")
+        ckpt["blocks.0.fc1.weight"] = np.full_like(ckpt["blocks.0.fc1.weight"], 1e307)
+        tensorio.write_checkpoint(tmp_path / "big.ckpt", ckpt)
+        code, _, err = run(capsys, "merge", "--checkpoint", str(tmp_path / "big.ckpt"),
+                           "--adapters", str(out / "adapters.ckpt"),
+                           "--out", str(tmp_path / "m.ckpt"))
+        assert code == 2 and "numeric failure:" in err, err
+
     def test_mismatched_target_exit_1(self, tmp_path, capsys):
         out = self._pretrained(tmp_path, capsys)
         ckpt = tensorio.read_checkpoint(out / "final.ckpt")
@@ -340,6 +367,13 @@ class TestDumpMatrices:
         assert m_iv.shape == (16, 16) and m_p.shape == (16, 16)
         assert set(np.unique(m_p)) <= {0.0, 1.0}
         assert np.all(np.diag(m_p) == 1.0)
+
+    def test_overflowing_similarity_exit_2(self, tmp_path, capsys):
+        # a positive, finite tau whose inverse overflows
+        cfgfile = write_config(tmp_path / "c.cfg", n_pairs=2, tau=1e-310)
+        code, _, err = run(capsys, "dump-matrices", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "mats"))
+        assert code == 2 and "numeric failure:" in err, err
 
 
 @pytest.fixture(scope="module")

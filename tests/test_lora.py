@@ -32,6 +32,22 @@ class TestForward:
         b = forward_adapted(x, w, adapter, training=False)
         assert np.array_equal(a.data, b.data)
 
+    def test_training_mask_scaled_by_keep_probability(self):
+        # one rng.random(x.shape) draw; kept inputs are scaled by 1/(1-p)
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
+        adapter = make_adapter(rng, dropout=0.25)
+        out = adapter.delta(x, training=True, rng=np.random.default_rng(3))
+        mask = (np.random.default_rng(3).random(x.shape) >= 0.25) / (1.0 - 0.25)
+        a, b = adapter.A.data, adapter.B.data
+        want = (x.data * mask) @ a.T @ b.T * adapter.scaling
+        assert np.abs(out.data - want).max() <= 1e-12
+        from irvis.autodiff import tsum
+        tsum(out).backward()
+        row = adapter.scaling * np.ones(b.shape[0]) @ b @ a
+        assert np.abs(x.grad - mask * row).max() <= 1e-12
+        assert 0.0 < (mask == 0.0).mean() < 1.0
+
     def test_two_path_equals_merged_product(self):
         rng = np.random.default_rng(2)
         w = Tensor(rng.normal(size=(16, 24)))

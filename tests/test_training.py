@@ -9,7 +9,7 @@ from irvis import data as datamod
 from irvis import pccl, tensorio
 from irvis.autodiff import grad_check
 from irvis.encoder import encode
-from irvis.errors import ConfigError, DataError
+from irvis.errors import ConfigError, DataError, NumericError
 from irvis.lora import LoraConfig
 from irvis.training import (LOSS_KINDS, TrainConfig, _adamw_update,
                             forgetting_experiment,
@@ -56,6 +56,17 @@ class TestSchedule:
                     dict(warmup_epochs=-1), dict(epochs=-1, warmup_epochs=-1)):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(base_lr=float("inf")), dict(tau=float("inf")),
+        dict(weight_decay=-1.0), dict(weight_decay=float("nan")),
+        dict(weight_decay=float("inf")), dict(betas=(0.9, 2.0)),
+        dict(betas=(0.9, 1.0)), dict(betas=(-0.1, 0.999)),
+        dict(betas=(float("nan"), 0.999)),
+    ], ids=repr)
+    def test_optimizer_values_range_checked(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
 
 
 class TestToChannels:
@@ -106,6 +117,24 @@ class TestTrainStep:
                    toy_cfg, cfg)
         for k in student:
             assert np.array_equal(student[k].data, before[k]), k
+
+    def test_non_finite_gradient_of_finite_loss_stops_step(self, toy_cfg, monkeypatch):
+        def term(f_s, f_t, labels, tau):
+            # every value stays finite; the gradient is 1e300 * 1e300 = inf
+            return ad.tmean(f_s) * 1e-300 * 1e300 * 1e300
+
+        monkeypatch.setitem(pccl.LOSSES, "mse", term)
+        teacher = frozen_teacher(toy_cfg)
+        state = student_state(teacher)
+        before = {k: t.data.copy() for k, t in state.params.items()}
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, steps_per_epoch=1, loss_kind="mse")
+        batch = make_pretrain_pairs(2, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"at step 0 .*non-finite gradient.*input of scale"):
+            train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
+                       toy_cfg, cfg)
+        for k, t in state.params.items():
+            assert np.array_equal(t.data, before[k]), k
 
     def test_alpha_beta_weight_nce(self, toy_cfg):
         # mse would not do: its visible term is exactly 0 at step 0
