@@ -7,7 +7,7 @@ A healthy setup drops the loss by well over half in 50 full-batch steps.
 import argparse
 
 from irvis.encoder import EncoderConfig
-from irvis.training import (TrainConfig, frozen_teacher, make_pretrain_pairs,
+from irvis.training import (TrainConfig, frozen_teacher, lr_at, make_pretrain_pairs,
                             student_state, teacher_targets, train_step)
 
 
@@ -22,13 +22,14 @@ def main():
     teacher = frozen_teacher(enc_cfg)
     state = student_state(teacher)
     cfg = TrainConfig(epochs=args.steps, warmup_epochs=0, base_lr=args.lr,
-                      weight_decay=0.0, batch_size=4, steps_per_epoch=1)
+                      weight_decay=0.0, batch_size=4)
     batch = make_pretrain_pairs(4, seed=args.seed)
     targets = teacher_targets(batch, teacher, enc_cfg, cfg.gamma)
 
     first = None
     for step in range(args.steps):
-        m = train_step(state, batch, targets, enc_cfg, cfg)
+        # one full batch per epoch: the schedule's epochs are steps
+        m = train_step(state, batch, targets, enc_cfg, cfg, lr_at(step, cfg, 1))
         if first is None:
             first = m["loss"]
         if step % 10 == 0 or step == args.steps - 1:

@@ -250,6 +250,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
+# transpose and reshape: the unfused reference chains in the tests are built from them
 def transpose(a: Tensor, axes=None) -> Tensor:
     """Permute axes by ``axes``, a permutation of ``range(ndim)``; by default reverse them."""
     inverse = None if axes is None else np.argsort(axes)

@@ -136,10 +136,6 @@ def _load_samples(v: dict, enc: EncoderConfig):
                                night_fraction=v["night_fraction"])
 
 
-def _params_bytes(params) -> dict[str, np.ndarray]:
-    return {name: t.data for name, t in params.items()}
-
-
 def _params_copy(params) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in params.items()}
 
@@ -148,6 +144,9 @@ def _params_copy(params) -> dict[str, np.ndarray]:
 
 
 def cmd_gen_data(args) -> int:
+    if args.pairs < 0 or args.seed < 0:
+        raise ConfigError(f"--pairs and --seed must be nonnegative, got "
+                          f"{args.pairs} and {args.seed}")
     n_night = datamod.night_count(args.pairs, args.night_fraction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -196,13 +195,13 @@ def cmd_pretrain(args) -> int:
     samples = _load_samples(v, enc)
     teacher, state, best_params = _run_one(enc, cfg, samples,
                                            metrics_path=out / "metrics.jsonl")
-    tensorio.write_checkpoint(out / "teacher.ckpt", _params_bytes(teacher))
+    tensorio.write_checkpoint(out / "teacher.ckpt", _params_copy(teacher))
     # the student starts as a byte-identical copy of the teacher
-    tensorio.write_checkpoint(out / "initial.ckpt", _params_bytes(teacher))
+    tensorio.write_checkpoint(out / "initial.ckpt", _params_copy(teacher))
     if cfg.epochs == 0:
         print("epochs=0: wrote initial checkpoint only")
         return 0
-    tensorio.write_checkpoint(out / "final.ckpt", _params_bytes(state.params))
+    tensorio.write_checkpoint(out / "final.ckpt", _params_copy(state.params))
     tensorio.write_checkpoint(out / "best.ckpt", best_params)
     if state.adapters is not None:
         tensorio.write_adapter_checkpoint(
@@ -309,8 +308,8 @@ def cmd_dump_matrices(args) -> int:
         s_iv = similarity(f_i, f_vf, cfg.tau)
         s_vv = similarity(f_v, f_vf, cfg.tau)
         for j, sample in enumerate(chunk):
-            tensorio.write_tensor(out / f"{sample.scene_id}.m_iv.tnsr", s_iv.values.data[j])
-            tensorio.write_tensor(out / f"{sample.scene_id}.m_vv.tnsr", s_vv.values.data[j])
+            tensorio.write_tensor(out / f"{sample.scene_id}.m_iv.tnsr", s_iv.data[j])
+            tensorio.write_tensor(out / f"{sample.scene_id}.m_vv.tnsr", s_vv.data[j])
             tensorio.write_tensor(out / f"{sample.scene_id}.m_p.tnsr", labels.values[j])
     print(f"dumped matrices to {out}")
     return 0

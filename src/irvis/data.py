@@ -1,5 +1,5 @@
 """Aligned visible/infrared pairs: synthetic scene rendering, PPM/PGM
-codecs, manifests, frame downsampling, and batching.
+codecs, manifests, and batching.
 
 The synthetic generator bakes in the modality asymmetry the training
 loop relies on: the visible channel carries color and is scaled by an
@@ -256,20 +256,6 @@ def load_pairs(manifest_path):
             )
         yield PairedSample(visible=Tensor(visible), infrared=Tensor(infrared),
                            scene_id=entry.scene_id)
-
-
-def downsample_frames(entries, stride: int):
-    """Keep indices 0, stride, 2*stride, ... within each sequence group."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    counters: dict[str, int] = {}
-    kept = []
-    for e in entries:
-        idx = counters.get(e.sequence_id, 0)
-        counters[e.sequence_id] = idx + 1
-        if idx % stride == 0:
-            kept.append(e)
-    return kept
 
 
 def batch(samples, size: int, seed: int):

@@ -41,6 +41,8 @@ class EncoderConfig:
             )
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
+        if not self.seed >= 0:
+            raise ConfigError(f"model seed must be nonnegative, got {self.seed}")
 
     @property
     def num_patches(self) -> int:
@@ -91,10 +93,6 @@ def init_params(cfg: EncoderConfig) -> dict[str, Tensor]:
     p["norm.weight"] = np.ones(cfg.dim)
     p["norm.bias"] = np.zeros(cfg.dim)
     return {name: Tensor(arr, requires_grad=True) for name, arr in p.items()}
-
-
-def param_count(params: dict[str, Tensor]) -> int:
-    return sum(t.size for t in params.values())
 
 
 def patchify(img: np.ndarray, cfg: EncoderConfig) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Patch-wise cross-modality contrastive machinery.
 
-Similarity maps between student and frozen-teacher patch features,
-binary pseudo-labels derived from the teacher's attention map, the main
-BCE alignment losses, and the ablation/variant losses.  ``LOSSES`` holds
-one per-branch term per loss kind.  Pseudo-label construction is deliberately
-non-differentiable; teacher features must be detached by the caller.
+Similarity logits between student and frozen-teacher patch features,
+binary pseudo-labels derived from the teacher's attention map, and the
+loss table ``LOSSES``: one per-branch term per loss kind, the one loss API.
+Pseudo-label construction is deliberately non-differentiable; teacher
+features must be detached by the caller.
 """
 
 from __future__ import annotations
@@ -24,22 +24,16 @@ ROW_SUM_TOL = 1e-6
 
 
 @dataclass
-class SimilarityMatrix:
-    values: Tensor  # (N, N) or (B, N, N), entries cosine / tau
-    tau: float
-
-
-@dataclass
 class PseudoLabelMatrix:
     values: np.ndarray  # binary (N, N) or (B, N, N)
     per_row_m: np.ndarray  # minimal prefix length per row: (N,) or (B, N)
 
 
-def similarity(f_a: Tensor, f_b: Tensor, tau: float) -> SimilarityMatrix:
+def similarity(f_a: Tensor, f_b: Tensor, tau: float) -> Tensor:
+    """Logits cosine / tau, (N, N) or (B, N, N), of the rows of ``f_a`` against ``f_b``."""
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    values = ad.check_finite(ad.cosine_rows(f_a, f_b) * (1.0 / tau), "similarity")
-    return SimilarityMatrix(values=values, tau=tau)
+    return ad.check_finite(ad.cosine_rows(f_a, f_b) * (1.0 / tau), "similarity")
 
 
 def pseudo_labels(attention: np.ndarray | Tensor, gamma: float) -> PseudoLabelMatrix:
@@ -72,17 +66,15 @@ def pseudo_labels(attention: np.ndarray | Tensor, gamma: float) -> PseudoLabelMa
     return PseudoLabelMatrix(values=labels, per_row_m=per_row_m)
 
 
-def _check_match(s: SimilarityMatrix, p: PseudoLabelMatrix) -> None:
-    if s.values.shape != p.values.shape:
-        raise ShapeMismatchError(
-            f"similarity {s.values.shape} vs labels {p.values.shape}"
-        )
+def _check_match(s: Tensor, p: PseudoLabelMatrix) -> None:
+    if s.shape != p.values.shape:
+        raise ShapeMismatchError(f"similarity {s.shape} vs labels {p.values.shape}")
 
 
-def loss_iv(s: SimilarityMatrix, p: PseudoLabelMatrix) -> Tensor:
+def loss_iv(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
     """Cross-modal alignment: BCE of the similarity logits against pseudo-labels."""
     _check_match(s, p)
-    return ad.bce_with_logits(s.values, Tensor(p.values))
+    return ad.bce_with_logits(s, Tensor(p.values))
 
 
 # Visible-knowledge distillation: the same term, applied to the visible branch.
@@ -96,30 +88,18 @@ def loss_pccl(l_iv: Tensor, l_vv: Tensor, alpha: float = 1.0,
     return l_iv * alpha + l_vv * beta
 
 
-def loss_mse(f_i: Tensor, f_v: Tensor, f_vf: Tensor) -> Tensor:
-    """Mean squared distance of both student branches to the teacher features."""
-    if f_i.shape != f_vf.shape or f_v.shape != f_vf.shape:
-        raise ShapeMismatchError(
-            f"feature shapes differ: {f_i.shape}, {f_v.shape}, {f_vf.shape}"
-        )
-    return _term_mse(f_i, f_vf) + _term_mse(f_v, f_vf)
-
-
-def loss_nce(s_iv: SimilarityMatrix, s_vv: SimilarityMatrix) -> Tensor:
-    """Softmax cross-entropy with diagonal targets, summed over both matrices."""
-    return ad.diag_cross_entropy(s_iv.values) + ad.diag_cross_entropy(s_vv.values)
-
-
-def loss_variant_softmax(s: SimilarityMatrix, p: PseudoLabelMatrix) -> Tensor:
+def loss_variant_softmax(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
     """Per row, -log of the softmax mass on label-positive positions."""
     _check_match(s, p)
-    return ad.masked_softmax_nll(s.values, p.values)
+    return ad.masked_softmax_nll(s, p.values)
 
 
 # -- per-branch terms: (f_student, f_teacher, labels, tau) -> scalar ----
 # Training applies a term to the infrared branch (L_IV) and to the visible
 # branch (L_VV) and weights the two with ``loss_pccl``.  Helpers are looked
-# up by module-global name at call time, so wrapping them reaches every kind.
+# up by module-global name at call time, so wrapping one reaches each kind
+# that calls it: ``loss_iv`` and ``loss_variant_softmax`` time only the two
+# pccl kinds, ``similarity`` also ``nce``, and ``mse`` calls none of them.
 
 
 def _term_mse(f_s: Tensor, f_t: Tensor, labels=None, tau=None) -> Tensor:
@@ -133,5 +113,5 @@ LOSSES = {
         lambda f_s, f_t, p, tau: loss_variant_softmax(similarity(f_s, f_t, tau), p),
     "mse": _term_mse,
     "nce": lambda f_s, f_t, p, tau: ad.diag_cross_entropy(
-        similarity(f_s, f_t, tau).values),
+        similarity(f_s, f_t, tau)),
 }

@@ -37,7 +37,6 @@ class TrainConfig:
     lora: LoraConfig | None = None
     loss_kind: str = "pccl"
     seed: int = 0
-    steps_per_epoch: int = 1
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them too
@@ -61,6 +60,8 @@ class TrainConfig:
                               f"{self.alpha} and {self.beta}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss_kind {self.loss_kind!r}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -72,10 +73,11 @@ class TrainState:
     log: list[dict] = field(default_factory=list)
 
 
-def lr_at(step: int, cfg: TrainConfig) -> float:
-    """Linear warmup from 0 to base_lr, then cosine decay to 0 at the last step."""
-    warmup = cfg.warmup_epochs * cfg.steps_per_epoch
-    total = cfg.epochs * cfg.steps_per_epoch
+def lr_at(step: int, cfg: TrainConfig, steps_per_epoch: int) -> float:
+    """Linear warmup from 0 to base_lr over ``warmup_epochs`` epochs of
+    ``steps_per_epoch`` steps each, then cosine decay to 0 at the last step."""
+    warmup = cfg.warmup_epochs * steps_per_epoch
+    total = cfg.epochs * steps_per_epoch
     if step < warmup:
         return cfg.base_lr * step / warmup
     if step >= total:
@@ -112,21 +114,27 @@ def trainable_map(state: TrainState) -> dict[str, Tensor]:
 
 
 def _adamw_update(state: TrainState, cfg: TrainConfig, lr: float) -> None:
+    """One AdamW step on every trainable tensor.  Nothing is written unless
+    every updated weight is finite: otherwise ``NumericError`` names the first
+    tensor whose update is not, and ``state`` is left as it was."""
     b1, b2 = cfg.betas
     t = state.step + 1
+    staged = []
     for name, p in sorted(trainable_map(state).items()):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if name not in state.moments:
-            state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
-        m, v = state.moments[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
+        m, v = state.moments.get(name, (0.0, 0.0))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
         mhat = m / (1.0 - b1 ** t)
         vhat = v / (1.0 - b2 ** t)
-        p.data = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
-                                + cfg.weight_decay * p.data)
+        updated = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
+                                 + cfg.weight_decay * p.data)
+        if not np.isfinite(updated).all():
+            raise NumericError(f"non-finite update of {name}")
+        staged.append((name, p, m, v, updated))
+    for name, p, m, v, updated in staged:
+        state.moments[name] = (m, v)
+        p.data = updated
         p.grad = None
 
 
@@ -186,8 +194,10 @@ class _RowDraws:
 
 
 def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
-               cfg: TrainConfig, rng: np.random.Generator | None = None) -> dict:
-    """One optimization step on a batch of aligned pairs; mutates ``state``.
+               cfg: TrainConfig, lr: float,
+               rng: np.random.Generator | None = None) -> dict:
+    """One optimization step at learning rate ``lr`` on a batch of aligned
+    pairs; mutates ``state``.
 
     ``targets`` is ``teacher_targets`` of the batch.
     """
@@ -211,16 +221,14 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
         if learns:
             loss.backward()
             check_grads_finite(loss, trainable_map(state).values())
+            _adamw_update(state, cfg, lr)
     except NumericError as exc:
         last = state.log[-1]["loss"] if state.log else None
         raise NumericError(
             f"non-finite values at step {state.step} (last finite loss: {last}): {exc}"
         ) from exc
 
-    lr = lr_at(state.step, cfg)
-    if learns:
-        _adamw_update(state, cfg, lr)
-    else:
+    if not learns:
         for p in trainable_map(state).values():
             p.grad = None
     metrics = {
@@ -246,7 +254,7 @@ def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
     samples = list(samples)
     if not samples:
         raise DataError("no training samples")
-    cfg = replace(cfg, steps_per_epoch=-(-len(samples) // cfg.batch_size))
+    steps_per_epoch = -(-len(samples) // cfg.batch_size)
     chunks = [teacher_targets(samples[i:i + cfg.batch_size], teacher, enc_cfg, cfg.gamma)
               for i in range(0, len(samples), cfg.batch_size)]
     f_vf = np.concatenate([f.data for f, _ in chunks])
@@ -258,7 +266,8 @@ def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
                                  seed=cfg.seed + epoch):
             targets = (Tensor(f_vf[idx]),
                        pccl.PseudoLabelMatrix(values=values[idx], per_row_m=per_row_m[idx]))
-            metrics = train_step(state, [samples[i] for i in idx], targets, enc_cfg, cfg)
+            metrics = train_step(state, [samples[i] for i in idx], targets, enc_cfg, cfg,
+                                 lr_at(state.step, cfg, steps_per_epoch))
             if on_step is not None:
                 on_step(metrics)
     return state

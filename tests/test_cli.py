@@ -69,6 +69,13 @@ class TestGenData:
         assert code == 1 and "night_fraction" in err, err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("pairs,seed", [("2", "-1"), ("-2", "0")])
+    def test_negative_count_or_seed_exit_1(self, tmp_path, capsys, pairs, seed):
+        code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"),
+                           "--pairs", pairs, "--seed", seed)
+        assert code == 1 and err.startswith("error: --pairs and --seed"), err
+        assert not (tmp_path / "d").exists()
+
 
 class TestPretrain:
     def test_epochs_zero_writes_initial_only(self, tmp_path, capsys):
@@ -154,6 +161,17 @@ class TestPretrain:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_non_finite_update_exit_2_writes_no_checkpoint(self, tmp_path, capsys):
+        # finite loss and gradients; the decay term overflows in the last update
+        cfgfile = write_config(tmp_path / "c.cfg", weight_decay=1e308, base_lr=100,
+                               epochs=1, warmup_epochs=0, n_pairs=4, batch_size=4)
+        code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 2 and "numeric failure:" in err, err
+        assert re.search(r"at step 0 .*non-finite update of \S+\.weight", err), err
+        for name in ("final.ckpt", "best.ckpt"):
+            assert not (tmp_path / "run" / name).exists(), name
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfgfile = write_config(tmp_path / "c.cfg", seed=3)
         monkeypatch.setenv("UNIV_SEED", "11")
@@ -179,6 +197,7 @@ class TestConfigRanges:
         dict(weight_decay="nan"), dict(beta2=2.0), dict(beta1="nan"),
         dict(night_fraction="nan"), dict(night_fraction="inf"),
         dict(night_fraction=-0.1), dict(night_fraction=1.5),
+        dict(seed=-1), dict(model_seed=-1),
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_out_of_range_exit_1(self, tmp_path, capsys, overrides):
         cfgfile = write_config(tmp_path / "c.cfg", **overrides)
@@ -402,6 +421,16 @@ def pair_files(tmp_path_factory):
     return d, files
 
 
+SMALL_CONFIG = (b"n_pairs=4\nepochs=1\nwarmup_epochs=0\nbatch_size=4\nbase_lr=0.01\n"
+                b"tau=0.04\ngamma=0.6\nloss_kind=pccl\nlora_enabled=true\nlora_rank=4\n"
+                b"lora_dropout=0.1\nlora_targets=qkv,fc1\nnight_fraction=0.5\nseed=0\n")
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
+
+
 def merge_quietly(d, checkpoint, adapters):
     """Exit code and stderr of ``irvis merge`` run in this process."""
     err = io.StringIO()
@@ -504,6 +533,23 @@ class TestMalformedFiles:
             code = main(["pretrain", "--config", str(work / "c.cfg"),
                          "--out", str(work / "run")])
         assert code in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cut=st.booleans(), data=st.data())
+    def test_config_truncated_or_flipped_never_traceback(self, config_dir, cut, data):
+        raw = bytearray(SMALL_CONFIG)
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        if cut:
+            raw = raw[:pos]
+        else:
+            raw[pos] ^= 1 << data.draw(st.integers(0, 7))
+        (config_dir / "c.cfg").write_bytes(bytes(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["pretrain", "--config", str(config_dir / "c.cfg"),
+                         "--out", str(config_dir / "run")])
+        assert code in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
 
     @settings(max_examples=150, deadline=None, derandomize=True)

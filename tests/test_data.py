@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from irvis.data import (ManifestEntry, SceneObject, SceneSpec, batch,
-                        downsample_frames, gen_scene, load_pairs, random_scene_spec,
-                        read_manifest, read_pgm, read_ppm, write_manifest,
-                        write_pgm, write_ppm)
+from irvis.data import (ManifestEntry, SceneObject, SceneSpec, batch, gen_scene,
+                        load_pairs, random_scene_spec, read_manifest, read_pgm,
+                        read_ppm, write_manifest, write_pgm, write_ppm)
 from irvis.errors import ConfigError, DataError
 
 
@@ -161,33 +160,6 @@ class TestManifest:
                        [ManifestEntry("scene-9", "v.ppm", "i.pgm", "seq0")])
         with pytest.raises(DataError, match="scene-9"):
             list(load_pairs(tmp_path / "manifest.tsv"))
-
-
-class TestDownsample:
-    def entries(self, seq_sizes):
-        out = []
-        for seq, n in seq_sizes.items():
-            out.extend(ManifestEntry(f"{seq}-{i}", "v", "i", seq) for i in range(n))
-        return out
-
-    def test_stride_one_identity(self):
-        e = self.entries({"a": 5, "b": 3})
-        assert downsample_frames(e, 1) == e
-
-    def test_ten_frames_stride_four(self):
-        kept = downsample_frames(self.entries({"a": 10}), 4)
-        assert [k.scene_id for k in kept] == ["a-0", "a-4", "a-8"]
-
-    def test_per_sequence_counters(self):
-        e = self.entries({"a": 4, "b": 4})
-        # interleave the two sequences; counters must stay independent
-        mixed = [x for pair in zip(e[:4], e[4:]) for x in pair]
-        kept = downsample_frames(mixed, 2)
-        assert [k.scene_id for k in kept] == ["a-0", "b-0", "a-2", "b-2"]
-
-    def test_bad_stride(self):
-        with pytest.raises(ValueError):
-            downsample_frames([], 0)
 
 
 class TestBatch:

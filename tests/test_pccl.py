@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irvis import autodiff as ad
 from irvis.autodiff import Tensor, grad_check
 from irvis.errors import DegenerateInputError, ShapeMismatchError
-from irvis.pccl import (PseudoLabelMatrix, loss_iv, loss_mse, loss_nce, loss_pccl,
+from irvis.pccl import (LOSSES, PseudoLabelMatrix, loss_iv, loss_pccl,
                         loss_variant_softmax, loss_vv, pseudo_labels, similarity)
 from conftest import exhaustive_pseudo_labels, random_stochastic
 
@@ -18,24 +19,24 @@ def labels_from(values):
 class TestSimilarity:
     def test_orthonormal_diag_at_default_tau(self):
         e = Tensor(np.eye(4))
-        s = similarity(e, e, 0.04)
-        assert np.array_equal(np.diag(s.values.data), np.full(4, 1.0 / 0.04))
-        off = s.values.data - np.diag(np.diag(s.values.data))
+        s = similarity(e, e, 0.04).data
+        assert np.array_equal(np.diag(s), np.full(4, 1.0 / 0.04))
+        off = s - np.diag(np.diag(s))
         assert np.all(off == 0.0)
-        assert np.allclose(np.diag(s.values.data), 25.0, atol=1e-9)
+        assert np.allclose(np.diag(s), 25.0, atol=1e-9)
 
     def test_tau_halving_doubles_exactly(self):
         rng = np.random.default_rng(0)
         a, b = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(5, 8)))
         # power-of-two temperatures keep the scaling bit-exact
-        s1 = similarity(a, b, 1.0 / 16.0).values.data
-        s2 = similarity(a, b, 1.0 / 32.0).values.data
+        s1 = similarity(a, b, 1.0 / 16.0).data
+        s2 = similarity(a, b, 1.0 / 32.0).data
         assert np.array_equal(s2, 2.0 * s1)
 
     def test_vs_double_loop_oracle(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
-        s = similarity(Tensor(a), Tensor(b), 0.04).values.data
+        s = similarity(Tensor(a), Tensor(b), 0.04).data
         for i in range(5):
             for j in range(5):
                 cos = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
@@ -140,8 +141,7 @@ class TestBceLosses:
     def test_zero_logits_ln2(self):
         rng = np.random.default_rng(7)
         p = labels_from((rng.random((5, 5)) > 0.5) | np.eye(5, dtype=bool))
-        s = similarity(Tensor(np.eye(5)), Tensor(np.eye(5)), 0.04)
-        s.values = Tensor(np.zeros((5, 5)))
+        s = Tensor(np.zeros((5, 5)))
         assert abs(loss_iv(s, p).item() - np.log1p(1.0)) <= 1e-15
         assert abs(loss_vv(s, p).item() - np.log1p(1.0)) <= 1e-15
 
@@ -149,17 +149,14 @@ class TestBceLosses:
         rng = np.random.default_rng(8)
         mask = (rng.random((5, 5)) > 0.5) | np.eye(5, dtype=bool)
         p = labels_from(mask)
-        s = similarity(Tensor(np.eye(5)), Tensor(np.eye(5)), 0.04)
-        s.values = Tensor(np.where(mask, 40.0, -40.0))
+        s = Tensor(np.where(mask, 40.0, -40.0))
         assert loss_iv(s, p).item() < 1e-15
 
     def test_vs_naive_oracle(self):
         rng = np.random.default_rng(9)
         z = rng.normal(size=(6, 6)) * 4
         mask = (rng.random((6, 6)) > 0.5) | np.eye(6, dtype=bool)
-        s = similarity(Tensor(np.eye(6)), Tensor(np.eye(6)), 0.04)
-        s.values = Tensor(z)
-        got = loss_iv(s, labels_from(mask)).item()
+        got = loss_iv(Tensor(z), labels_from(mask)).item()
         sig = 1.0 / (1.0 + np.exp(-z.astype(np.longdouble)))
         t = mask.astype(np.longdouble)
         naive = float((-(t * np.log(sig) + (1 - t) * np.log(1 - sig))).mean())
@@ -199,43 +196,54 @@ class TestCombinedLoss:
         assert grad_check(combined, x) < 1e-5
 
 
+def two_branch_mse(f_i, f_v, f_vf):
+    """The MSE ablation as training applies it: one ``LOSSES`` term per branch."""
+    return LOSSES["mse"](f_i, f_vf, None, None) + LOSSES["mse"](f_v, f_vf, None, None)
+
+
+def two_branch_nce(z_iv, z_vv):
+    """The NCE ablation on given logits: the term ``LOSSES["nce"]`` applies to
+    each branch's similarity, summed over both branches."""
+    return ad.diag_cross_entropy(z_iv) + ad.diag_cross_entropy(z_vv)
+
+
 class TestAblationLosses:
     def test_mse_zero_when_equal(self):
         f = Tensor(np.random.default_rng(11).normal(size=(4, 6)))
-        assert loss_mse(f, f, f).item() == 0.0
+        assert two_branch_mse(f, f, f).item() == 0.0
 
     def test_mse_unit_offset(self):
         f = Tensor(np.random.default_rng(12).normal(size=(4, 6)))
         shifted = Tensor(f.data + 1.0)
-        assert abs(loss_mse(shifted, f, f).item() - 1.0) < 1e-12
+        assert abs(two_branch_mse(shifted, f, f).item() - 1.0) < 1e-12
 
     def test_mse_vs_naive(self):
         rng = np.random.default_rng(13)
         fi, fv, fvf = (rng.normal(size=(4, 6)) for _ in range(3))
-        got = loss_mse(Tensor(fi), Tensor(fv), Tensor(fvf)).item()
+        got = two_branch_mse(Tensor(fi), Tensor(fv), Tensor(fvf)).item()
         naive = ((fi - fvf) ** 2).mean() + ((fv - fvf) ** 2).mean()
         assert abs(got - naive) <= 1e-12 * max(1.0, naive)
 
     def test_nce_uniform_is_2_log_n(self):
         for n in (3, 8, 16):
-            s = similarity(Tensor(np.eye(n)), Tensor(np.eye(n)), 0.04)
-            s.values = Tensor(np.zeros((n, n)))
-            assert abs(loss_nce(s, s).item() - 2.0 * np.log(n)) <= 1e-10
+            s = Tensor(np.zeros((n, n)))
+            assert abs(two_branch_nce(s, s).item() - 2.0 * np.log(n)) <= 1e-10
 
     def test_nce_saturated_diag(self):
         n = 6
-        s = similarity(Tensor(np.eye(n)), Tensor(np.eye(n)), 0.04)
-        s.values = Tensor(np.where(np.eye(n, dtype=bool), 40.0, -40.0))
-        assert loss_nce(s, s).item() < 1e-15
+        s = Tensor(np.where(np.eye(n, dtype=bool), 40.0, -40.0))
+        assert two_branch_nce(s, s).item() < 1e-15
+
+    def test_nce_term_is_diag_cross_entropy_of_similarity(self):
+        rng = np.random.default_rng(20)
+        f_s, f_t = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(5, 8)))
+        got = LOSSES["nce"](f_s, f_t, None, 0.04).item()
+        assert got == ad.diag_cross_entropy(similarity(f_s, f_t, 0.04)).item()
 
     def test_nce_vs_naive(self):
         rng = np.random.default_rng(14)
         a, b = rng.normal(size=(5, 5)) * 3, rng.normal(size=(5, 5)) * 3
-        s1 = similarity(Tensor(np.eye(5)), Tensor(np.eye(5)), 0.04)
-        s1.values = Tensor(a)
-        s2 = similarity(Tensor(np.eye(5)), Tensor(np.eye(5)), 0.04)
-        s2.values = Tensor(b)
-        got = loss_nce(s1, s2).item()
+        got = two_branch_nce(Tensor(a), Tensor(b)).item()
         naive = 0.0
         for z in (a, b):
             for i in range(5):
@@ -247,14 +255,12 @@ class TestAblationLosses:
 class TestSoftmaxVariant:
     def test_all_ones_labels(self):
         rng = np.random.default_rng(15)
-        s = similarity(Tensor(np.eye(4)), Tensor(np.eye(4)), 0.04)
-        s.values = Tensor(rng.normal(size=(4, 4)))
+        s = Tensor(rng.normal(size=(4, 4)))
         assert abs(loss_variant_softmax(s, labels_from(np.ones((4, 4)))).item()) < 1e-12
 
     def test_identity_labels_uniform_rows(self):
         n = 8
-        s = similarity(Tensor(np.eye(n)), Tensor(np.eye(n)), 0.04)
-        s.values = Tensor(np.zeros((n, n)))
+        s = Tensor(np.zeros((n, n)))
         got = loss_variant_softmax(s, labels_from(np.eye(n))).item()
         assert abs(got - np.log(n)) <= 1e-12
 
@@ -262,9 +268,7 @@ class TestSoftmaxVariant:
         rng = np.random.default_rng(16)
         z = rng.normal(size=(5, 5)) * 3
         mask = (rng.random((5, 5)) > 0.5) | np.eye(5, dtype=bool)
-        s = similarity(Tensor(np.eye(5)), Tensor(np.eye(5)), 0.04)
-        s.values = Tensor(z)
-        got = loss_variant_softmax(s, labels_from(mask)).item()
+        got = loss_variant_softmax(Tensor(z), labels_from(mask)).item()
         naive = 0.0
         for i in range(5):
             p = np.exp(z[i].astype(np.longdouble))
@@ -283,7 +287,7 @@ def test_all_losses_nonnegative_and_grad_clean():
     s_iv = similarity(f_i, f_vf, 0.04)
     s_vv = similarity(f_v, f_vf, 0.04)
     losses = [loss_iv(s_iv, p), loss_vv(s_vv, p),
-              loss_mse(f_i, f_v, f_vf), loss_nce(s_iv, s_vv),
+              two_branch_mse(f_i, f_v, f_vf), two_branch_nce(s_iv, s_vv),
               loss_variant_softmax(s_iv, p)]
     for loss in losses:
         assert loss.item() >= 0.0 and np.isfinite(loss.item())

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -21,26 +19,28 @@ from irvis.training import (LOSS_KINDS, TrainConfig, _adamw_update,
 
 
 class TestSchedule:
-    CFG = TrainConfig(epochs=10, warmup_epochs=2, base_lr=1.5e-4,
-                      steps_per_epoch=5)
+    CFG = TrainConfig(epochs=10, warmup_epochs=2, base_lr=1.5e-4)
+
+    def lr(self, step):
+        return lr_at(step, self.CFG, 5)  # 10 warmup steps, 50 in all
 
     def test_starts_at_zero(self):
-        assert lr_at(0, self.CFG) == 0.0
+        assert self.lr(0) == 0.0
 
     def test_peak_at_warmup_end_exact(self):
-        assert lr_at(10, self.CFG) == self.CFG.base_lr
+        assert self.lr(10) == self.CFG.base_lr
 
     def test_final_step_zero(self):
-        assert abs(lr_at(50, self.CFG)) <= 1e-12
-        assert lr_at(51, self.CFG) == 0.0
+        assert abs(self.lr(50)) <= 1e-12
+        assert self.lr(51) == 0.0
 
     def test_junction_continuity(self):
         # warmup approaches base_lr linearly; cosine starts at base_lr
-        assert abs(lr_at(9, self.CFG) - self.CFG.base_lr * 9 / 10) <= 1e-18
-        assert abs(lr_at(10, self.CFG) - lr_at(11, self.CFG)) < self.CFG.base_lr * 0.01
+        assert abs(self.lr(9) - self.CFG.base_lr * 9 / 10) <= 1e-18
+        assert abs(self.lr(10) - self.lr(11)) < self.CFG.base_lr * 0.01
 
     def test_warmup_monotone_then_decay_monotone(self):
-        vals = [lr_at(s, self.CFG) for s in range(51)]
+        vals = [self.lr(s) for s in range(51)]
         assert all(b > a for a, b in zip(vals[:10], vals[1:11]))
         assert all(b < a for a, b in zip(vals[10:50], vals[11:51]))
 
@@ -95,11 +95,11 @@ class TestTrainStep:
             student = state.params
             before = {k: t.data.copy() for k, t in student.items()}
             cfg = TrainConfig(epochs=2, warmup_epochs=0, alpha=0.0, beta=0.0,
-                              base_lr=1e-2, steps_per_epoch=1, loss_kind=loss_kind)
+                              base_lr=1e-2, loss_kind=loss_kind)
             batch = make_pretrain_pairs(2, seed=0)
             metrics = train_step(state, batch,
                                  teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
-                                 toy_cfg, cfg)
+                                 toy_cfg, cfg, lr_at(0, cfg, 1))
             assert metrics["loss"] == 0.0, loss_kind
             for k in student:
                 assert np.array_equal(student[k].data, before[k]), (loss_kind, k)
@@ -111,10 +111,10 @@ class TestTrainStep:
         before = {k: t.data.copy() for k, t in student.items()}
         # warmup covers the whole schedule, so step 0 sees lr exactly 0
         cfg = TrainConfig(epochs=1, warmup_epochs=1, base_lr=1e-2,
-                          weight_decay=0.0, steps_per_epoch=4)
+                          weight_decay=0.0)
         batch = make_pretrain_pairs(2, seed=0)
         train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
-                   toy_cfg, cfg)
+                   toy_cfg, cfg, lr_at(0, cfg, 4))
         for k in student:
             assert np.array_equal(student[k].data, before[k]), k
 
@@ -127,33 +127,48 @@ class TestTrainStep:
         teacher = frozen_teacher(toy_cfg)
         state = student_state(teacher)
         before = {k: t.data.copy() for k, t in state.params.items()}
-        cfg = TrainConfig(epochs=1, warmup_epochs=0, steps_per_epoch=1, loss_kind="mse")
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, loss_kind="mse")
         batch = make_pretrain_pairs(2, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericError, match=r"at step 0 .*non-finite gradient.*input of scale"):
             train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
-                       toy_cfg, cfg)
+                       toy_cfg, cfg, lr_at(0, cfg, 1))
+        for k, t in state.params.items():
+            assert np.array_equal(t.data, before[k]), k
+
+    def test_non_finite_update_stops_step_untouched(self, toy_cfg):
+        # loss and gradients are finite; the decay term overflows in the update
+        teacher = frozen_teacher(toy_cfg)
+        state = student_state(teacher)
+        before = {k: t.data.copy() for k, t in state.params.items()}
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, base_lr=100.0, weight_decay=1e308)
+        batch = make_pretrain_pairs(4, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"at step 0 .*non-finite update of \S+\.weight"):
+            train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
+                       toy_cfg, cfg, lr_at(0, cfg, 1))
+        assert state.step == 0 and not state.moments and not state.log
         for k, t in state.params.items():
             assert np.array_equal(t.data, before[k]), k
 
     def test_alpha_beta_weight_nce(self, toy_cfg):
         # mse would not do: its visible term is exactly 0 at step 0
         teacher = frozen_teacher(toy_cfg)
-        cfg = TrainConfig(epochs=2, warmup_epochs=1, steps_per_epoch=1,
-                          loss_kind="nce", alpha=1.0, beta=0.0)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, loss_kind="nce", alpha=1.0, beta=0.0)
         batch = make_pretrain_pairs(4, seed=1)
         m = train_step(student_state(teacher), batch,
-                       teacher_targets(batch, teacher, toy_cfg, cfg.gamma), toy_cfg, cfg)
+                       teacher_targets(batch, teacher, toy_cfg, cfg.gamma), toy_cfg, cfg,
+                       lr_at(0, cfg, 1))
         assert m["l_vv"] > 0.0
         assert m["loss"] == m["l_iv"]
 
     def test_metrics_schema(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
         state = student_state(teacher)
-        cfg = TrainConfig(epochs=2, warmup_epochs=1, steps_per_epoch=1)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1)
         batch = make_pretrain_pairs(2, seed=1)
         m = train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
-                       toy_cfg, cfg)
+                       toy_cfg, cfg, lr_at(0, cfg, 1))
         assert sorted(m) == ["l_iv", "l_vv", "loss", "lr", "step"]
         assert m["step"] == 0 and state.step == 1
         assert np.isfinite(m["loss"])
@@ -198,12 +213,14 @@ class TestTrainStep:
         teacher = frozen_teacher(toy_cfg)
         state = student_state(teacher)
         cfg = TrainConfig(epochs=50, warmup_epochs=0, base_lr=1e-2,
-                          weight_decay=0.0, batch_size=4, steps_per_epoch=1)
+                          weight_decay=0.0, batch_size=4)
         batch = make_pretrain_pairs(4, seed=3)
         targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
-        first = train_step(state, batch, targets, toy_cfg, cfg)["loss"]
+        first = train_step(state, batch, targets, toy_cfg, cfg,
+                           lr_at(state.step, cfg, 1))["loss"]
         for _ in range(49):
-            last = train_step(state, batch, targets, toy_cfg, cfg)["loss"]
+            last = train_step(state, batch, targets, toy_cfg, cfg,
+                              lr_at(state.step, cfg, 1))["loss"]
         assert last < 0.5 * first
 
 
@@ -228,7 +245,7 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
     l_iv, l_vv = l_iv * (1.0 / len(batch)), l_vv * (1.0 / len(batch))
     loss = pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta)
     loss.backward()
-    _adamw_update(state, cfg, lr_at(state.step, cfg))
+    _adamw_update(state, cfg, lr_at(state.step, cfg, 1))
     state.step += 1
     return [float(x.data) for x in (loss, l_iv, l_vv)]
 
@@ -239,12 +256,13 @@ class TestBatchedStep:
                              ids=["lora", "full"])
     def test_matches_per_image_reference(self, toy_cfg, loss_kind, lora):
         teacher = frozen_teacher(toy_cfg)
-        cfg = TrainConfig(epochs=2, warmup_epochs=0, steps_per_epoch=1, lora=lora,
-                          loss_kind=loss_kind, seed=4)
+        cfg = TrainConfig(epochs=2, warmup_epochs=0, lora=lora, loss_kind=loss_kind,
+                          seed=4)
         batched, reference = (student_state(teacher, lora, seed=4) for _ in range(2))
         for batch in (make_pretrain_pairs(3, seed=8), make_pretrain_pairs(2, seed=9)):
             m = train_step(batched, batch,
-                           teacher_targets(batch, teacher, toy_cfg, cfg.gamma), toy_cfg, cfg)
+                           teacher_targets(batch, teacher, toy_cfg, cfg.gamma), toy_cfg, cfg,
+                           lr_at(batched.step, cfg, 1))
             expected = reference_train_step(reference, batch, teacher, toy_cfg, cfg)
             for got, want in zip((m["loss"], m["l_iv"], m["l_vv"]), expected):
                 assert abs(got - want) <= 1e-12 * abs(want)
@@ -278,11 +296,10 @@ class TestBatchedStep:
         ran = run_training(pairs, teacher, student_state(teacher, lora, seed=1),
                            toy_cfg, cfg)
         state = student_state(teacher, lora, seed=1)
-        stepped = replace(cfg, steps_per_epoch=3)
-        for epoch in range(cfg.epochs):
+        for epoch in range(cfg.epochs):  # ceil(7 / 3) = 3 steps per epoch
             for batch in datamod.batch(pairs, cfg.batch_size, seed=cfg.seed + epoch):
                 train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
-                           toy_cfg, stepped)
+                           toy_cfg, cfg, lr_at(state.step, cfg, 3))
         assert state.log == ran.log
         want = trainable_map(ran)
         for name, t in trainable_map(state).items():
@@ -314,8 +331,7 @@ class TestEndToEndGradients:
             s_iv = pccl.similarity(f_i, f_vf, 0.04)
             s_vv = pccl.similarity(f_v, f_vf, 0.04)
             if loss_kind == "nce":
-                return (ad.diag_cross_entropy(s_iv.values)
-                        + ad.diag_cross_entropy(s_vv.values))
+                return ad.diag_cross_entropy(s_iv) + ad.diag_cross_entropy(s_vv)
             if loss_kind == "pccl_softmax_variant":
                 return (pccl.loss_variant_softmax(s_iv, labels)
                         + pccl.loss_variant_softmax(s_vv, labels))
