@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -290,6 +291,51 @@ class TestTake:
         ad.tsum(x[1, 1:]).backward()
         ad.tsum(ad.mul(x[np.int64(3)], Tensor([1.0, 2.0, 3.0]))).backward()
         assert np.array_equal(x.grad, [[1, 1, 1], [0, 1, 1], [1, 1, 1], [1, 2, 3]])
+
+
+def ulps(got, want):
+    """|got - want| in units of the last place of ``want``."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def erf_inputs():
+    """A dense grid past the table's end, normals at four scales, and tiny
+    and subnormal values of both signs."""
+    rng = np.random.default_rng(8)
+    tiny = np.geomspace(5e-324, 1e-3, 20_001)
+    return np.concatenate([np.linspace(-7.0, 7.0, 280_001),
+                           *(rng.normal(scale=s, size=50_000) for s in (0.3, 1.0, 2.0, 4.0)),
+                           tiny, -tiny])
+
+
+class TestErf:
+    def test_within_2_ulp_of_math_erf(self):
+        x = erf_inputs()
+        want = np.array([math.erf(v) for v in x])
+        assert ulps(ad.erf(x), want).max() <= 2.0
+
+    def test_within_4_ulp_of_scipy(self):
+        # imported here: acceptance 2 imports this module and needs no scipy
+        from scipy.special import erf as scipy_erf
+        x = erf_inputs()
+        assert ulps(ad.erf(x), scipy_erf(x)).max() <= 4.0
+
+    def test_special_values_raise_no_warning(self):
+        # a NaN cast to an index or an overflowing offset would raise here
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 6.0, -6.0])
+        with np.errstate(all="raise"):
+            got = ad.erf(x)
+        assert np.array_equal(got[:4], [0.0, -0.0, 1.0, -1.0])
+        assert list(np.signbit(got[:2])) == [False, True]
+        assert np.isnan(got[4])
+        assert np.array_equal(got[5:], [1.0, -1.0, 1.0, -1.0])
+
+    def test_keeps_shape_and_odd_symmetry(self):
+        x = np.random.default_rng(9).normal(size=(3, 4, 5)).transpose(2, 0, 1)
+        assert ad.erf(x).shape == (5, 3, 4)
+        assert np.array_equal(ad.erf(-x), -ad.erf(x))
+        assert ad.erf(np.array(0.5)).shape == ()
+        assert ad.erf(np.array(0.5)) == math.erf(0.5)
 
 
 class TestGradCheck:
