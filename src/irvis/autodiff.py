@@ -4,7 +4,8 @@ Tensors record the op graph as they are built (parents, a backward
 closure and the op's name per node); ``Tensor.backward`` replays the tape in
 reverse topological order, accumulating into ``.grad`` with ``+=`` so shared
 parameters sum contributions from every branch.  The hot chains of the
-encoder are one op each: ``linear``, ``lora_delta`` and ``attention``.
+encoder are one op each: ``linear``, which also carries a LoRA adapter's
+low-rank branch, and ``attention``.
 
 Ops do not scan their outputs for NaN/Inf.  Finiteness is checked where
 values enter autodiff (``Tensor`` construction) and where they leave it:
@@ -52,13 +53,16 @@ def _erf_table() -> tuple[np.ndarray, ...]:
 _ERF_COEFFS = _erf_table()
 
 
-def erf(x: np.ndarray) -> np.ndarray:
-    """The error function of a float64 array, elementwise."""
+def erf(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The error function of ``scale * x``, elementwise, for a float64 array
+    ``x`` and ``scale`` > 0.  Scaling here spares a caller the temporary
+    ``scale * x``: |x| * scale rounds exactly as |scale * x| does."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)  # 1-d, so every step below gets an array, not a scalar
-    # u = |x| in steps; the exact offset from the nearest node is u - k, and a
+    # u = |scale x| in steps; the exact offset from the nearest node is u - k, and a
     # power-of-two scale of c_j makes Horner in it round as Horner in |x| - x_k
     u = np.abs(flat)
+    u *= scale
     np.minimum(u, _ERF_MAX, out=u)  # keeps NaN, which the offset carries on
     u *= _ERF_STEP
     node = u + 0.5
@@ -362,7 +366,7 @@ def tmean(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    cdf = erf(a.data * _INV_SQRT2)
+    cdf = erf(a.data, _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
     data = a.data * cdf
@@ -376,10 +380,9 @@ def gelu(a: Tensor) -> Tensor:
 
 def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)  # np.var's steps
+    xhat = xc * inv
     data = xhat * weight.data + bias.data
     d = x.data.shape[-1]
 
@@ -400,55 +403,71 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-6) -> Ten
 # -- fused encoder ops --------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for ``x`` (..., k), ``w`` (k, d) and ``b`` (d,)."""
-    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ShapeMismatchError(
-            f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}"
-        )
-    k, d = w.shape
-    data = x.data @ w.data + b.data
+def linear(x: Tensor, w: Tensor | None, b: Tensor | None, lora=None) -> Tensor:
+    """``x @ w + b + scale * (x * mask) @ A.T @ B.T`` for ``x`` (..., k),
+    ``w`` (k, d), ``b`` (d,), ``A`` (r, k) and ``B`` (d, r).
+
+    ``lora`` is ``(A, B, scale, mask)``, the low-rank adapter branch, or
+    ``None`` for no branch; ``mask`` (x's shape) is the dropout mask, already
+    divided by the keep probability, or ``None`` to keep every input.  ``w``
+    and ``b`` may each be ``None`` for an absent term; ``w`` and ``lora`` may
+    not both be.  The terms are summed in that order.
+    """
+    A, B, scale, mask = lora if lora is not None else (None, None, None, None)
+    k = x.shape[-1] if x.data.ndim else None
+    d = w.shape[-1] if w is not None and w.data.ndim == 2 else (
+        B.shape[0] if lora is not None and B.data.ndim == 2 else None)
+    if (d is None or x.data.ndim < 2
+            or (w is not None and w.shape != (k, d))
+            or (b is not None and b.shape != (d,))
+            or (lora is not None and (A.data.ndim != 2 or A.shape[1] != k
+                                      or B.shape != (d, A.shape[0])
+                                      or (mask is not None and mask.shape != x.shape)))):
+        ws, bs = (None if t is None else t.shape for t in (w, b))
+        ab = "" if lora is None else f" + lora A {A.shape}, B {B.shape}"
+        raise ShapeMismatchError(f"linear shape mismatch: {x.shape} x {ws} + {bs}{ab}")
+    if w is not None:
+        data = x.data @ w.data
+        if b is not None:
+            data += b.data
+    if lora is not None:
+        r = A.shape[0]
+        xm = x.data if mask is None else x.data * mask
+        h = xm @ A.data.T
+        branch = (h @ B.data.T) * scale
+        if w is not None:
+            data += branch
+        elif b is not None:
+            data = b.data + branch
+        else:
+            data = branch
 
     def backward(g):
         g2 = g.reshape(-1, d)
-        if w.requires_grad:
+        if w is not None and w.requires_grad:
             w._accumulate(x.data.reshape(-1, k).T @ g2)
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             b._accumulate(g2.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
+        gx = g @ w.data.T if x.requires_grad and w is not None else None
+        if lora is not None:
+            if B.requires_grad:
+                B._accumulate(scale * (g2.T @ h.reshape(-1, r)))
+            gh = (g @ B.data) * scale
+            if A.requires_grad:
+                A._accumulate(gh.reshape(-1, r).T @ xm.reshape(-1, k))
+            if x.requires_grad:
+                gb = gh @ A.data
+                if mask is not None:
+                    gb *= mask
+                if gx is None:
+                    gx = gb
+                else:
+                    gx += gb
+        if gx is not None:
+            x._accumulate(gx)
 
-    return _make(data, (x, w, b), backward, "linear")
-
-
-def lora_delta(x: Tensor, A: Tensor, B: Tensor, scale: float,
-               mask: np.ndarray | None = None) -> Tensor:
-    """The low-rank branch ``scale * (x * mask) @ A.T @ B.T`` for ``x`` (..., k),
-    ``A`` (r, k) and ``B`` (d, r); ``mask`` (x's shape) is the dropout mask,
-    already divided by the keep probability, and ``None`` keeps every input."""
-    if (x.data.ndim < 2 or A.data.ndim != 2 or B.data.ndim != 2
-            or x.shape[-1] != A.shape[1] or B.shape[1] != A.shape[0]
-            or (mask is not None and mask.shape != x.shape)):
-        raise ShapeMismatchError(
-            f"lora_delta shape mismatch: x {x.shape}, A {A.shape}, B {B.shape}"
-        )
-    r, k = A.shape
-    xm = x.data if mask is None else x.data * mask
-    h = xm @ A.data.T
-    data = (h @ B.data.T) * scale
-
-    def backward(g):
-        if B.requires_grad:
-            B._accumulate(scale * (g.reshape(-1, B.shape[0]).T @ h.reshape(-1, r)))
-        gh = (g @ B.data) * scale
-        if A.requires_grad:
-            A._accumulate(gh.reshape(-1, r).T @ xm.reshape(-1, k))
-        if x.requires_grad:
-            gx = gh @ A.data
-            x._accumulate(gx if mask is None else gx * mask)
-
-    return _make(data, (x, A, B), backward, "lora_delta")
+    parents = tuple(t for t in (x, w, b, A, B) if t is not None)
+    return _make(data, parents, backward, "linear")
 
 
 def attention(qkv: Tensor, heads: int, dh: int) -> tuple[Tensor, np.ndarray]:

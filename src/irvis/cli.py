@@ -25,7 +25,8 @@ from .encoder import encode  # noqa: F401  (benchmark wraps cli.encode)
 from .encoder import init_params  # noqa: F401  (benchmark wraps cli.init_params)
 from .errors import (ConfigError, DataError, DegenerateInputError, NumericError,
                      ShapeMismatchError)
-from .lora import LoraAdapter, LoraConfig, adapter_tensors, forward_adapted, merge
+from .lora import (DEFAULT_TARGETS, LoraAdapter, LoraConfig, adapter_tensors,
+                   forward_adapted, merge)
 from .pccl import similarity
 from .pccl import pseudo_labels  # noqa: F401  (benchmark wraps cli.pseudo_labels)
 from .training import (TrainConfig, forgetting_experiment, frozen_teacher,
@@ -33,6 +34,16 @@ from .training import (TrainConfig, forgetting_experiment, frozen_teacher,
                        pooled_features, run_training, student_features,
                        student_state, teacher_targets)
 from .training import train_step  # noqa: F401  (benchmark wraps cli.train_step)
+
+
+def _flag(raw: str) -> bool:
+    value = raw.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {raw!r}")
+
 
 _SCHEMA: dict[str, tuple] = {
     # encoder
@@ -59,12 +70,11 @@ _SCHEMA: dict[str, tuple] = {
     "loss_kind": (str, "pccl"),
     "seed": (int, 0),
     # lora
-    "lora_enabled": (lambda s: s.lower() in ("1", "true", "yes"), False),
+    "lora_enabled": (_flag, False),
     "lora_rank": (int, 8),
     "lora_alpha": (float, 32.0),
     "lora_dropout": (float, 0.1),
-    "lora_targets": (lambda s: tuple(t for t in s.split(",") if t),
-                     ("qkv", "proj", "fc1", "fc2", "patch_embed")),
+    "lora_targets": (lambda s: tuple(t for t in s.split(",") if t), DEFAULT_TARGETS),
     # data
     "manifest": (str, ""),
     "n_pairs": (int, 24),

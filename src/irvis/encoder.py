@@ -113,10 +113,10 @@ def patchify(img: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
 
 def _linear(x: Tensor, params: dict[str, Tensor], name: str,
             adapters=None, training: bool = False, rng=None) -> Tensor:
-    y = ad.linear(x, params[f"{name}.weight"], params[f"{name}.bias"])
+    lora = None
     if adapters is not None and name in adapters:
-        y = y + adapters[name].delta(x, training=training, rng=rng)
-    return y
+        lora = adapters[name].branch(x, training, rng)
+    return ad.linear(x, params[f"{name}.weight"], params[f"{name}.bias"], lora)
 
 
 def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,

@@ -51,17 +51,22 @@ class LoraAdapter:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def delta(self, x: Tensor, training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
-        """Adapter branch (alpha/r) * drop(x) A^T B^T; dropout only in training.
-
-        The inverted-dropout mask comes from one ``rng.random(x.shape)`` draw."""
+    def branch(self, x: Tensor, training: bool = False,
+               rng: np.random.Generator | None = None) -> tuple:
+        """``(A, B, scale, mask)``: the operands of this adapter's branch on
+        ``x`` for ``ad.linear``.  Dropout is live only in training: the
+        inverted-dropout mask comes from one ``rng.random(x.shape)`` draw."""
         mask = None
         if training and self.dropout_p > 0.0:
             if rng is None:
                 raise ValueError("training-mode adapter forward needs an RNG")
             mask = (rng.random(x.shape) >= self.dropout_p) / (1.0 - self.dropout_p)
-        return ad.lora_delta(x, self.A, self.B, self.scaling, mask)
+        return self.A, self.B, self.scaling, mask
+
+    def delta(self, x: Tensor, training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+        """Adapter branch (alpha/r) * drop(x) A^T B^T alone."""
+        return ad.linear(x, None, None, self.branch(x, training, rng))
 
     def update_matrix(self) -> np.ndarray:
         """(k, d) matrix added to W by merging."""
@@ -72,9 +77,7 @@ def forward_adapted(x: Tensor, w: Tensor, adapter: LoraAdapter,
                     training: bool = False,
                     rng: np.random.Generator | None = None) -> Tensor:
     """Two-path forward x W + adapter branch; gradients reach B and A only."""
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeMismatchError(f"forward shape mismatch: {x.shape} x {w.shape}")
-    return ad.check_finite(x @ w + adapter.delta(x, training=training, rng=rng),
+    return ad.check_finite(ad.linear(x, w, None, adapter.branch(x, training, rng)),
                            "adapted forward")
 
 

@@ -69,7 +69,8 @@ class TrainState:
     step: int
     params: dict[str, Tensor]
     adapters: dict | None
-    moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    # AdamW's (m, v) over the trainable tensors laid end to end in name order
+    moments: tuple[np.ndarray, np.ndarray] | None = None
     log: list[dict] = field(default_factory=list)
 
 
@@ -113,28 +114,35 @@ def trainable_map(state: TrainState) -> dict[str, Tensor]:
     return out
 
 
-def _adamw_update(state: TrainState, cfg: TrainConfig, lr: float) -> None:
-    """One AdamW step on every trainable tensor.  Nothing is written unless
-    every updated weight is finite: otherwise ``NumericError`` names the first
-    tensor whose update is not, and ``state`` is left as it was."""
+def _adamw_update(state: TrainState, cfg: TrainConfig, lr: float, loss: Tensor) -> None:
+    """One AdamW step on every trainable tensor, run once over all of them
+    laid end to end in name order.  Nothing is written unless every gradient
+    of ``loss`` and every updated weight is finite: otherwise ``NumericError``
+    names the op that first saw a non-finite gradient, or the first tensor
+    whose update is not finite, and ``state`` is left as it was."""
+    named = sorted(trainable_map(state).items())
+    params = [p for _, p in named]
+    g = np.concatenate([(p.grad if p.grad is not None else np.zeros(p.shape)).reshape(-1)
+                        for p in params])
+    if not np.isfinite(g).all():
+        check_grads_finite(loss, params)  # raises, naming the op from the tape
+    w = np.concatenate([p.data.reshape(-1) for p in params])
     b1, b2 = cfg.betas
     t = state.step + 1
-    staged = []
-    for name, p in sorted(trainable_map(state).items()):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m, v = state.moments.get(name, (0.0, 0.0))
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        mhat = m / (1.0 - b1 ** t)
-        vhat = v / (1.0 - b2 ** t)
-        updated = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
-                                 + cfg.weight_decay * p.data)
-        if not np.isfinite(updated).all():
-            raise NumericError(f"non-finite update of {name}")
-        staged.append((name, p, m, v, updated))
-    for name, p, m, v, updated in staged:
-        state.moments[name] = (m, v)
-        p.data = updated
+    m, v = state.moments or (0.0, 0.0)
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    mhat = m / (1.0 - b1 ** t)
+    vhat = v / (1.0 - b2 ** t)
+    updated = w - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + cfg.weight_decay * w)
+    ends = np.cumsum([p.size for p in params])
+    finite = np.isfinite(updated)
+    if not finite.all():
+        owner = np.searchsorted(ends, np.argmin(finite), side="right")
+        raise NumericError(f"non-finite update of {named[owner][0]}")
+    state.moments = (m, v)
+    for p, end in zip(params, ends):
+        p.data = updated[end - p.size:end].reshape(p.shape)  # a new array each step
         p.grad = None
 
 
@@ -220,8 +228,7 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
         learns = loss.requires_grad and (cfg.alpha or cfg.beta)  # alpha = beta = 0: no signal
         if learns:
             loss.backward()
-            check_grads_finite(loss, trainable_map(state).values())
-            _adamw_update(state, cfg, lr)
+            _adamw_update(state, cfg, lr, loss)
     except NumericError as exc:
         last = state.log[-1]["loss"] if state.log else None
         raise NumericError(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import zlib
 
@@ -144,33 +145,70 @@ class TestLinear:
             ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), Tensor(np.zeros(4)))
 
 
+def test_layernorm_matches_np_var_bit_for_bit():
+    # the one-pass centring takes np.var's own steps: mean, subtract, square, mean
+    rng = np.random.default_rng(17)
+    for shape in ((8, 16, 32), (3, 5, 7), (16, 32)):
+        for scale, offset in ((0.01, 0.0), (1.0, -3.0), (100.0, 50.0)):
+            x = rng.normal(size=shape) * scale + offset
+            w, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+            inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+            want = (x - x.mean(axis=-1, keepdims=True)) * inv * w + b
+            got = ad.layernorm(Tensor(x), Tensor(w), Tensor(b)).data
+            assert np.array_equal(got, want), (shape, scale)
+
+
 class TestLoraDelta:
+    """The LoRA delta, ``linear``'s adapter branch, against the unfused chain
+    it replaces: alone and after ``x W`` and ``b``, with leading batch axes."""
+
     @pytest.mark.parametrize("masked", [False, True])
     def test_equals_unfused_chain(self, masked):
-        rng = np.random.default_rng(15)
-        x, a, b = rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 6)), rng.normal(size=(4, 2))
-        mask = (rng.random(x.shape) >= 0.3) / 0.7 if masked else None
-        g = Tensor(rng.normal(size=(2, 3, 4)))
-        fused, chain = ([Tensor(t, requires_grad=True) for t in (x, a, b)] for _ in range(2))
-        out = ad.lora_delta(*fused, 2.5, mask)
-        ad.tsum(ad.mul(out, g)).backward()
-        xc, ac, bc = chain
-        if masked:  # the former dropout op multiplied by the mask
-            xc = ad.mul(xc, Tensor(mask))
-        ref = (xc @ ad.transpose(ac) @ ad.transpose(bc)) * 2.5
-        ad.tsum(ad.mul(ref, g)).backward()
-        assert np.abs(out.data - ref.data).max() <= 1e-12
-        for f, c in zip(fused, chain):
-            assert np.abs(f.grad - c.grad).max() <= 1e-12
+        for lead, terms in itertools.product([(), (2,)], ["", "w", "b", "wb"]):
+            rng = np.random.default_rng(15)
+            shapes = {"x": lead + (3, 6), "w": (6, 4), "b": (4,), "A": (2, 6), "B": (4, 2)}
+            values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            mask = (rng.random(shapes["x"]) >= 0.3) / 0.7 if masked else None
+            g = Tensor(rng.normal(size=lead + (3, 4)))
+            names = ["x", *terms, "A", "B"]
+            fused, chain = ({n: Tensor(values[n], requires_grad=True) for n in names}
+                            for _ in range(2))
+            out = ad.linear(fused["x"], fused.get("w"), fused.get("b"),
+                            (fused["A"], fused["B"], 2.5, mask))
+            ad.tsum(ad.mul(out, g)).backward()
+            x, w, b = chain["x"], chain.get("w"), chain.get("b")
+            xm = ad.mul(x, Tensor(mask)) if masked else x  # the former dropout op
+            ref = (xm @ ad.transpose(chain["A"]) @ ad.transpose(chain["B"])) * 2.5
+            if b is not None:
+                ref = b + ref
+            if w is not None:
+                ref = x @ w + ref
+            ad.tsum(ad.mul(ref, g)).backward()
+            assert np.abs(out.data - ref.data).max() <= 1e-12, (lead, terms)
+            for n in names:
+                assert np.abs(fused[n].grad - chain[n].grad).max() <= 1e-12, (lead, terms, n)
+
+    def test_adds_the_branch_after_the_bias(self):
+        # x W, then + b, then + the branch: the order of the former add nodes
+        rng = np.random.default_rng(16)
+        x, w, b, a, bb = (Tensor(rng.normal(size=s))
+                          for s in ((2, 3, 6), (6, 4), (4,), (2, 6), (4, 2)))
+        mask = (rng.random(x.shape) >= 0.3) / 0.7
+        out = ad.linear(x, w, b, (a, bb, 2.5, mask))
+        want = x.data @ w.data + b.data + (((x.data * mask) @ a.data.T) @ bb.data.T) * 2.5
+        assert np.array_equal(out.data, want)
 
     def test_shape_mismatch(self):
         x, a = Tensor(np.zeros((3, 6))), Tensor(np.zeros((2, 6)))
+        w = Tensor(np.zeros((6, 4)))
+        for bad in [(a, Tensor(np.zeros((4, 3))), 1.0, None),
+                    (Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 2))), 1.0, None),
+                    (a, Tensor(np.zeros((4, 2))), 1.0, np.ones((3, 5))),
+                    (a, Tensor(np.zeros((5, 2))), 1.0, None)]:
+            with pytest.raises(ShapeMismatchError, match="lora A"):
+                ad.linear(x, w, None, bad)
         with pytest.raises(ShapeMismatchError):
-            ad.lora_delta(x, a, Tensor(np.zeros((4, 3))), 1.0)
-        with pytest.raises(ShapeMismatchError):
-            ad.lora_delta(x, Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 2))), 1.0)
-        with pytest.raises(ShapeMismatchError):
-            ad.lora_delta(x, a, Tensor(np.zeros((4, 2))), 1.0, np.ones((3, 5)))
+            ad.linear(x, None, Tensor(np.zeros(4)))  # no term fixes the width
 
 
 class TestCosineRows:
@@ -337,6 +375,14 @@ class TestErf:
         assert ad.erf(np.array(0.5)).shape == ()
         assert ad.erf(np.array(0.5)) == math.erf(0.5)
 
+    def test_scale_rounds_as_a_scaled_argument(self):
+        # gelu passes 1/sqrt(2) as scale instead of a scaled copy of its input
+        x = np.concatenate([erf_inputs(), [0.0, -0.0, 1e-320, -1e-320]])
+        for c in (1.0 / math.sqrt(2.0), 0.3, 3.0):
+            got, want = ad.erf(x, c), ad.erf(x * c)
+            assert np.array_equal(got, want) and np.array_equal(
+                np.signbit(got), np.signbit(want)), c
+
 
 class TestGradCheck:
     def test_quadratic(self):
@@ -451,9 +497,10 @@ def _linear_cases():
 
 
 def _lora_delta_cases():
-    """One case per differentiable input of ``lora_delta``, without and with
-    a dropout mask (keep probability 0.7)."""
-    shapes = {"x": (2, 3, 6), "A": (2, 6), "B": (4, 2)}
+    """One case per differentiable input of the LoRA delta, ``linear``'s
+    adapter branch, with ``w`` and ``b`` present, without and with a dropout
+    mask (keep probability 0.7)."""
+    shapes = {"x": (2, 3, 6), "w": (6, 4), "b": (4,), "A": (2, 6), "B": (4, 2)}
 
     def case(wrt, masked):
         def make(rng):
@@ -462,11 +509,12 @@ def _lora_delta_cases():
             w = rng.normal(size=(2, 3, 4))
 
             def f(t):
-                return ad.lora_delta(**dict(args, **{wrt: t}), scale=2.5, mask=mask)
+                a = dict(args, **{wrt: t})
+                return ad.linear(a["x"], a["w"], a["b"], (a["A"], a["B"], 2.5, mask))
             return weighted_sum(f, w), Tensor(rng.normal(size=shapes[wrt]))
         return make
     return {f"lora_delta{'_masked' if masked else ''}_{name}": case(name, masked)
-            for name in shapes for masked in (False, True)}
+            for name in ("x", "A", "B") for masked in (False, True)}
 
 
 def _cosine_case(rng):

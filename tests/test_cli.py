@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irvis import tensorio
-from irvis.cli import main
+from irvis.cli import main, parse_config
 from irvis.data import read_manifest
 from irvis.encoder import EncoderConfig, init_params
 
@@ -142,7 +142,7 @@ class TestPretrain:
                            "--out", str(tmp_path / "run"))
         assert code == 2 and "at step 1" in err, err
         # the message names the op, found by walking the step's tape
-        assert re.search(r"first produced by (linear|lora_delta|attention|layernorm"
+        assert re.search(r"first produced by (linear|attention|layernorm"
                          r"|gelu|add|scale|cosine_rows|bce_with_logits)\b", err), err
         lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 1
@@ -198,6 +198,7 @@ class TestConfigRanges:
         dict(night_fraction="nan"), dict(night_fraction="inf"),
         dict(night_fraction=-0.1), dict(night_fraction=1.5),
         dict(seed=-1), dict(model_seed=-1),
+        dict(lora_enabled="treu"), dict(lora_enabled="on"), dict(lora_enabled=""),
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_out_of_range_exit_1(self, tmp_path, capsys, overrides):
         cfgfile = write_config(tmp_path / "c.cfg", **overrides)
@@ -205,6 +206,13 @@ class TestConfigRanges:
                            "--out", str(tmp_path / "run"))
         assert code == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("raw, enabled", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False),
+        ("NO", False)])
+    def test_lora_enabled_spellings(self, tmp_path, capsys, raw, enabled):
+        values = parse_config(write_config(tmp_path / "c.cfg", lora_enabled=raw))
+        assert values["lora_enabled"] is enabled
 
     def test_empty_manifest_exit_1(self, tmp_path, capsys):
         (tmp_path / "manifest.tsv").write_text("")

@@ -6,7 +6,7 @@ import irvis.training as training
 from irvis import data as datamod
 from irvis import pccl, tensorio
 from irvis.autodiff import grad_check
-from irvis.encoder import encode
+from irvis.encoder import EncoderConfig, encode
 from irvis.errors import ConfigError, DataError, NumericError
 from irvis.lora import LoraConfig
 from irvis.training import (LOSS_KINDS, TrainConfig, _adamw_update,
@@ -245,7 +245,7 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
     l_iv, l_vv = l_iv * (1.0 / len(batch)), l_vv * (1.0 / len(batch))
     loss = pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta)
     loss.backward()
-    _adamw_update(state, cfg, lr_at(state.step, cfg, 1))
+    _adamw_update(state, cfg, lr_at(state.step, cfg, 1), loss)
     state.step += 1
     return [float(x.data) for x in (loss, l_iv, l_vv)]
 
@@ -304,6 +304,85 @@ class TestBatchedStep:
         want = trainable_map(ran)
         for name, t in trainable_map(state).items():
             assert np.array_equal(t.data, want[name].data), name
+
+
+def per_tensor_adamw(moments):
+    """The AdamW update as one pass per tensor, with ``moments`` keyed by name:
+    the reference the flat update must equal byte for byte."""
+    def update(state, cfg, lr, loss):
+        b1, b2 = cfg.betas
+        t = state.step + 1
+        for name, p in sorted(trainable_map(state).items()):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m, v = moments.get(name, (0.0, 0.0))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1 ** t)
+            vhat = v / (1.0 - b2 ** t)
+            moments[name] = (m, v)
+            p.data = p.data - lr * (mhat / (np.sqrt(vhat) + training.ADAM_EPS)
+                                    + cfg.weight_decay * p.data)
+            p.grad = None
+    return update
+
+
+class TestFlatAdamW:
+    @pytest.mark.parametrize("lora", [LoraConfig(rank=4, dropout=0.1), None],
+                             ids=["lora", "full"])
+    def test_equals_per_tensor_update(self, toy_cfg, lora, monkeypatch):
+        teacher = frozen_teacher(toy_cfg)
+        cfg = TrainConfig(epochs=5, warmup_epochs=0, base_lr=1e-2, lora=lora, seed=2)
+        flat, ref = (student_state(teacher, lora, seed=2) for _ in range(2))
+        moments = {}
+        for step in range(5):
+            batch = make_pretrain_pairs(2, seed=20 + step)
+            targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
+            lr = lr_at(step, cfg, 1)
+            got = train_step(flat, batch, targets, toy_cfg, cfg, lr)
+            with monkeypatch.context() as patch:
+                patch.setattr(training, "_adamw_update", per_tensor_adamw(moments))
+                want = train_step(ref, batch, targets, toy_cfg, cfg, lr)
+            assert got == want, step
+            want_map = trainable_map(ref)
+            for name, t in trainable_map(flat).items():
+                assert np.array_equal(t.data, want_map[name].data), (step, name)
+            for i, flat_moment in enumerate(flat.moments):
+                assert np.array_equal(flat_moment, np.concatenate(
+                    [moments[name][i].reshape(-1) for name in sorted(moments)]))
+
+    def test_snapshots_of_weights_do_not_change(self, toy_cfg):
+        teacher = frozen_teacher(toy_cfg)
+        state = student_state(teacher)
+        cfg = TrainConfig(epochs=2, warmup_epochs=0, base_lr=1e-2)
+        batch = make_pretrain_pairs(2, seed=0)
+        targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
+        for step in range(2):  # the second step updates slices of the first's array
+            held = {k: t.data for k, t in state.params.items()}
+            copies = {k: a.copy() for k, a in held.items()}
+            train_step(state, batch, targets, toy_cfg, cfg, lr_at(step, cfg, 1))
+            for k, a in held.items():
+                assert np.array_equal(a, copies[k]), (step, k)
+                assert not np.array_equal(state.params[k].data, copies[k]), (step, k)
+
+    def test_default_lora_step_records_83_tape_nodes(self, monkeypatch):
+        # 8 for the patch stage, 30 per block and 15 for the final norm, the
+        # branch split and the loss: one linear node per adapted layer
+        enc = EncoderConfig()
+        teacher = frozen_teacher(enc)
+        cfg = TrainConfig(lora=LoraConfig())
+        state = student_state(teacher, cfg.lora)
+        counts = []
+        backward = ad.Tensor.backward
+
+        def counting(self):
+            counts.append(len(ad._topo(self)))
+            backward(self)
+
+        monkeypatch.setattr(ad.Tensor, "backward", counting)
+        batch = make_pretrain_pairs(4, seed=0)
+        train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
+                   enc, cfg, 1e-3)
+        assert counts == [83]
 
 
 class TestEndToEndGradients:
