@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericError, ShapeMismatchError
 
+LN_EPS = 1e-6  # added to the variance in ``layernorm``
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -137,24 +139,10 @@ class Tensor:
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other), -1.0))
 
-    def __rsub__(self, other):
-        return add(_as_tensor(other), scale(self, -1.0))
-
     def __mul__(self, other):
         if np.isscalar(other):
             return scale(self, float(other))
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if np.isscalar(other):
-            return scale(self, 1.0 / float(other))
-        raise TypeError("tensor/tensor division not supported")
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
@@ -378,10 +366,10 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward, "gelu")
 
 
-def layernorm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layernorm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)  # np.var's steps
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)  # np.var's steps
     xhat = xc * inv
     data = xhat * weight.data + bias.data
     d = x.data.shape[-1]

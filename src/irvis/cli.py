@@ -30,9 +30,11 @@ from .lora import (DEFAULT_TARGETS, LoraAdapter, LoraConfig, adapter_tensors,
 from .pccl import similarity
 from .pccl import pseudo_labels  # noqa: F401  (benchmark wraps cli.pseudo_labels)
 from .training import (TrainConfig, forgetting_experiment, frozen_teacher,
-                       linear_probe, make_labeled_scenes, make_pretrain_pairs,
-                       pooled_features, run_training, student_features,
-                       student_state, teacher_targets)
+                       make_labeled_scenes, make_pretrain_pairs, probe_accuracies,
+                       run_training, student_features, student_state,
+                       teacher_targets)
+from .training import linear_probe  # noqa: F401  (benchmark wraps cli.linear_probe)
+from .training import pooled_features  # noqa: F401  (benchmark wraps cli.pooled_features)
 from .training import train_step  # noqa: F401  (benchmark wraps cli.train_step)
 
 
@@ -157,17 +159,15 @@ def cmd_gen_data(args) -> int:
     if args.pairs < 0 or args.seed < 0:
         raise ConfigError(f"--pairs and --seed must be nonnegative, got "
                           f"{args.pairs} and {args.seed}")
+    samples = make_pretrain_pairs(args.pairs, args.seed,
+                                  night_fraction=args.night_fraction,
+                                  classes=datamod.SCENE_CLASSES)
     n_night = datamod.night_count(args.pairs, args.night_fraction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
     entries = []
-    for i in range(args.pairs):
-        night = i >= args.pairs - n_night
-        spec = datamod.random_scene_spec(rng, illumination=0.1 if night else 1.0)
-        scene_id = f"scene-{i:05d}" + ("-night" if night else "")
-        sample = datamod.gen_scene(spec, seed=args.seed * 99991 + i,
-                                   scene_id=scene_id)
+    for i, sample in enumerate(samples):
+        scene_id = f"scene-{i:05d}" + ("-night" if i >= args.pairs - n_night else "")
         vis_name = f"{scene_id}.ppm"
         ir_name = f"{scene_id}.pgm"
         datamod.write_ppm(out / vis_name, sample.visible.data)
@@ -235,13 +235,8 @@ def cmd_ablate(args) -> int:
     for label, kind in (("L_MSE", "mse"), ("L_NCE", "nce"), ("L_PCCL", "pccl")):
         cfg = replace(base_cfg, loss_kind=kind)
         _, state, _ = _run_one(enc, cfg, samples)
-        vis = pooled_features(probe_samples, state.params, enc, state.adapters,
-                              modality="visible")
-        ir = pooled_features(probe_samples, state.params, enc, state.adapters,
-                             modality="infrared")
         rows.append((label, state.log[-1]["loss"],
-                     linear_probe(vis, probe_labels),
-                     linear_probe(ir, probe_labels)))
+                     *probe_accuracies(state, probe_samples, probe_labels, enc)))
     print(f"{'loss':<8} {'final':>12} {'visible_probe':>14} {'infrared_probe':>15}")
     for label, final, vp, ip in rows:
         print(f"{label:<8} {final:>12.6f} {vp:>14.4f} {ip:>15.4f}")

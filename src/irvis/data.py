@@ -1,4 +1,5 @@
-"""Aligned visible/infrared pairs: synthetic scene rendering, PPM/PGM
+"""Aligned visible/infrared pairs: synthetic scene rendering and the scene
+sets built from it (pretraining pairs, labeled probe scenes), PPM/PGM
 codecs, manifests, and batching.
 
 The synthetic generator bakes in the modality asymmetry the training
@@ -35,11 +36,25 @@ class SceneSpec:
     objects: tuple[SceneObject, ...] = ()
     colors: dict = field(default_factory=dict)       # cls -> (r, g, b) in [0,1]
     heats: dict = field(default_factory=dict)        # cls -> intensity in [0,1]
-    background_color: tuple = (0.35, 0.4, 0.3)
-    background_heat: float = 0.15
     noise_visible: float = 0.0
     noise_infrared: float = 0.0
     illumination: float = 1.0
+
+
+BACKGROUND_COLOR = (0.35, 0.4, 0.3)
+BACKGROUND_HEAT = 0.15
+
+# class -> color, heat and object kind: the multi-object scenes of ``gen-data``
+SCENE_CLASSES = {
+    "vehicle": {"color": (0.8, 0.15, 0.1), "heat": 0.9, "kind": "square"},
+    "person": {"color": (0.2, 0.3, 0.85), "heat": 0.75, "kind": "circle"},
+    "plant": {"color": (0.15, 0.7, 0.2), "heat": 0.25, "kind": "bar"},
+}
+# the two-class palette of the probes and of in-process pretraining pairs
+PROBE_CLASSES = {
+    "vehicle": {"color": (0.85, 0.2, 0.1), "heat": 0.7, "kind": "square"},
+    "person": {"color": (0.2, 0.3, 0.85), "heat": 0.55, "kind": "circle"},
+}
 
 
 @dataclass
@@ -68,8 +83,8 @@ def gen_scene(spec: SceneSpec, seed: int, scene_id: str = "synthetic") -> Paired
             raise ConfigError(f"object center ({obj.cx},{obj.cy}) outside {w}x{h} image")
     rng = np.random.default_rng(seed)
     visible = np.empty((3, h, w))
-    visible[:] = np.asarray(spec.background_color)[:, None, None]
-    infrared = np.full((1, h, w), spec.background_heat)
+    visible[:] = np.asarray(BACKGROUND_COLOR)[:, None, None]
+    infrared = np.full((1, h, w), BACKGROUND_HEAT)
     for obj in spec.objects:
         mask = _object_mask(obj, h, w)
         color = np.asarray(spec.colors[obj.cls])
@@ -88,45 +103,72 @@ def gen_scene(spec: SceneSpec, seed: int, scene_id: str = "synthetic") -> Paired
     )
 
 
-def random_scene_spec(rng: np.random.Generator, *, height: int = 16, width: int = 16,
-                      classes: dict | None = None, n_objects: tuple[int, int] = (1, 3),
-                      illumination: float = 1.0,
-                      noise_visible: float = 0.02,
-                      noise_infrared: float = 0.03) -> SceneSpec:
-    """Sample a plausible scene: a few objects from a fixed class palette."""
-    if classes is None:
-        classes = {
-            "vehicle": {"color": (0.8, 0.15, 0.1), "heat": 0.9, "kind": "square"},
-            "person": {"color": (0.2, 0.3, 0.85), "heat": 0.75, "kind": "circle"},
-            "plant": {"color": (0.15, 0.7, 0.2), "heat": 0.25, "kind": "bar"},
-        }
-    names = sorted(classes)
-    count = int(rng.integers(n_objects[0], n_objects[1] + 1))
-    objects = []
-    for _ in range(count):
-        cls = names[int(rng.integers(len(names)))]
-        size = float(rng.uniform(1.5, min(height, width) / 4.0))
-        objects.append(SceneObject(
-            kind=classes[cls]["kind"],
-            cx=float(rng.uniform(size, width - 1 - size)),
-            cy=float(rng.uniform(size, height - 1 - size)),
-            size=size,
-            cls=cls,
-        ))
-    return SceneSpec(
-        height=height, width=width, objects=tuple(objects),
-        colors={c: classes[c]["color"] for c in names},
-        heats={c: classes[c]["heat"] for c in names},
-        noise_visible=noise_visible, noise_infrared=noise_infrared,
-        illumination=illumination,
-    )
-
-
 def night_count(n: int, night_fraction: float) -> int:
     """How many of ``n`` generated scenes are night scenes (taken from the end)."""
     if not 0.0 <= night_fraction <= 1.0:  # NaN fails it too
         raise ConfigError(f"night_fraction must be in [0, 1], got {night_fraction}")
     return int(round(n * night_fraction))
+
+
+def _place(rng: np.random.Generator, cls: str, classes: dict, min_size: float,
+           height: int, width: int) -> SceneObject:
+    """An object of class ``cls`` at a random size and a center that keeps it
+    inside the image."""
+    size = float(rng.uniform(min_size, min(height, width) / 4.0))
+    return SceneObject(
+        kind=classes[cls]["kind"],
+        cx=float(rng.uniform(size, width - 1 - size)),
+        cy=float(rng.uniform(size, height - 1 - size)),
+        size=size,
+        cls=cls,
+    )
+
+
+def _spec(classes: dict, objects, height: int, width: int, **kwargs) -> SceneSpec:
+    return SceneSpec(height=height, width=width, objects=tuple(objects),
+                     colors={c: info["color"] for c, info in classes.items()},
+                     heats={c: info["heat"] for c, info in classes.items()}, **kwargs)
+
+
+def random_scene_spec(rng: np.random.Generator, *, height: int = 16, width: int = 16,
+                      classes: dict = SCENE_CLASSES,
+                      illumination: float = 1.0) -> SceneSpec:
+    """Sample a plausible scene: one to three objects from a class palette."""
+    names = sorted(classes)
+    objects = [_place(rng, names[int(rng.integers(len(names)))], classes, 1.5,
+                      height, width)
+               for _ in range(int(rng.integers(1, 4)))]
+    return _spec(classes, objects, height, width, noise_visible=0.02,
+                 noise_infrared=0.03, illumination=illumination)
+
+
+def make_pretrain_pairs(n: int, seed: int, *, height: int = 16, width: int = 16,
+                        night_fraction: float = 0.0, classes: dict = PROBE_CLASSES):
+    """``n`` unlabeled multi-object pairs, the last ``night_count`` of them at
+    night (illumination 0.1)."""
+    rng = np.random.default_rng(seed)
+    n_night = night_count(n, night_fraction)
+    samples = []
+    for i in range(n):
+        spec = random_scene_spec(rng, height=height, width=width, classes=classes,
+                                 illumination=0.1 if i >= n - n_night else 1.0)
+        samples.append(gen_scene(spec, seed=seed * 99991 + i, scene_id=f"pair-{i:05d}"))
+    return samples
+
+
+def make_labeled_scenes(n: int, seed: int, *, height: int = 16, width: int = 16):
+    """Single-object scenes of ``PROBE_CLASSES``, with the object class as label."""
+    rng = np.random.default_rng(seed)
+    names = sorted(PROBE_CLASSES)
+    samples, labels = [], []
+    for i in range(n):
+        # period-2 blocks so the probe's even/odd split sees both classes
+        cls = names[(i // 2) % len(names)]
+        spec = _spec(PROBE_CLASSES, [_place(rng, cls, PROBE_CLASSES, 2.0, height, width)],
+                     height, width, noise_visible=0.05, noise_infrared=0.08)
+        samples.append(gen_scene(spec, seed=seed * 100003 + i, scene_id=f"probe-{i}"))
+        labels.append(cls)
+    return samples, labels
 
 
 # -- PPM (P6) / PGM (P5) codecs, 8-bit --------------------------------

@@ -15,7 +15,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
 
-LN_EPS = 1e-6
 INIT_STD = 0.02
 
 
@@ -111,41 +110,38 @@ def patchify(img: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     return x.reshape(lead + (n * n, cfg.patch_dim))
 
 
-def _linear(x: Tensor, params: dict[str, Tensor], name: str,
-            adapters=None, training: bool = False, rng=None) -> Tensor:
+def _linear(x: Tensor, params: dict[str, Tensor], name: str, adapters, rng) -> Tensor:
     lora = None
     if adapters is not None and name in adapters:
-        lora = adapters[name].branch(x, training, rng)
+        lora = adapters[name].branch(x, rng)
     return ad.linear(x, params[f"{name}.weight"], params[f"{name}.bias"], lora)
 
 
 def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
-           adapters=None, training: bool = False,
-           rng: np.random.Generator | None = None) -> EncoderOutput:
-    """Forward pass; pure in (img, params), deterministic unless dropout is live.
+           adapters=None, rng: np.random.Generator | None = None) -> EncoderOutput:
+    """Forward pass; pure in (img, params), deterministic unless ``rng`` is
+    passed, which makes the adapters' dropout live.
 
     ``img`` is one (C, H, W) image or a (B, C, H, W) batch; a batch gives
     features (B, N, dim) and attention maps (B, N, N).
     """
     data = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
     patches = Tensor(patchify(data, cfg))
-    x = _linear(patches, params, "patch_embed", adapters, training, rng) + params["pos_embed"]
+    x = _linear(patches, params, "patch_embed", adapters, rng) + params["pos_embed"]
 
     dh = cfg.dim // cfg.heads
     for i in range(cfg.depth):
         pre = f"blocks.{i}"
-        h = ad.layernorm(x, params[f"{pre}.norm1.weight"], params[f"{pre}.norm1.bias"],
-                         eps=LN_EPS)
-        qkv = _linear(h, params, f"{pre}.qkv", adapters, training, rng)
+        h = ad.layernorm(x, params[f"{pre}.norm1.weight"], params[f"{pre}.norm1.bias"])
+        qkv = _linear(h, params, f"{pre}.qkv", adapters, rng)
         merged, attn = ad.attention(qkv, cfg.heads, dh)
-        x = x + _linear(merged, params, f"{pre}.proj", adapters, training, rng)
+        x = x + _linear(merged, params, f"{pre}.proj", adapters, rng)
 
-        h = ad.layernorm(x, params[f"{pre}.norm2.weight"], params[f"{pre}.norm2.bias"],
-                         eps=LN_EPS)
-        h = ad.gelu(_linear(h, params, f"{pre}.fc1", adapters, training, rng))
-        x = x + _linear(h, params, f"{pre}.fc2", adapters, training, rng)
+        h = ad.layernorm(x, params[f"{pre}.norm2.weight"], params[f"{pre}.norm2.bias"])
+        h = ad.gelu(_linear(h, params, f"{pre}.fc1", adapters, rng))
+        x = x + _linear(h, params, f"{pre}.fc2", adapters, rng)
 
-    features = ad.layernorm(x, params["norm.weight"], params["norm.bias"], eps=LN_EPS)
+    features = ad.layernorm(x, params["norm.weight"], params["norm.bias"])
     # pseudo-labels read the map without gradients, so it leaves the tape
     return EncoderOutput(features=ad.check_finite(features, "encode features"),
                          attention_last=Tensor(attn.mean(axis=-3)))

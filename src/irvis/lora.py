@@ -51,34 +51,28 @@ class LoraAdapter:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def branch(self, x: Tensor, training: bool = False,
-               rng: np.random.Generator | None = None) -> tuple:
+    def branch(self, x: Tensor, rng: np.random.Generator | None = None) -> tuple:
         """``(A, B, scale, mask)``: the operands of this adapter's branch on
-        ``x`` for ``ad.linear``.  Dropout is live only in training: the
+        ``x`` for ``ad.linear``.  Dropout is live iff ``rng`` is passed: the
         inverted-dropout mask comes from one ``rng.random(x.shape)`` draw."""
         mask = None
-        if training and self.dropout_p > 0.0:
-            if rng is None:
-                raise ValueError("training-mode adapter forward needs an RNG")
+        if rng is not None and self.dropout_p > 0.0:
             mask = (rng.random(x.shape) >= self.dropout_p) / (1.0 - self.dropout_p)
         return self.A, self.B, self.scaling, mask
 
-    def delta(self, x: Tensor, training: bool = False,
-              rng: np.random.Generator | None = None) -> Tensor:
+    def delta(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """Adapter branch (alpha/r) * drop(x) A^T B^T alone."""
-        return ad.linear(x, None, None, self.branch(x, training, rng))
+        return ad.linear(x, None, None, self.branch(x, rng))
 
     def update_matrix(self) -> np.ndarray:
         """(k, d) matrix added to W by merging."""
         return self.scaling * (self.B.data @ self.A.data).T
 
 
-def forward_adapted(x: Tensor, w: Tensor, adapter: LoraAdapter,
-                    training: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
-    """Two-path forward x W + adapter branch; gradients reach B and A only."""
-    return ad.check_finite(ad.linear(x, w, None, adapter.branch(x, training, rng)),
-                           "adapted forward")
+def forward_adapted(x: Tensor, w: Tensor, adapter: LoraAdapter) -> Tensor:
+    """Two-path forward x W + adapter branch, without dropout; gradients reach
+    B and A only."""
+    return ad.check_finite(ad.linear(x, w, None, adapter.branch(x)), "adapted forward")
 
 
 def merge(w: Tensor, adapter: LoraAdapter) -> Tensor:

@@ -13,6 +13,8 @@ import numpy as np
 from . import data as datamod
 from . import pccl
 from .autodiff import Tensor, check_finite, check_grads_finite
+# the scene builders are also looked up here, by the CLI and the benchmark
+from .data import make_labeled_scenes, make_pretrain_pairs
 from .encoder import EncoderConfig, encode, init_params
 from .errors import ConfigError, DataError, NumericError
 from .lora import LoraConfig, adapter_tensors, attach
@@ -20,6 +22,7 @@ from .lora import LoraConfig, adapter_tensors, attach
 LOSS_KINDS = tuple(pccl.LOSSES)
 
 ADAM_EPS = 1e-8
+PROBE_RIDGE = 1e-3
 
 
 @dataclass
@@ -202,31 +205,29 @@ class _RowDraws:
 
 
 def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
-               cfg: TrainConfig, lr: float,
-               rng: np.random.Generator | None = None) -> dict:
+               cfg: TrainConfig, lr: float) -> dict:
     """One optimization step at learning rate ``lr`` on a batch of aligned
-    pairs; mutates ``state``.
+    pairs; mutates ``state``.  A step that raises leaves no gradient behind.
 
-    ``targets`` is ``teacher_targets`` of the batch.
+    ``targets`` is ``teacher_targets`` of the batch.  Adapters with dropout
+    draw their masks from ``default_rng(cfg.seed + state.step)``.
     """
     f_vf, labels = targets
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed + state.step)
     dropped = [a for a in (state.adapters or {}).values() if a.dropout_p > 0.0]
-    training = bool(dropped)
-    if training:
+    rng = None
+    if dropped:
         # one draw for the batch: a row per student image, a segment per adapter
         width = enc_cfg.num_patches * sum(a.A.shape[1] for a in dropped)
-        rng = _RowDraws(rng.random((2 * len(batch), width)))
+        rng = _RowDraws(np.random.default_rng(cfg.seed + state.step)
+                        .random((2 * len(batch), width)))
     try:
         f_i, f_v = student_features(batch, state.params, enc_cfg,
-                                    adapters=state.adapters, training=training, rng=rng)
+                                    adapters=state.adapters, rng=rng)
         term = pccl.LOSSES[cfg.loss_kind]
         l_iv = term(f_i, f_vf, labels, cfg.tau)
         l_vv = term(f_v, f_vf, labels, cfg.tau)
         loss = check_finite(pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta), "the loss")
-        learns = loss.requires_grad and (cfg.alpha or cfg.beta)  # alpha = beta = 0: no signal
-        if learns:
+        if loss.requires_grad and (cfg.alpha or cfg.beta):  # alpha = beta = 0: no signal
             loss.backward()
             _adamw_update(state, cfg, lr, loss)
     except NumericError as exc:
@@ -234,10 +235,10 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
         raise NumericError(
             f"non-finite values at step {state.step} (last finite loss: {last}): {exc}"
         ) from exc
-
-    if not learns:
+    finally:
         for p in trainable_map(state).values():
             p.grad = None
+
     metrics = {
         "step": state.step,
         "lr": lr,
@@ -299,7 +300,7 @@ def pooled_features(samples, params: dict[str, Tensor], enc_cfg: EncoderConfig,
     return out.features.data.mean(axis=-2)
 
 
-def linear_probe(features: np.ndarray, labels, ridge: float = 1e-3) -> float:
+def linear_probe(features: np.ndarray, labels) -> float:
     """Held-out accuracy of a closed-form ridge classifier on frozen features.
 
     Even indices train, odd indices evaluate; deterministic throughout.
@@ -317,63 +318,19 @@ def linear_probe(features: np.ndarray, labels, ridge: float = 1e-3) -> float:
     for i, lab in enumerate(labels):
         y[i, classes.index(lab)] = 1.0
     xt = x[train]
-    w = np.linalg.solve(xt.T @ xt + ridge * np.eye(x.shape[1]), xt.T @ y[train])
+    w = np.linalg.solve(xt.T @ xt + PROBE_RIDGE * np.eye(x.shape[1]), xt.T @ y[train])
     pred = np.argmax(x[test] @ w, axis=1)
     truth = np.argmax(y[test], axis=1)
     return float((pred == truth).mean())
 
 
-PROBE_CLASSES = {
-    "vehicle": {"color": (0.85, 0.2, 0.1), "heat": 0.7, "kind": "square"},
-    "person": {"color": (0.2, 0.3, 0.85), "heat": 0.55, "kind": "circle"},
-}
-
-
-def make_labeled_scenes(n: int, seed: int, *, height: int = 16, width: int = 16):
-    """Single-object scenes with the object class as label."""
-    rng = np.random.default_rng(seed)
-    names = sorted(PROBE_CLASSES)
-    samples, labels = [], []
-    for i in range(n):
-        # period-2 blocks so the probe's even/odd split sees both classes
-        cls = names[(i // 2) % len(names)]
-        info = PROBE_CLASSES[cls]
-        size = float(rng.uniform(2.0, min(height, width) / 4.0))
-        obj = datamod.SceneObject(
-            kind=info["kind"],
-            cx=float(rng.uniform(size, width - 1 - size)),
-            cy=float(rng.uniform(size, height - 1 - size)),
-            size=size,
-            cls=cls,
-        )
-        spec = datamod.SceneSpec(
-            height=height, width=width, objects=(obj,),
-            colors={c: PROBE_CLASSES[c]["color"] for c in names},
-            heats={c: PROBE_CLASSES[c]["heat"] for c in names},
-            noise_visible=0.05, noise_infrared=0.08,
-        )
-        samples.append(datamod.gen_scene(spec, seed=seed * 100003 + i,
-                                         scene_id=f"probe-{i}"))
-        labels.append(cls)
-    return samples, labels
-
-
-def make_pretrain_pairs(n: int, seed: int, *, height: int = 16, width: int = 16,
-                        night_fraction: float = 0.0):
-    """Unlabeled multi-object pairs for contrastive pretraining."""
-    rng = np.random.default_rng(seed)
-    n_night = datamod.night_count(n, night_fraction)
-    samples = []
-    for i in range(n):
-        illum = 0.1 if i >= n - n_night else 1.0
-        spec = datamod.random_scene_spec(
-            rng, height=height, width=width,
-            classes={c: dict(v) for c, v in PROBE_CLASSES.items()},
-            illumination=illum,
-        )
-        samples.append(datamod.gen_scene(spec, seed=seed * 99991 + i,
-                                         scene_id=f"pair-{i:05d}"))
-    return samples
+def probe_accuracies(state: TrainState, samples, labels,
+                     enc_cfg: EncoderConfig) -> tuple[float, float]:
+    """(visible, infrared): ``linear_probe`` accuracy on the student's pooled
+    features of each modality of the labeled ``samples``."""
+    return tuple(linear_probe(pooled_features(samples, state.params, enc_cfg,
+                                              state.adapters, modality=modality), labels)
+                 for modality in ("visible", "infrared"))
 
 
 GRID_ROWS = (
@@ -407,15 +364,12 @@ def forgetting_experiment(enc_cfg: EncoderConfig, cfg: TrainConfig,
                                             width=enc_cfg.image_size)
                 run_training(pairs, teacher, state, enc_cfg, run_cfg)
             trainable = sum(t.size for t in trainable_map(state).values())
-            probe_samples, probe_labels = make_labeled_scenes(
-                n_probe, seed=1000 + seed,
-                height=enc_cfg.image_size, width=enc_cfg.image_size)
-            vis = pooled_features(probe_samples, state.params, enc_cfg,
-                                  state.adapters, modality="visible")
-            ir = pooled_features(probe_samples, state.params, enc_cfg,
-                                 state.adapters, modality="infrared")
-            vis_scores.append(linear_probe(vis, probe_labels))
-            ir_scores.append(linear_probe(ir, probe_labels))
+            probes = make_labeled_scenes(n_probe, seed=1000 + seed,
+                                         height=enc_cfg.image_size,
+                                         width=enc_cfg.image_size)
+            vis, ir = probe_accuracies(state, *probes, enc_cfg)
+            vis_scores.append(vis)
+            ir_scores.append(ir)
         report.append({
             "row": row_name,
             "uses_vv": row["use_vv"],

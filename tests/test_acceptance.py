@@ -131,7 +131,7 @@ def test_03_adapter_identity_merge_roundtrip(capsys, toy_cfg):
         worst = 0.0
         for _ in range(100):
             x = Tensor(rng.normal(size=(5, w.shape[0])))
-            two = forward_adapted(x, w, adapter, training=False)
+            two = forward_adapted(x, w, adapter)
             worst = max(worst, np.abs(two.data - (x @ w_star).data).max())
         assert worst < 1e-10
         back = unmerge(w_star, adapter)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from irvis import tensorio
 from irvis.cli import main, parse_config
-from irvis.data import read_manifest
+from irvis.data import (SCENE_CLASSES, make_pretrain_pairs, read_manifest, read_pgm,
+                        read_ppm)
 from irvis.encoder import EncoderConfig, init_params
 
 
@@ -47,6 +48,20 @@ class TestGenData:
         for e in entries:
             assert (tmp_path / "d" / e.visible_path).exists()
             assert (tmp_path / "d" / e.infrared_path).exists()
+
+    def test_pixels_are_the_scene_pairs_quantised(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "gen-data", "--out", str(tmp_path), "--pairs", "8",
+                         "--seed", "4", "--night-fraction", "0.25")
+        assert code == 0
+        entries = read_manifest(tmp_path / "manifest.tsv")
+        samples = make_pretrain_pairs(8, seed=4, night_fraction=0.25,
+                                      classes=SCENE_CLASSES)
+        assert [e.scene_id.endswith("-night") for e in entries] == [False] * 6 + [True] * 2
+        for e, sample in zip(entries, samples, strict=True):
+            for read, path, img in ((read_ppm, e.visible_path, sample.visible),
+                                    (read_pgm, e.infrared_path, sample.infrared)):
+                assert np.array_equal(read(tmp_path / path),
+                                      np.rint(img.data * 255.0) / 255.0), e.scene_id
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         for d in ("a", "b"):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from irvis.autodiff import Tensor
-from irvis.encoder import LN_EPS, EncoderConfig, encode, init_params, patchify
+from irvis.autodiff import LN_EPS, Tensor
+from irvis.encoder import EncoderConfig, encode, init_params, patchify
 from irvis.errors import ConfigError, ShapeMismatchError
 
 

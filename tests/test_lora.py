@@ -28,8 +28,8 @@ class TestForward:
         w = Tensor(rng.normal(size=(16, 24)))
         x = Tensor(rng.normal(size=(5, 16)))
         adapter = make_adapter(rng, dropout=0.5)
-        a = forward_adapted(x, w, adapter, training=False)
-        b = forward_adapted(x, w, adapter, training=False)
+        a = forward_adapted(x, w, adapter)
+        b = forward_adapted(x, w, adapter)
         assert np.array_equal(a.data, b.data)
 
     def test_training_mask_scaled_by_keep_probability(self):
@@ -37,7 +37,7 @@ class TestForward:
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
         adapter = make_adapter(rng, dropout=0.25)
-        out = adapter.delta(x, training=True, rng=np.random.default_rng(3))
+        out = adapter.delta(x, rng=np.random.default_rng(3))
         mask = (np.random.default_rng(3).random(x.shape) >= 0.25) / (1.0 - 0.25)
         a, b = adapter.A.data, adapter.B.data
         want = (x.data * mask) @ a.T @ b.T * adapter.scaling
@@ -54,7 +54,7 @@ class TestForward:
         x = Tensor(rng.normal(size=(5, 16)))
         adapter = make_adapter(rng)
         merged = w.data + adapter.scaling * (adapter.B.data @ adapter.A.data).T
-        out = forward_adapted(x, w, adapter, training=False)
+        out = forward_adapted(x, w, adapter)
         assert np.abs(out.data - x.data @ merged).max() < 1e-12
 
     def test_gradients_reach_adapters_only(self):
@@ -82,7 +82,7 @@ class TestMerge:
         worst = 0.0
         for _ in range(100):
             x = Tensor(rng.normal(size=(3, 16)))
-            two = forward_adapted(x, w, adapter, training=False)
+            two = forward_adapted(x, w, adapter)
             one = x @ w_star
             worst = max(worst, np.abs(two.data - one.data).max())
         assert worst < 1e-10
@@ -116,6 +116,19 @@ class TestAttach:
         adapted = encode(img, params, toy_cfg, adapters=adapters)
         plain = encode(img, frozen, toy_cfg)
         assert np.array_equal(adapted.features.data, plain.features.data)
+
+    def test_dropout_is_live_only_with_an_rng(self, toy_cfg):
+        params = init_params(toy_cfg)
+        adapters = attach(params, LoraConfig(dropout=0.5), seed=0)
+        for a in adapters.values():
+            a.B.data = np.full(a.B.shape, 0.05)
+        img = np.random.default_rng(1).random((2, 3, 16, 16))
+        first, second = (encode(img, params, toy_cfg, adapters=adapters).features.data
+                         for _ in range(2))
+        assert np.array_equal(first, second)
+        dropped = encode(img, params, toy_cfg, adapters=adapters,
+                         rng=np.random.default_rng(2)).features.data
+        assert not np.array_equal(first, dropped)
 
     def test_adapter_param_arithmetic(self, toy_cfg):
         params = init_params(toy_cfg)

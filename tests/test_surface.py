@@ -1,8 +1,8 @@
-"""Every public function and class in ``src/irvis`` has a caller outside the
-tests: another module of the package (re-exports in ``__init__.py`` do not
-count), its own module beyond its definition, ``perfbench/`` or ``scripts/``.
-A name that only tests reach is surface to delete, or it is kept here with
-its reason.
+"""Every public function and class in ``src/irvis``, and every public method
+and property of a public class, has a caller outside the tests: another
+module of the package (re-exports in ``__init__.py`` do not count), its own
+module beyond its definition, ``perfbench/`` or ``scripts/``.  A name that
+only tests reach is surface to delete, or it is kept here with its reason.
 """
 
 import ast
@@ -19,6 +19,7 @@ KEPT = {
     "reshape": "an op of the unfused reference chains the tests compare fused ops against",
     "unmerge": "acceptance 3 pins the merge/unmerge round trip",
     "sparsity_report": "the planned run trace writes it at the end of a run",
+    "Tensor.item": "the tests read scalar losses with it",
 }
 
 
@@ -26,6 +27,13 @@ def public_definitions(tree):
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+def public_members(tree):
+    """(class, member) for the public methods and properties of public classes."""
+    return [(cls, node) for cls in public_definitions(tree)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
 
 
 def names_used(nodes, with_strings=False):
@@ -66,10 +74,20 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if node.name in KEPT or node.name in own | elsewhere | outside:
                 continue
             unused.append(f"{stem}.{node.name}")
+        for cls, node in public_members(tree):
+            own = names_used([n for n in tree.body if n is not cls]
+                             + [n for n in cls.body if n is not node])
+            if f"{cls.name}.{node.name}" in KEPT or node.name in own | elsewhere | outside:
+                continue
+            unused.append(f"{stem}.{cls.name}.{node.name}")
     assert not unused, f"public names that only tests reach: {unused}"
 
 
 def test_kept_names_exist():
-    defined = {node.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
-               for node in public_definitions(parse(p))}
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            tree = parse(path)
+            defined |= {node.name for node in public_definitions(tree)}
+            defined |= {f"{cls.name}.{node.name}" for cls, node in public_members(tree)}
     assert set(KEPT) <= defined, set(KEPT) - defined

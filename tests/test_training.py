@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,23 @@ class TestTrainStep:
         for k, t in state.params.items():
             assert np.array_equal(t.data, before[k]), k
 
+    def test_step_retried_after_a_failure_equals_a_clean_step(self, toy_cfg):
+        teacher = frozen_teacher(toy_cfg)
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, lora=LoraConfig(), seed=3)
+        failing = replace(cfg, base_lr=100.0, weight_decay=1e308)
+        batch = make_pretrain_pairs(4, seed=0)
+        targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
+        retried, clean = (student_state(teacher, cfg.lora, seed=3) for _ in range(2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            train_step(retried, batch, targets, toy_cfg, failing, 100.0)
+        assert all(t.grad is None for t in trainable_map(retried).values())
+        assert train_step(retried, batch, targets, toy_cfg, cfg, 1e-3) == \
+            train_step(clean, batch, targets, toy_cfg, cfg, 1e-3)
+        want = trainable_map(clean)
+        for name, t in trainable_map(retried).items():
+            assert np.array_equal(t.data, want[name].data), name
+        assert all(np.array_equal(a, b) for a, b in zip(retried.moments, clean.moments))
+
     def test_alpha_beta_weight_nce(self, toy_cfg):
         # mse would not do: its visible term is exactly 0 at step 0
         teacher = frozen_teacher(toy_cfg)
@@ -229,7 +248,6 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
     infrared and the visible student pass, each drawing its own dropout masks
     from the step's generator; the loss averages the per-pair losses."""
     rng = np.random.default_rng(cfg.seed + state.step)
-    live = bool(state.adapters) and any(a.dropout_p > 0 for a in state.adapters.values())
     term = pccl.LOSSES[cfg.loss_kind]
     l_iv = l_vv = 0.0
     for sample in batch:
@@ -237,7 +255,7 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
         ir = to_channels(sample.infrared.data, enc_cfg.channels)
         t = encode(vis, teacher, enc_cfg)
         labels = pccl.pseudo_labels(t.attention_last, cfg.gamma)
-        kw = dict(adapters=state.adapters, training=live, rng=rng)
+        kw = dict(adapters=state.adapters, rng=rng)
         f_i = encode(ir, state.params, enc_cfg, **kw).features
         f_v = encode(vis, state.params, enc_cfg, **kw).features
         l_iv = l_iv + term(f_i, t.features, labels, cfg.tau)
