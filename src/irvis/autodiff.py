@@ -7,6 +7,13 @@ parameters sum contributions from every branch.  The hot chains of the
 encoder are one op each: ``linear``, which also carries a LoRA adapter's
 low-rank branch, and ``attention``.
 
+Gradient buffers are owned.  A backward hands ``_accumulate`` an array that
+nothing else holds: the first write to a tensor's ``.grad`` keeps that array,
+and later writes add into it in place.  Most backwards build a new array
+anyway; the ops whose gradient passes the incoming one through (``add``,
+``reshape`` and ``transpose``) hand over a copy, so no two tensors on a tape
+share a ``.grad`` buffer.
+
 Ops do not scan their outputs for NaN/Inf.  Finiteness is checked where
 values enter autodiff (``Tensor`` construction) and where they leave it:
 callers pass results through ``check_finite``, which on a failure walks the
@@ -111,9 +118,9 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g``, an array nothing else holds, to ``.grad``."""
         if self.grad is None:
-            # a copy, never ``g`` itself: ``add`` hands one buffer to both parents
-            self.grad = np.array(g, order="C")
+            self.grad = g
         else:
             self.grad += g
 
@@ -242,10 +249,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        # each parent gets its own buffer: a copy where no axis was summed away
+        for t in (a, b):
+            if t.requires_grad:
+                gt = _unbroadcast(g, t.shape)
+                t._accumulate(g.copy() if gt is g else gt)
 
     return _make(data, (a, b), backward, "add")
 
@@ -299,14 +307,14 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     inverse = None if axes is None else np.argsort(axes)
 
     def backward(g):
-        a._accumulate(np.transpose(g, inverse))
+        a._accumulate(np.transpose(g, inverse).copy())
 
     return _make(np.transpose(a.data, axes).copy(), (a,), backward, "transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
-        a._accumulate(g.reshape(a.shape))
+        a._accumulate(g.reshape(a.shape).copy())
 
     try:
         data = a.data.reshape(shape).copy()
@@ -360,18 +368,38 @@ def gelu(a: Tensor) -> Tensor:
     data = a.data * cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        a._accumulate(g * (cdf + a.data * pdf))
+        # g * (cdf + x * pdf(x)) in one buffer, each product in its usual order
+        t = np.multiply(a.data, -0.5)
+        t *= a.data
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI
+        t *= a.data
+        t += cdf
+        t *= g
+        a._accumulate(t)
 
     return _make(data, (a,), backward, "gelu")
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` without ``np.mean``'s wrapper: the
+    same sum, divided in place, so it rounds the same way."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
 def layernorm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)  # np.var's steps
-    xhat = xc * inv
-    data = xhat * weight.data + bias.data
+    xhat = x.data - _row_mean(x.data)
+    sq = xhat * xhat
+    inv = _row_mean(sq)  # np.var's steps: mean, subtract, square, mean
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    data = np.multiply(xhat, weight.data, out=sq)
+    data += bias.data
     d = x.data.shape[-1]
 
     def backward(g):
@@ -380,10 +408,14 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if weight.requires_grad:
             weight._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         if x.requires_grad:
+            # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv with gx = g * weight
             gx = g * weight.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate((gx - m1 - xhat * m2) * inv)
+            t = gx * xhat
+            m2 = _row_mean(t)
+            gx -= _row_mean(gx)
+            gx -= np.multiply(xhat, m2, out=t)
+            gx *= inv
+            x._accumulate(gx)
 
     return _make(data, (x, weight, bias), backward, "layernorm")
 
@@ -472,23 +504,36 @@ def attention(qkv: Tensor, heads: int, dh: int) -> tuple[Tensor, np.ndarray]:
             f"attention needs 3 * {heads} heads * {dh} packed columns, got {qkv.shape}"
         )
     n = qkv.shape[-2]
-    # to (3, *lead, heads, N, dh): q, k and v of every head
-    q, k, v = np.transpose(qkv.data.reshape(lead + (n, 3, heads, dh)),
-                           (b + 1, *range(b), b + 2, b, b + 3))
+    perm = (b + 1, *range(b), b + 2, b, b + 3)
+    # views of (*lead, N, 3, heads, dh) as (3, *lead, heads, N, dh): q, k and v
+    # of every head; matmul writes the per-head results through such views
+    q, k, v = np.transpose(qkv.data.reshape(lead + (n, 3, heads, dh)), perm)
     c = 1.0 / np.sqrt(dh)
-    s = (q @ np.swapaxes(k, -1, -2)) * c
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    data = np.swapaxes(p @ v, -2, -3).reshape(lead + (n, heads * dh))
+    # the row softmax, in place in the scores
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= c
+    # the row max, exact, as a max down the columns of the scores' transpose:
+    # numpy reduces that faster than along rows only n long
+    p -= np.maximum.reduce(np.ascontiguousarray(p.reshape(-1, n).T),
+                           axis=0).reshape(p.shape[:-1] + (1,))
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    data = np.empty(lead + (n, heads * dh))
+    np.matmul(p, v, out=np.swapaxes(data.reshape(lead + (n, heads, dh)), -2, -3))
 
     def backward(g):
         go = np.swapaxes(g.reshape(lead + (n, heads, dh)), -2, -3)
-        gp = go @ np.swapaxes(v, -1, -2)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
-        parts = (gs @ k, np.swapaxes(gs, -1, -2) @ q, np.swapaxes(p, -1, -2) @ go)
-        # back to (*lead, N, 3, heads, dh), the packed column order
-        grad = np.stack([np.swapaxes(t, -2, -3) for t in parts], axis=-3)
-        qkv._accumulate(grad.reshape(qkv.shape))
+        # gs = p * (gp - sum(gp * p)) * c, in place in gp
+        gs = go @ np.swapaxes(v, -1, -2)
+        gs -= np.add.reduce(gs * p, axis=-1, keepdims=True)
+        gs *= p
+        gs *= c
+        grad = np.empty(qkv.shape)
+        gq, gk, gv = np.transpose(grad.reshape(lead + (n, 3, heads, dh)), perm)
+        np.matmul(gs, k, out=gq)
+        np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
+        np.matmul(np.swapaxes(p, -1, -2), go, out=gv)
+        qkv._accumulate(grad)
 
     return _make(data, (qkv,), backward, "attention"), p
 

@@ -376,6 +376,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a model or data set too large for this machine
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,6 +39,14 @@ class LoraConfig:
             raise ConfigError(f"LoRA alpha must be finite, got {self.alpha}")
 
 
+def dropout_mask(u: np.ndarray, p: float) -> np.ndarray:
+    """``(u >= p) / (1 - p)``, the inverted-dropout mask of uniform draws
+    ``u``, byte for byte: a kept entry is 1 / (1 - p) rounded once either
+    way, and multiplying skips the divide.  Elementwise, so the mask of a
+    block of draws, cut into segments, is the mask of each segment."""
+    return np.multiply(u >= p, 1.0 / (1.0 - p))
+
+
 @dataclass
 class LoraAdapter:
     B: Tensor  # (d, r), zero at init
@@ -51,13 +59,18 @@ class LoraAdapter:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def branch(self, x: Tensor, rng: np.random.Generator | None = None) -> tuple:
+    def branch(self, x: Tensor, rng=None) -> tuple:
         """``(A, B, scale, mask)``: the operands of this adapter's branch on
-        ``x`` for ``ad.linear``.  Dropout is live iff ``rng`` is passed: the
-        inverted-dropout mask comes from one ``rng.random(x.shape)`` draw."""
+        ``x`` for ``ad.linear``.  Dropout is live iff ``rng`` is passed.  A
+        ``np.random.Generator`` gives the ``dropout_mask`` of one
+        ``rng.random(x.shape)`` draw; any other ``rng`` gives its own
+        ``rng.dropout_mask(x.shape, p)``, masks drawn ahead for a whole step."""
         mask = None
         if rng is not None and self.dropout_p > 0.0:
-            mask = (rng.random(x.shape) >= self.dropout_p) / (1.0 - self.dropout_p)
+            if isinstance(rng, np.random.Generator):
+                mask = dropout_mask(rng.random(x.shape), self.dropout_p)
+            else:
+                mask = rng.dropout_mask(x.shape, self.dropout_p)
         return self.A, self.B, self.scaling, mask
 
     def delta(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:

@@ -17,7 +17,7 @@ from .autodiff import Tensor, check_finite, check_grads_finite
 from .data import make_labeled_scenes, make_pretrain_pairs
 from .encoder import EncoderConfig, encode, init_params
 from .errors import ConfigError, DataError, NumericError
-from .lora import LoraConfig, adapter_tensors, attach
+from .lora import LoraConfig, adapter_tensors, attach, dropout_mask
 
 LOSS_KINDS = tuple(pccl.LOSSES)
 
@@ -132,12 +132,25 @@ def _adamw_update(state: TrainState, cfg: TrainConfig, lr: float, loss: Tensor) 
     w = np.concatenate([p.data.reshape(-1) for p in params])
     b1, b2 = cfg.betas
     t = state.step + 1
-    m, v = state.moments or (0.0, 0.0)
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * v + (1.0 - b2) * g * g
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    # w - lr (mhat / (sqrt(vhat) + eps) + decay w), rounded as written; m and v
+    # are new arrays, so the state's moments stay as they were until the end
+    m0, v0 = state.moments or (np.zeros_like(g), np.zeros_like(g))
+    m = m0 * b1
+    tmp = g * (1.0 - b1)
+    m += tmp
+    v = v0 * b2
+    np.multiply(g, 1.0 - b2, out=tmp)
+    tmp *= g
+    v += tmp
     mhat = m / (1.0 - b1 ** t)
-    vhat = v / (1.0 - b2 ** t)
-    updated = w - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + cfg.weight_decay * w)
+    vhat = np.divide(v, 1.0 - b2 ** t, out=tmp)
+    np.sqrt(vhat, out=vhat)
+    vhat += ADAM_EPS
+    mhat /= vhat
+    mhat += np.multiply(w, cfg.weight_decay, out=vhat)
+    mhat *= lr
+    updated = np.subtract(w, mhat, out=w)
     ends = np.cumsum([p.size for p in params])
     finite = np.isfinite(updated)
     if not finite.all():
@@ -183,9 +196,13 @@ def student_features(batch, params: dict[str, Tensor], enc_cfg: EncoderConfig,
 
 
 class _RowDraws:
-    """``random(shape)`` over one pre-drawn ``(rows, cols)`` uniform block:
-    each call takes the next column segment, reshaped to ``shape``, whose
-    first axis is the rows.
+    """Dropout masks cut from one pre-drawn ``(rows, cols)`` uniform block.
+
+    ``dropout_mask(shape, p)`` takes the next column segment, as a view
+    reshaped to ``shape``, whose first axis is the rows.  The masks are made
+    by one ``lora.dropout_mask`` pass over the whole block, once per dropout
+    probability ``p``; the rule is elementwise, so each segment equals the
+    mask of its own draws, byte for byte.
 
     A generator fills an array in C order, so row ``r`` of the block holds,
     segment by segment, the values that the ``r``-th of ``rows`` sequential
@@ -195,11 +212,14 @@ class _RowDraws:
 
     def __init__(self, block: np.ndarray):
         self.block = block
+        self.masks: dict[float, np.ndarray] = {}
         self.col = 0
 
-    def random(self, shape):
+    def dropout_mask(self, shape, p: float) -> np.ndarray:
+        if p not in self.masks:
+            self.masks[p] = dropout_mask(self.block, p)
         width = math.prod(shape[1:])
-        segment = self.block[:, self.col:self.col + width]
+        segment = self.masks[p][:, self.col:self.col + width]
         self.col += width
         return segment.reshape(shape)
 

@@ -9,6 +9,13 @@ def random_stochastic(rng, n):
     return a / a.sum(axis=1, keepdims=True)
 
 
+def same_bytes(got, want) -> bool:
+    """Equal values, signed zeros included, in the same shape."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (np.array_equal(got, want) and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
 def exhaustive_pseudo_labels(attention, gamma):
     """Independent oracle: per row, test every prefix length explicitly."""
     a = np.asarray(attention)

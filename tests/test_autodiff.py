@@ -9,6 +9,7 @@ import irvis.autodiff as ad
 from irvis.autodiff import (Tensor, bce_with_logits, cosine_rows, grad_check,
                             matmul)
 from irvis.errors import DegenerateInputError, NumericError, ShapeMismatchError
+from conftest import same_bytes
 
 
 def weighted_sum(op, weights):
@@ -156,6 +157,89 @@ def test_layernorm_matches_np_var_bit_for_bit():
             want = (x - x.mean(axis=-1, keepdims=True)) * inv * w + b
             got = ad.layernorm(Tensor(x), Tensor(w), Tensor(b)).data
             assert np.array_equal(got, want), (shape, scale)
+
+
+def kernel_input(rng, shape):
+    """Normal values with some signed zeros and repeated entries."""
+    x = rng.normal(size=shape)
+    flat = x.reshape(-1)
+    flat[::7] = 0.0
+    flat[3::11] = -0.0
+    flat[5::13] = flat[1]
+    return x
+
+
+def taped(op, inputs, g):
+    """Output and input gradients of ``op`` on leaf tensors, seeded with ``g``:
+    tsum(out * g) hands ``op``'s backward exactly ``g``."""
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    out = op(*leaves)
+    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+class TestKernelsEqualTheirFormerExpressions:
+    """The in-place kernels against the expressions they were written as,
+    byte for byte, batched and unbatched."""
+
+    @pytest.mark.parametrize("shape", [(6, 32), (8, 16, 32), (2, 3, 5, 7)])
+    def test_layernorm(self, shape):
+        rng = np.random.default_rng(40)
+        x, g = kernel_input(rng, shape), kernel_input(rng, shape)
+        w, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad.LN_EPS)
+        xhat = xc * inv
+        gx = g * w
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        d = shape[-1]
+        want = [xhat * w + b, (gx - m1 - xhat * m2) * inv,
+                (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)]
+        out, grads = taped(ad.layernorm, (x, w, b), g)
+        for got, expected in zip([out, *grads], want, strict=True):
+            assert same_bytes(got, expected), shape
+
+    @pytest.mark.parametrize("shape", [(6, 40), (8, 16, 128), (2, 3, 5, 7)])
+    def test_gelu(self, shape):
+        rng = np.random.default_rng(41)
+        x, g = kernel_input(rng, shape) * 3.0, kernel_input(rng, shape)
+        cdf = (ad.erf(x, 1.0 / np.sqrt(2.0)) + 1.0) * 0.5
+        pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+        out, (gx,) = taped(ad.gelu, (x,), g)
+        assert same_bytes(out, x * cdf), shape
+        assert same_bytes(gx, g * (cdf + x * pdf)), shape
+
+    @pytest.mark.parametrize("lead,heads,dh", [((), 4, 8), ((8,), 4, 8), ((2, 3), 2, 3)])
+    def test_attention(self, lead, heads, dh):
+        rng = np.random.default_rng(42)
+        n = 16 if dh == 8 else 5
+        qkv = kernel_input(rng, lead + (n, 3 * heads * dh)) * 4.0
+        g = kernel_input(rng, lead + (n, heads * dh))
+        b = len(lead)
+        q, k, v = np.transpose(qkv.reshape(lead + (n, 3, heads, dh)),
+                               (b + 1, *range(b), b + 2, b, b + 3))
+        c = 1.0 / np.sqrt(dh)
+        s = (q @ np.swapaxes(k, -1, -2)) * c
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        merged = np.swapaxes(p @ v, -2, -3).reshape(lead + (n, heads * dh))
+        go = np.swapaxes(g.reshape(lead + (n, heads, dh)), -2, -3)
+        gp = go @ np.swapaxes(v, -1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * c
+        parts = (gs @ k, np.swapaxes(gs, -1, -2) @ q, np.swapaxes(p, -1, -2) @ go)
+        grad = np.stack([np.swapaxes(t, -2, -3) for t in parts], axis=-3)
+        maps = []
+
+        def op(t):
+            out, attn = ad.attention(t, heads, dh)
+            maps.append(attn)
+            return out
+
+        out, (gqkv,) = taped(op, (qkv,), g)
+        assert same_bytes(out, merged), lead
+        assert same_bytes(maps[0], p), lead
+        assert same_bytes(gqkv, grad.reshape(qkv.shape)), lead
 
 
 class TestLoraDelta:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irvis import tensorio
+from irvis import tensorio, training
 from irvis.cli import main, parse_config
 from irvis.data import (SCENE_CLASSES, make_pretrain_pairs, read_manifest, read_pgm,
                         read_ppm)
@@ -186,6 +186,19 @@ class TestPretrain:
         assert re.search(r"at step 0 .*non-finite update of \S+\.weight", err), err
         for name in ("final.ckpt", "best.ckpt"):
             assert not (tmp_path / "run" / name).exists(), name
+
+    def test_model_too_large_for_memory_exit_1(self, tmp_path, capsys, monkeypatch):
+        # stands in for numpy failing to allocate the weights: nothing is allocated
+        def no_memory(cfg):
+            raise MemoryError(f"Unable to allocate weights of width {cfg.dim}")
+
+        monkeypatch.setattr(training, "init_params", no_memory)
+        cfgfile = write_config(tmp_path / "c.cfg", dim=4_000_000_000, heads=1)
+        code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.splitlines() == [
+            "error: out of memory: Unable to allocate weights of width 4000000000"]
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         cfgfile = write_config(tmp_path / "c.cfg", seed=3)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from irvis import pccl, tensorio
 from irvis.autodiff import grad_check
 from irvis.encoder import EncoderConfig, encode
 from irvis.errors import ConfigError, DataError, NumericError
-from irvis.lora import LoraConfig
+from irvis.lora import LoraAdapter, LoraConfig
 from irvis.training import (LOSS_KINDS, TrainConfig, _adamw_update,
                             forgetting_experiment,
                             frozen_teacher, linear_probe, lr_at,
@@ -18,6 +19,7 @@ from irvis.training import (LOSS_KINDS, TrainConfig, _adamw_update,
                             pooled_features, run_training, student_state,
                             teacher_targets, to_channels, train_step,
                             trainable_map)
+from conftest import same_bytes
 
 
 class TestSchedule:
@@ -401,6 +403,88 @@ class TestFlatAdamW:
         train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
                    enc, cfg, 1e-3)
         assert counts == [83]
+
+
+class TestStepBuffers:
+    def test_adamw_equals_its_former_expressions(self, toy_cfg):
+        # the in-place update against the flat expressions it was written as
+        state = student_state(frozen_teacher(toy_cfg), LoraConfig(rank=4), seed=5)
+        cfg = TrainConfig(base_lr=1e-2, weight_decay=0.05)
+        rng = np.random.default_rng(5)
+        moments = None
+        for step, lr in enumerate((1e-2, 3e-3, 0.0)):
+            named = sorted(trainable_map(state).items())
+            for i, (_, t) in enumerate(named):
+                g = rng.normal(size=t.shape)
+                g.reshape(-1)[::5] = -0.0  # -0.0 + 0.0 is 0.0: the first step adds it
+                t.grad = None if i == 3 else g
+            g = np.concatenate([(t.grad if t.grad is not None else np.zeros(t.shape))
+                                .reshape(-1) for _, t in named])
+            w = np.concatenate([t.data.reshape(-1) for _, t in named])
+            b1, b2 = cfg.betas
+            m, v = moments or (0.0, 0.0)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1 ** (step + 1))
+            vhat = v / (1.0 - b2 ** (step + 1))
+            want = w - lr * (mhat / (np.sqrt(vhat) + training.ADAM_EPS)
+                             + cfg.weight_decay * w)
+            moments = (m, v)
+            _adamw_update(state, cfg, lr, None)
+            state.step += 1
+            got = np.concatenate([t.data.reshape(-1) for _, t in named])
+            assert same_bytes(got, want), step
+            for got_moment, want_moment in zip(state.moments, moments, strict=True):
+                assert same_bytes(got_moment, want_moment), step
+
+    def test_no_two_tape_tensors_share_a_gradient_buffer(self, monkeypatch):
+        enc = EncoderConfig()
+        teacher = frozen_teacher(enc)
+        cfg = TrainConfig(lora=LoraConfig())
+        state = student_state(teacher, cfg.lora)
+        seen = []
+        backward = ad.Tensor.backward
+
+        def checking(self):
+            nodes = ad._topo(self)
+            before = [n.data.copy() for n in nodes]
+            backward(self)
+            grads = [n.grad for n in nodes if n.requires_grad]
+            assert all(g is not None for g in grads)
+            for i, a in enumerate(grads):
+                for b in grads[i + 1:]:
+                    assert not np.shares_memory(a, b)
+            for n, data in zip(nodes, before):
+                assert same_bytes(n.data, data), n._op
+            seen.append((len(nodes), len(grads)))
+
+        monkeypatch.setattr(ad.Tensor, "backward", checking)
+        batch = make_pretrain_pairs(4, seed=0)
+        train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
+                   enc, cfg, 1e-3)
+        # 19 trainable leaves and the 34 op nodes above them
+        assert seen == [(83, 53)]
+
+    def test_whole_block_masks_equal_the_rule_per_segment(self):
+        shapes = [(6, 16, 48)] + [(6, 16, k) for _ in range(2) for k in (32, 32, 32, 128)]
+        probs = [0.1, 0.3, 0.1, 1 / 3, 0.1, 0.7, 0.999, 0.1, 0.5]
+        adapters = [LoraAdapter(B=None, A=None, rank=1, alpha=1.0, dropout_p=p)
+                    for p in probs]
+        rng = np.random.default_rng(6)
+        block = rng.random((6, sum(math.prod(s[1:]) for s in shapes)))
+        draws = training._RowDraws(block)
+        col = 0
+        for shape, a in zip(shapes, adapters, strict=True):
+            x = ad.Tensor(np.zeros(shape))
+            mask = a.branch(x, draws)[3]
+            width = math.prod(shape[1:])
+            u = block[:, col:col + width].reshape(shape)
+            col += width
+            assert same_bytes(mask, (u >= a.dropout_p) / (1.0 - a.dropout_p)), shape
+            # a plain generator keeps its one draw of the input's shape
+            mask = a.branch(x, np.random.default_rng(col))[3]
+            u = np.random.default_rng(col).random(shape)
+            assert same_bytes(mask, (u >= a.dropout_p) / (1.0 - a.dropout_p)), shape
 
 
 class TestEndToEndGradients:
