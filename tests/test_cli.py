@@ -305,6 +305,36 @@ class TestMissingAndDegenerateInputs:
         assert "zero-norm row" in err
 
 
+class TestSmallImages:
+    """Without a manifest, scenes are rendered in process: pairs need images of
+    at least 6 pixels a side, probes at least 8."""
+
+    @staticmethod
+    def argv(tmp_path, command, size):
+        cfgfile = write_config(tmp_path / "c.cfg", epochs=1, warmup_epochs=0, n_pairs=4,
+                               n_probe=8, image_size=size, patch_size=size)
+        out = ["--out", str(tmp_path / "out")] if command in ("pretrain",
+                                                              "dump-matrices") else []
+        return [command, "--config", str(cfgfile), *out]
+
+    @pytest.mark.parametrize("command, size, minimum", [
+        ("pretrain", 4, 6), ("dump-matrices", 4, 6),
+        ("forget", 4, 8), ("forget", 6, 8), ("forget", 7, 8),
+        ("ablate", 4, 6), ("ablate", 6, 8), ("ablate", 7, 8)])
+    def test_too_small_exit_1_in_one_line(self, tmp_path, capsys, command, size, minimum):
+        code, out, err = run(capsys, *self.argv(tmp_path, command, size))
+        assert code == 1 and "Traceback" not in out + err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{size}x{size} image" in err and f"at least {minimum}" in err, err
+
+    @pytest.mark.parametrize("command, size", [
+        ("pretrain", 6), ("pretrain", 7), ("dump-matrices", 6), ("dump-matrices", 7),
+        ("forget", 8), ("ablate", 8)])
+    def test_smallest_sizes_run(self, tmp_path, capsys, command, size):
+        code, _, err = run(capsys, *self.argv(tmp_path, command, size))
+        assert code == 0, err
+
+
 class TestAblate:
     def test_three_row_table(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path / "c.cfg", epochs=1, warmup_epochs=0,

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from irvis.data import (ManifestEntry, SceneObject, SceneSpec, batch, gen_scene,
-                        load_pairs, random_scene_spec, read_manifest, read_pgm,
-                        read_ppm, write_manifest, write_pgm, write_ppm)
+from conftest import same_bytes
+from irvis import data
+from irvis.data import (PROBE_CLASSES, SCENE_CLASSES, ManifestEntry, SceneObject,
+                        SceneSpec, batch, gen_scene, load_pairs, make_labeled_scenes,
+                        make_pretrain_pairs, random_scene_spec, read_manifest,
+                        read_pgm, read_ppm, write_manifest, write_pgm, write_ppm)
 from irvis.errors import ConfigError, DataError
 
 
@@ -66,6 +69,124 @@ class TestGenScene:
             assert out.visible.data.shape == (3, 16, 16)
             assert out.infrared.data.shape == (1, 16, 16)
             assert 1 <= len(spec.objects) <= 3
+
+
+class TestGeneratorEqualsItsFormerCode:
+    """The scene builders against the code they were written from, byte for
+    byte: an ``np.mgrid`` per object, painting channel by channel, fresh
+    arrays for illumination, noise and the clip, and ``rng.uniform`` draws."""
+
+    @staticmethod
+    def former_mask(obj, h, w):
+        yy, xx = np.mgrid[0:h, 0:w]
+        if obj.kind == "circle":
+            return (xx - obj.cx) ** 2 + (yy - obj.cy) ** 2 <= obj.size ** 2
+        if obj.kind == "square":
+            return (np.abs(xx - obj.cx) <= obj.size) & (np.abs(yy - obj.cy) <= obj.size)
+        return (np.abs(yy - obj.cy) <= obj.size / 2.0) & (np.abs(xx - obj.cx) <= 2.5 * obj.size)
+
+    @classmethod
+    def former_gen_scene(cls, spec, seed, scene_id="synthetic"):
+        h, w = spec.height, spec.width
+        rng = np.random.default_rng(seed)
+        visible = np.empty((3, h, w))
+        visible[:] = np.asarray(data.BACKGROUND_COLOR)[:, None, None]
+        infrared = np.full((1, h, w), data.BACKGROUND_HEAT)
+        for obj in spec.objects:
+            mask = cls.former_mask(obj, h, w)
+            color = np.asarray(spec.colors[obj.cls])
+            for c in range(3):
+                visible[c][mask] = color[c]
+            infrared[0][mask] = spec.heats[obj.cls]
+        visible = visible * spec.illumination
+        if spec.noise_visible > 0.0:
+            visible = visible + rng.normal(0.0, spec.noise_visible, visible.shape)
+        if spec.noise_infrared > 0.0:
+            infrared = infrared + rng.normal(0.0, spec.noise_infrared, infrared.shape)
+        return data.PairedSample(visible=data.Tensor(np.clip(visible, 0.0, 1.0)),
+                                 infrared=data.Tensor(np.clip(infrared, 0.0, 1.0)),
+                                 scene_id=scene_id)
+
+    @staticmethod
+    def former_place(rng, cls, classes, min_size, height, width):
+        size = float(rng.uniform(min_size, min(height, width) / 4.0))
+        return SceneObject(kind=classes[cls]["kind"],
+                           cx=float(rng.uniform(size, width - 1 - size)),
+                           cy=float(rng.uniform(size, height - 1 - size)),
+                           size=size, cls=cls)
+
+    def former(self, monkeypatch, build):
+        with monkeypatch.context() as m:
+            m.setattr(data, "gen_scene", self.former_gen_scene)
+            m.setattr(data, "_place", self.former_place)
+            return build()
+
+    @staticmethod
+    def assert_same_samples(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.scene_id == w.scene_id
+            assert same_bytes(g.visible.data, w.visible.data), g.scene_id
+            assert same_bytes(g.infrared.data, w.infrared.data), g.scene_id
+
+    @pytest.mark.parametrize("hw", [(16, 16), (12, 20)])
+    @pytest.mark.parametrize("classes", [PROBE_CLASSES, SCENE_CLASSES],
+                             ids=["probe", "scene"])
+    @pytest.mark.parametrize("night_fraction", [0.0, 0.25])
+    def test_pretrain_pairs(self, monkeypatch, hw, classes, night_fraction):
+        def build():
+            return make_pretrain_pairs(12, seed=5, height=hw[0], width=hw[1],
+                                       night_fraction=night_fraction, classes=classes)
+        self.assert_same_samples(build(), self.former(monkeypatch, build))
+
+    @pytest.mark.parametrize("hw", [(16, 16), (12, 20)])
+    def test_labeled_scenes(self, monkeypatch, hw):
+        def build():
+            return make_labeled_scenes(12, seed=6, height=hw[0], width=hw[1])
+        got, labels = build()
+        want, want_labels = self.former(monkeypatch, build)
+        assert labels == want_labels
+        self.assert_same_samples(got, want)
+
+    def test_every_kind_with_illumination_and_one_noise_off(self):
+        spec = SceneSpec(height=12, width=20,
+                         objects=(SceneObject("bar", 9.0, 6.0, 2.0, "plant"),
+                                  SceneObject("square", 4.5, 4.5, 2.5, "vehicle"),
+                                  SceneObject("circle", 15.2, 7.7, 2.8, "person")),
+                         colors={c: v["color"] for c, v in SCENE_CLASSES.items()},
+                         heats={c: v["heat"] for c, v in SCENE_CLASSES.items()},
+                         noise_infrared=0.3, illumination=0.4)
+        for variant in (spec, replace(spec, noise_visible=0.3, noise_infrared=0.0)):
+            self.assert_same_samples([gen_scene(variant, seed=2)],
+                                     [self.former_gen_scene(variant, seed=2)])
+
+    def test_uniform_is_numpys_formula(self):
+        draws = np.random.default_rng(8)
+        lows = draws.normal(0.0, 10.0, 200)
+        highs = lows + draws.exponential(5.0, 200) * (draws.random(200) < 0.9)
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        for lo, hi in zip(lows.tolist(), highs.tolist()):
+            assert same_bytes(data._uniform(ours, lo, hi), float(theirs.uniform(lo, hi)))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_pixel_grid_is_read_only(self):
+        yy, xx = data._pixel_grid(12, 20)
+        assert yy.shape == xx.shape == (12, 20)
+        for grid in (yy, xx):
+            with pytest.raises(ValueError):
+                grid[0, 0] = 1.0
+
+
+class TestSmallImages:
+    @pytest.mark.parametrize("hw", [(5, 16), (16, 5), (4, 4)])
+    def test_pairs_need_six_pixels_a_side(self, hw):
+        with pytest.raises(ConfigError, match=f"{hw[1]}x{hw[0]} image .* at least 6"):
+            make_pretrain_pairs(2, seed=0, height=hw[0], width=hw[1])
+
+    @pytest.mark.parametrize("hw", [(7, 16), (16, 7), (6, 6)])
+    def test_probes_need_eight_pixels_a_side(self, hw):
+        with pytest.raises(ConfigError, match=f"{hw[1]}x{hw[0]} image .* at least 8"):
+            make_labeled_scenes(2, seed=0, height=hw[0], width=hw[1])
 
 
 class TestCodecs:
