@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the five-row catastrophic-forgetting grid and print the report.
+"""Run the five-row catastrophic-forgetting grid and print the report,
+through the CLI's forget subcommand.
 
 Rows: (a) frozen baseline, (b) full fine-tune without the intra-visible
 term, (c) full fine-tune with it, (d) adapters without it, (e) adapters
@@ -7,10 +8,11 @@ with it. Probe accuracies are medians over seeds.
 """
 
 import argparse
+import sys
+import tempfile
+from pathlib import Path
 
-from irvis.encoder import EncoderConfig
-from irvis.lora import LoraConfig
-from irvis.training import TrainConfig, forgetting_experiment
+from irvis.cli import main as cli_main
 
 
 def main():
@@ -22,19 +24,13 @@ def main():
     ap.add_argument("--probe", type=int, default=32)
     args = ap.parse_args()
 
-    enc_cfg = EncoderConfig(seed=7)
-    cfg = TrainConfig(epochs=args.epochs, warmup_epochs=1, base_lr=args.lr,
-                      batch_size=4, lora=LoraConfig(), seed=0)
-    report = forgetting_experiment(enc_cfg, cfg, seeds=tuple(range(args.seeds)),
-                                   n_pairs=args.pairs, n_probe=args.probe)
-    print(f"{'row':<4} {'vv-term':<8} {'adapters':<9} {'trainable':>10} "
-          f"{'visible':>8} {'infrared':>9}")
-    for r in report:
-        print(f"({r['row']})  {'yes' if r['uses_vv'] else 'no':<8} "
-              f"{'yes' if r['uses_lora'] else 'no':<9} "
-              f"{r['trainable_params']:>10} {r['visible_probe']:>8.4f} "
-              f"{r['infrared_probe']:>9.4f}")
+    with tempfile.TemporaryDirectory() as d:
+        cfg = Path(d) / "forget.cfg"
+        cfg.write_text(f"epochs={args.epochs}\nwarmup_epochs=1\nbase_lr={args.lr!r}\n"
+                       f"batch_size=4\ngrid_seeds={args.seeds}\nn_pairs={args.pairs}\n"
+                       f"n_probe={args.probe}\n")
+        return cli_main(["forget", "--config", str(cfg)])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

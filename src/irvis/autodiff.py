@@ -429,9 +429,9 @@ def linear(x: Tensor, w: Tensor | None, b: Tensor | None, lora=None) -> Tensor:
 
     ``lora`` is ``(A, B, scale, mask)``, the low-rank adapter branch, or
     ``None`` for no branch; ``mask`` (x's shape) is the dropout mask, already
-    divided by the keep probability, or ``None`` to keep every input.  ``w``
-    and ``b`` may each be ``None`` for an absent term; ``w`` and ``lora`` may
-    not both be.  The terms are summed in that order.
+    divided by the keep probability, or ``None`` to keep every input.  Absent
+    terms are ``None``: either ``w`` with an optional ``b``, or neither, and
+    then ``lora`` alone.  The terms are summed in that order.
     """
     A, B, scale, mask = lora if lora is not None else (None, None, None, None)
     k = x.shape[-1] if x.data.ndim else None
@@ -439,7 +439,7 @@ def linear(x: Tensor, w: Tensor | None, b: Tensor | None, lora=None) -> Tensor:
         B.shape[0] if lora is not None and B.data.ndim == 2 else None)
     if (d is None or x.data.ndim < 2
             or (w is not None and w.shape != (k, d))
-            or (b is not None and b.shape != (d,))
+            or (b is not None and (w is None or b.shape != (d,)))
             or (lora is not None and (A.data.ndim != 2 or A.shape[1] != k
                                       or B.shape != (d, A.shape[0])
                                       or (mask is not None and mask.shape != x.shape)))):
@@ -455,12 +455,7 @@ def linear(x: Tensor, w: Tensor | None, b: Tensor | None, lora=None) -> Tensor:
         xm = x.data if mask is None else x.data * mask
         h = xm @ A.data.T
         branch = (h @ B.data.T) * scale
-        if w is not None:
-            data += branch
-        elif b is not None:
-            data = b.data + branch
-        else:
-            data = branch
+        data = branch if w is None else np.add(data, branch, out=data)
 
     def backward(g):
         g2 = g.reshape(-1, d)

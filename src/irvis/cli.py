@@ -25,8 +25,8 @@ from .encoder import encode  # noqa: F401  (benchmark wraps cli.encode)
 from .encoder import init_params  # noqa: F401  (benchmark wraps cli.init_params)
 from .errors import (ConfigError, DataError, DegenerateInputError, NumericError,
                      ShapeMismatchError)
-from .lora import (DEFAULT_TARGETS, LoraAdapter, LoraConfig, adapter_tensors,
-                   forward_adapted, merge)
+from .lora import (LoraConfig, adapter_tensors, adapters_from_tensors, forward_adapted,
+                   merge)
 from .pccl import similarity
 from .pccl import pseudo_labels  # noqa: F401  (benchmark wraps cli.pseudo_labels)
 from .training import (TrainConfig, forgetting_experiment, frozen_teacher,
@@ -49,34 +49,34 @@ def _flag(raw: str) -> bool:
 
 _SCHEMA: dict[str, tuple] = {
     # encoder
-    "image_size": (int, 16),
-    "patch_size": (int, 4),
-    "channels": (int, 3),
-    "depth": (int, 2),
-    "dim": (int, 32),
-    "heads": (int, 4),
-    "mlp_ratio": (int, 4),
+    "image_size": (int, EncoderConfig.image_size),
+    "patch_size": (int, EncoderConfig.patch_size),
+    "channels": (int, EncoderConfig.channels),
+    "depth": (int, EncoderConfig.depth),
+    "dim": (int, EncoderConfig.dim),
+    "heads": (int, EncoderConfig.heads),
+    "mlp_ratio": (int, EncoderConfig.mlp_ratio),
     "model_seed": (int, 7),
     # training
-    "epochs": (int, 4),
-    "warmup_epochs": (int, 1),
-    "base_lr": (float, 1.5e-4),
-    "weight_decay": (float, 0.05),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "batch_size": (int, 4),
-    "tau": (float, 0.04),
-    "gamma": (float, 0.6),
-    "alpha": (float, 1.0),
-    "beta": (float, 1.0),
-    "loss_kind": (str, "pccl"),
-    "seed": (int, 0),
+    "epochs": (int, TrainConfig.epochs),
+    "warmup_epochs": (int, TrainConfig.warmup_epochs),
+    "base_lr": (float, TrainConfig.base_lr),
+    "weight_decay": (float, TrainConfig.weight_decay),
+    "beta1": (float, TrainConfig.betas[0]),
+    "beta2": (float, TrainConfig.betas[1]),
+    "batch_size": (int, TrainConfig.batch_size),
+    "tau": (float, TrainConfig.tau),
+    "gamma": (float, TrainConfig.gamma),
+    "alpha": (float, TrainConfig.alpha),
+    "beta": (float, TrainConfig.beta),
+    "loss_kind": (str, TrainConfig.loss_kind),
+    "seed": (int, TrainConfig.seed),
     # lora
     "lora_enabled": (_flag, False),
-    "lora_rank": (int, 8),
-    "lora_alpha": (float, 32.0),
-    "lora_dropout": (float, 0.1),
-    "lora_targets": (lambda s: tuple(t for t in s.split(",") if t), DEFAULT_TARGETS),
+    "lora_rank": (int, LoraConfig.rank),
+    "lora_alpha": (float, LoraConfig.alpha),
+    "lora_dropout": (float, LoraConfig.dropout),
+    "lora_targets": (lambda s: tuple(t for t in s.split(",") if t), LoraConfig.target_modules),
     # data
     "manifest": (str, ""),
     "n_pairs": (int, 24),
@@ -179,13 +179,17 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _run_one(enc: EncoderConfig, cfg: TrainConfig, samples, metrics_path=os.devnull):
-    """Shared pretraining body: returns (teacher, state, best_params)."""
+def cmd_pretrain(args) -> int:
+    v = parse_config(args.config)
+    enc, cfg = build_configs(v)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    samples = _load_samples(v, enc)
     teacher = frozen_teacher(enc)
     state = student_state(teacher, cfg.lora, seed=cfg.seed)
     best_loss, best_params = float("inf"), _params_copy(state.params)
     # one flushed line per step, so a run that fails keeps its finite steps
-    with open(metrics_path, "w") as log:
+    with open(out / "metrics.jsonl", "w") as log:
         def on_step(metrics):
             nonlocal best_loss, best_params
             log.write(json.dumps(metrics) + "\n")
@@ -194,17 +198,6 @@ def _run_one(enc: EncoderConfig, cfg: TrainConfig, samples, metrics_path=os.devn
                 best_loss, best_params = metrics["loss"], _params_copy(state.params)
 
         run_training(samples, teacher, state, enc, cfg, on_step)
-    return teacher, state, best_params
-
-
-def cmd_pretrain(args) -> int:
-    v = parse_config(args.config)
-    enc, cfg = build_configs(v)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    samples = _load_samples(v, enc)
-    teacher, state, best_params = _run_one(enc, cfg, samples,
-                                           metrics_path=out / "metrics.jsonl")
     tensorio.write_checkpoint(out / "teacher.ckpt", _params_copy(teacher))
     # the student starts as a byte-identical copy of the teacher
     tensorio.write_checkpoint(out / "initial.ckpt", _params_copy(teacher))
@@ -231,10 +224,12 @@ def cmd_ablate(args) -> int:
     probe_samples, probe_labels = make_labeled_scenes(
         v["n_probe"], seed=1000 + v["seed"],
         height=enc.image_size, width=enc.image_size)
+    teacher = frozen_teacher(enc)
     rows = []
     for label, kind in (("L_MSE", "mse"), ("L_NCE", "nce"), ("L_PCCL", "pccl")):
         cfg = replace(base_cfg, loss_kind=kind)
-        _, state, _ = _run_one(enc, cfg, samples)
+        state = student_state(teacher, cfg.lora, seed=cfg.seed)
+        run_training(samples, teacher, state, enc, cfg)
         rows.append((label, state.log[-1]["loss"],
                      *probe_accuracies(state, probe_samples, probe_labels, enc)))
     print(f"{'loss':<8} {'final':>12} {'visible_probe':>14} {'infrared_probe':>15}")
@@ -264,20 +259,15 @@ def cmd_forget(args) -> int:
 def cmd_merge(args) -> int:
     params = tensorio.read_checkpoint(args.checkpoint)
     named, meta = tensorio.read_adapter_checkpoint(args.adapters)
-    targets = sorted({n.rsplit(".lora_", 1)[0] for n in named})
-    rank = int(meta["rank"])
+    adapters = adapters_from_tensors(named, int(meta["rank"]), meta["alpha"],
+                                     meta["dropout"])
     rng = np.random.default_rng(0)
     merged = dict(params)
     worst = 0.0
-    for target in targets:
+    for target, adapter in adapters.items():
         wname = f"{target}.weight"
         if wname not in params:
             raise ConfigError(f"adapter target {target!r} not found in checkpoint")
-        a, b = named.get(f"{target}.lora_A"), named.get(f"{target}.lora_B")
-        if a is None or b is None or a.shape[:1] != (rank,) or b.shape[1:] != (rank,):
-            raise DataError(f"adapter {target!r} lacks rank-{rank} lora_A and lora_B")
-        adapter = LoraAdapter(B=Tensor(b), A=Tensor(a), rank=rank,
-                              alpha=meta["alpha"], dropout_p=meta["dropout"])
         w = Tensor(params[wname])
         w_star = merge(w, adapter)
         merged[wname] = w_star.data
@@ -287,7 +277,7 @@ def cmd_merge(args) -> int:
             single = check_finite(x @ w_star, "merged forward")
             worst = max(worst, float(np.abs(two_path.data - single.data).max()))
     tensorio.write_checkpoint(args.out, merged)
-    print(f"merged {len(targets)} adapters; max two-path vs merged diff {worst:.3e}")
+    print(f"merged {len(adapters)} adapters; max two-path vs merged diff {worst:.3e}")
     return 0
 
 

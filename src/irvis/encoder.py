@@ -111,16 +111,15 @@ def patchify(img: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
 
 
 def _linear(x: Tensor, params: dict[str, Tensor], name: str, adapters, rng) -> Tensor:
-    lora = None
-    if adapters is not None and name in adapters:
-        lora = adapters[name].branch(x, rng)
+    lora = adapters[name].branch(x, rng) if adapters and name in adapters else None
     return ad.linear(x, params[f"{name}.weight"], params[f"{name}.bias"], lora)
 
 
 def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
-           adapters=None, rng: np.random.Generator | None = None) -> EncoderOutput:
-    """Forward pass; pure in (img, params), deterministic unless ``rng`` is
-    passed, which makes the adapters' dropout live.
+           adapters=None, rng=None) -> EncoderOutput:
+    """Forward pass; pure in (img, params), deterministic unless ``rng``, a
+    training step's pre-drawn mask block (``LoraAdapter.branch``), is passed,
+    which makes the adapters' dropout live.
 
     ``img`` is one (C, H, W) image or a (B, C, H, W) batch; a batch gives
     features (B, N, dim) and attention maps (B, N, N).

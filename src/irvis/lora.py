@@ -18,17 +18,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import trunc_normal
-from .errors import ConfigError, ShapeMismatchError
-
-DEFAULT_TARGETS = ("qkv", "proj", "fc1", "fc2", "patch_embed")
-
+from .errors import ConfigError, DataError, ShapeMismatchError
 
 @dataclass(frozen=True)
 class LoraConfig:
     rank: int = 8
     alpha: float = 32.0
     dropout: float = 0.1
-    target_modules: tuple[str, ...] = DEFAULT_TARGETS
+    target_modules: tuple[str, ...] = ("qkv", "proj", "fc1", "fc2", "patch_embed")
 
     def __post_init__(self):
         if not self.rank >= 1:
@@ -50,30 +47,25 @@ def dropout_mask(u: np.ndarray, p: float) -> np.ndarray:
 @dataclass
 class LoraAdapter:
     B: Tensor  # (d, r), zero at init
-    A: Tensor  # (r, k), Gaussian at init
-    rank: int
+    A: Tensor  # (r, k), Gaussian at init; its rows are the rank
     alpha: float
     dropout_p: float = 0.0
 
     @property
     def scaling(self) -> float:
-        return self.alpha / self.rank
+        return self.alpha / self.A.shape[0]
 
     def branch(self, x: Tensor, rng=None) -> tuple:
         """``(A, B, scale, mask)``: the operands of this adapter's branch on
-        ``x`` for ``ad.linear``.  Dropout is live iff ``rng`` is passed.  A
-        ``np.random.Generator`` gives the ``dropout_mask`` of one
-        ``rng.random(x.shape)`` draw; any other ``rng`` gives its own
-        ``rng.dropout_mask(x.shape, p)``, masks drawn ahead for a whole step."""
+        ``x`` for ``ad.linear``.  Dropout is live iff ``rng`` is passed: the
+        mask is ``rng.dropout_mask(x.shape, p)``, cut from the uniforms a
+        training step draws ahead for all its adapters."""
         mask = None
         if rng is not None and self.dropout_p > 0.0:
-            if isinstance(rng, np.random.Generator):
-                mask = dropout_mask(rng.random(x.shape), self.dropout_p)
-            else:
-                mask = rng.dropout_mask(x.shape, self.dropout_p)
+            mask = rng.dropout_mask(x.shape, self.dropout_p)
         return self.A, self.B, self.scaling, mask
 
-    def delta(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+    def delta(self, x: Tensor, rng=None) -> Tensor:
         """Adapter branch (alpha/r) * drop(x) A^T B^T alone."""
         return ad.linear(x, None, None, self.branch(x, rng))
 
@@ -133,7 +125,6 @@ def attach(params: dict[str, Tensor], cfg: LoraConfig,
         adapters[target] = LoraAdapter(
             B=Tensor(np.zeros((d, cfg.rank)), requires_grad=True),
             A=Tensor(trunc_normal(rng, (cfg.rank, k)), requires_grad=True),
-            rank=cfg.rank,
             alpha=cfg.alpha,
             dropout_p=cfg.dropout,
         )
@@ -151,6 +142,25 @@ def adapter_tensors(adapters: dict[str, LoraAdapter]) -> dict[str, Tensor]:
         out[f"{target}.lora_A"] = a.A
         out[f"{target}.lora_B"] = a.B
     return out
+
+
+def adapters_from_tensors(named: dict[str, np.ndarray], rank: int, alpha: float,
+                          dropout: float) -> dict[str, LoraAdapter]:
+    """The inverse of ``adapter_tensors``.  ``DataError`` unless each
+    ``<target>`` has a ``lora_A`` (rank, k) and a ``lora_B`` (d, rank), and
+    no other name is present."""
+    adapters: dict[str, LoraAdapter] = {}
+    for target in sorted({name.rsplit(".lora_", 1)[0] for name in named}):
+        a, b = named.get(f"{target}.lora_A"), named.get(f"{target}.lora_B")
+        if (a is None or b is None or a.ndim != 2 or b.ndim != 2
+                or (a.shape[0], b.shape[1]) != (rank, rank)):
+            raise DataError(f"adapter {target!r} lacks rank-{rank} lora_A and lora_B")
+        adapters[target] = LoraAdapter(B=Tensor(b), A=Tensor(a), alpha=alpha,
+                                       dropout_p=dropout)
+    extra = sorted(set(named) - set(adapter_tensors(adapters)))
+    if extra:
+        raise DataError(f"unexpected adapter tensors {extra}")
+    return adapters
 
 
 def _gini(values: np.ndarray) -> float:

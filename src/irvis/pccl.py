@@ -47,9 +47,10 @@ def pseudo_labels(attention: np.ndarray | Tensor, gamma: float) -> PseudoLabelMa
         raise ShapeMismatchError(f"attention must be square, got {a.shape}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
-    row_err = np.abs(a.sum(axis=-1) - 1.0)
-    if np.any(a < 0.0) or np.any(row_err > ROW_SUM_TOL):
-        bad = np.unravel_index(np.argmax(row_err), row_err.shape)
+    # written so that NaN fails the checks too
+    ok = np.all(a >= 0.0, axis=-1) & (np.abs(a.sum(axis=-1) - 1.0) <= ROW_SUM_TOL)
+    if not ok.all():
+        bad = np.unravel_index(np.argmin(ok), ok.shape)
         where = ", ".join(str(int(i)) for i in bad)
         raise DegenerateInputError(
             f"attention rows must be stochastic; row {where} sums to {a[bad].sum():.9f}"

@@ -248,7 +248,7 @@ class TestLoraDelta:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_equals_unfused_chain(self, masked):
-        for lead, terms in itertools.product([(), (2,)], ["", "w", "b", "wb"]):
+        for lead, terms in itertools.product([(), (2,)], ["", "w", "wb"]):
             rng = np.random.default_rng(15)
             shapes = {"x": lead + (3, 6), "w": (6, 4), "b": (4,), "A": (2, 6), "B": (4, 2)}
             values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
@@ -293,6 +293,11 @@ class TestLoraDelta:
                 ad.linear(x, w, None, bad)
         with pytest.raises(ShapeMismatchError):
             ad.linear(x, None, Tensor(np.zeros(4)))  # no term fixes the width
+
+    def test_bias_without_weight_raises(self):
+        x, a, b = (Tensor(np.zeros(s)) for s in ((3, 6), (2, 6), (4, 2)))
+        with pytest.raises(ShapeMismatchError, match=r"None \+ \(4,\) \+ lora"):
+            ad.linear(x, None, Tensor(np.zeros(4)), (a, b, 1.0, None))
 
 
 class TestCosineRows:

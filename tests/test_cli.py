@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irvis import tensorio, training
-from irvis.cli import main, parse_config
+from irvis.cli import build_configs, main, parse_config
 from irvis.data import (SCENE_CLASSES, make_pretrain_pairs, read_manifest, read_pgm,
                         read_ppm)
 from irvis.encoder import EncoderConfig, init_params
+from irvis.lora import LoraConfig
 
 
 def write_config(path, **overrides):
@@ -207,6 +208,17 @@ class TestPretrain:
                               "--out", str(tmp_path / "run"))
         assert code == 0
         assert "config: seed=11" in stdout
+
+
+class TestDefaults:
+    def test_empty_config_builds_the_class_defaults(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("UNIV_SEED", raising=False)
+        (tmp_path / "empty.cfg").write_text("")
+        (tmp_path / "lora.cfg").write_text("lora_enabled=true\n")
+        assert build_configs(parse_config(tmp_path / "empty.cfg")) == \
+            (EncoderConfig(seed=7), training.TrainConfig())
+        _, cfg = build_configs(parse_config(tmp_path / "lora.cfg"))
+        assert cfg == training.TrainConfig(lora=LoraConfig())
 
 
 class TestConfigRanges:

@@ -3,16 +3,23 @@ import pytest
 
 from irvis.autodiff import Tensor
 from irvis.encoder import EncoderConfig, encode, init_params
-from irvis.errors import ConfigError, ShapeMismatchError
-from irvis.lora import (LoraAdapter, LoraConfig, adapter_tensors, attach,
-                        forward_adapted, merge, sparsity_report, unmerge)
+from irvis.errors import ConfigError, DataError, ShapeMismatchError
+from irvis.lora import (LoraAdapter, LoraConfig, adapter_tensors, adapters_from_tensors,
+                        attach, forward_adapted, merge, sparsity_report, unmerge)
+from irvis.training import _RowDraws
 
 
 def make_adapter(rng, k=16, d=24, rank=4, alpha=8.0, zero_b=False, dropout=0.0):
     b = np.zeros((d, rank)) if zero_b else rng.normal(size=(d, rank))
     return LoraAdapter(B=Tensor(b, requires_grad=True),
                        A=Tensor(rng.normal(size=(rank, k)), requires_grad=True),
-                       rank=rank, alpha=alpha, dropout_p=dropout)
+                       alpha=alpha, dropout_p=dropout)
+
+
+def drawn_block(seed, shape):
+    """A step's pre-drawn block for inputs of ``shape``: one row per leading
+    entry, the same uniforms in C order as ``default_rng(seed).random(shape)``."""
+    return _RowDraws(np.random.default_rng(seed).random((shape[0], np.prod(shape[1:]))))
 
 
 class TestForward:
@@ -33,11 +40,11 @@ class TestForward:
         assert np.array_equal(a.data, b.data)
 
     def test_training_mask_scaled_by_keep_probability(self):
-        # one rng.random(x.shape) draw; kept inputs are scaled by 1/(1-p)
+        # the block's draws, taken in C order; kept inputs are scaled by 1/(1-p)
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
         adapter = make_adapter(rng, dropout=0.25)
-        out = adapter.delta(x, rng=np.random.default_rng(3))
+        out = adapter.delta(x, rng=drawn_block(3, x.shape))
         mask = (np.random.default_rng(3).random(x.shape) >= 0.25) / (1.0 - 0.25)
         a, b = adapter.A.data, adapter.B.data
         want = (x.data * mask) @ a.T @ b.T * adapter.scaling
@@ -47,6 +54,12 @@ class TestForward:
         row = adapter.scaling * np.ones(b.shape[0]) @ b @ a
         assert np.abs(x.grad - mask * row).max() <= 1e-12
         assert 0.0 < (mask == 0.0).mean() < 1.0
+
+    def test_scaling_reads_the_rank_from_a(self):
+        adapter = make_adapter(np.random.default_rng(13), rank=3, alpha=6.0)
+        assert adapter.scaling == 2.0
+        adapter.A = Tensor(np.zeros((4, 16)))
+        assert adapter.scaling == 1.5
 
     def test_two_path_equals_merged_product(self):
         rng = np.random.default_rng(2)
@@ -126,8 +139,9 @@ class TestAttach:
         first, second = (encode(img, params, toy_cfg, adapters=adapters).features.data
                          for _ in range(2))
         assert np.array_equal(first, second)
+        width = toy_cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
         dropped = encode(img, params, toy_cfg, adapters=adapters,
-                         rng=np.random.default_rng(2)).features.data
+                         rng=drawn_block(2, (2, width))).features.data
         assert not np.array_equal(first, dropped)
 
     def test_adapter_param_arithmetic(self, toy_cfg):
@@ -173,6 +187,29 @@ class TestAttach:
                 expect += 4 * (t.shape[0] + t.shape[1])
         assert trainable == expect
         assert trainable / total < 0.10
+
+
+class TestRebuild:
+    def named(self, toy_cfg):
+        adapters = attach(init_params(toy_cfg), LoraConfig(rank=4), seed=0)
+        return {name: t.data for name, t in adapter_tensors(adapters).items()}
+
+    def test_missing_lora_b(self, toy_cfg):
+        named = self.named(toy_cfg)
+        del named["blocks.1.fc1.lora_B"]
+        with pytest.raises(DataError, match="'blocks.1.fc1' lacks rank-4"):
+            adapters_from_tensors(named, 4, 32.0, 0.1)
+
+    @pytest.mark.parametrize("rank", [3, 5])
+    def test_header_rank_differs_from_a(self, toy_cfg, rank):
+        with pytest.raises(DataError, match=f"lacks rank-{rank}"):
+            adapters_from_tensors(self.named(toy_cfg), rank, 32.0, 0.1)
+
+    def test_unexpected_name(self, toy_cfg):
+        named = self.named(toy_cfg)
+        named["blocks.0.qkv.lora_C"] = np.zeros((4, 32))
+        with pytest.raises(DataError, match="unexpected adapter tensors"):
+            adapters_from_tensors(named, 4, 32.0, 0.1)
 
 
 class TestSparsityReport:

@@ -122,6 +122,21 @@ class TestPseudoLabels:
             with pytest.raises(ValueError):
                 pseudo_labels(a, gamma)
 
+    def test_nan_or_negative_row_named(self):
+        # every comparison with NaN is False, so the checks must pass on truth
+        a = np.full((4, 4), 0.25)
+        a[1] = np.nan
+        with pytest.raises(DegenerateInputError, match="row 1 sums to nan"):
+            pseudo_labels(a, 0.6)
+        a = np.full((2, 4, 4), 0.25)
+        a[1, 2, 3] = np.nan
+        with pytest.raises(DegenerateInputError, match="row 1, 2 "):
+            pseudo_labels(a, 0.6)
+        a = np.full((4, 4), 0.25)
+        a[2] = [0.5, -0.25, 0.5, 0.25]  # sums to 1
+        with pytest.raises(DegenerateInputError, match="row 2 sums to 1.0"):
+            pseudo_labels(a, 0.6)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6),
            st.sampled_from([0.3, 0.45, 0.6, 0.9]))

@@ -11,7 +11,7 @@ from irvis import pccl, tensorio
 from irvis.autodiff import grad_check
 from irvis.encoder import EncoderConfig, encode
 from irvis.errors import ConfigError, DataError, NumericError
-from irvis.lora import LoraAdapter, LoraConfig
+from irvis.lora import LoraAdapter, LoraConfig, dropout_mask
 from irvis.training import (LOSS_KINDS, TrainConfig, _adamw_update,
                             forgetting_experiment,
                             frozen_teacher, linear_probe, lr_at,
@@ -245,11 +245,22 @@ class TestTrainStep:
         assert last < 0.5 * first
 
 
+class SequentialDraws:
+    """Dropout masks drawn one at a time from a generator, each of its input's
+    shape: the per-pass rule that the step's pre-drawn block replaces."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def dropout_mask(self, shape, p):
+        return dropout_mask(self.rng.random(shape), p)
+
+
 def reference_train_step(state, batch, teacher, enc_cfg, cfg):
     """The step as one forward pass per image: per pair the teacher, then the
     infrared and the visible student pass, each drawing its own dropout masks
     from the step's generator; the loss averages the per-pair losses."""
-    rng = np.random.default_rng(cfg.seed + state.step)
+    rng = SequentialDraws(np.random.default_rng(cfg.seed + state.step))
     term = pccl.LOSSES[cfg.loss_kind]
     l_iv = l_vv = 0.0
     for sample in batch:
@@ -468,8 +479,8 @@ class TestStepBuffers:
     def test_whole_block_masks_equal_the_rule_per_segment(self):
         shapes = [(6, 16, 48)] + [(6, 16, k) for _ in range(2) for k in (32, 32, 32, 128)]
         probs = [0.1, 0.3, 0.1, 1 / 3, 0.1, 0.7, 0.999, 0.1, 0.5]
-        adapters = [LoraAdapter(B=None, A=None, rank=1, alpha=1.0, dropout_p=p)
-                    for p in probs]
+        adapters = [LoraAdapter(B=None, A=ad.Tensor(np.zeros((1, s[-1]))), alpha=1.0,
+                                dropout_p=p) for s, p in zip(shapes, probs, strict=True)]
         rng = np.random.default_rng(6)
         block = rng.random((6, sum(math.prod(s[1:]) for s in shapes)))
         draws = training._RowDraws(block)
@@ -480,10 +491,6 @@ class TestStepBuffers:
             width = math.prod(shape[1:])
             u = block[:, col:col + width].reshape(shape)
             col += width
-            assert same_bytes(mask, (u >= a.dropout_p) / (1.0 - a.dropout_p)), shape
-            # a plain generator keeps its one draw of the input's shape
-            mask = a.branch(x, np.random.default_rng(col))[3]
-            u = np.random.default_rng(col).random(shape)
             assert same_bytes(mask, (u >= a.dropout_p) / (1.0 - a.dropout_p)), shape
 
 
