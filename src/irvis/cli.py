@@ -220,6 +220,8 @@ def cmd_pretrain(args) -> int:
 def cmd_ablate(args) -> int:
     v = parse_config(args.config)
     enc, base_cfg = build_configs(v)
+    if base_cfg.epochs == 0:  # checked before any scene or teacher is built
+        raise ConfigError("ablate compares final losses, so it needs epochs >= 1")
     samples = _load_samples(v, enc)
     probe_samples, probe_labels = make_labeled_scenes(
         v["n_probe"], seed=1000 + v["seed"],
@@ -241,8 +243,7 @@ def cmd_ablate(args) -> int:
 def cmd_forget(args) -> int:
     v = parse_config(args.config)
     enc, cfg = build_configs(v)
-    if cfg.lora is None:  # grid rows d and e train adapters either way
-        cfg = replace(cfg, lora=_lora_config(v))
+    cfg = replace(cfg, lora=_lora_config(v))  # rows d and e train adapters either way
     seeds = tuple(range(v["grid_seeds"]))
     report = forgetting_experiment(enc, cfg, seeds=seeds,
                                    n_pairs=v["n_pairs"], n_probe=v["n_probe"])

@@ -119,9 +119,10 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 
 def write_adapter_checkpoint(path, named: dict[str, np.ndarray],
                              rank: int, alpha: float, dropout: float) -> None:
-    """Adapter container: plain-text header then a checkpoint blob."""
-    header = f"rank={rank}\nalpha={alpha:g}\ndropout={dropout:g}\n\n".encode("ascii")
-    _write_atomic(path, header + checkpoint_bytes(named))
+    """Adapter container: plain-text header, its floats in ``repr`` so they
+    read back exactly, then a checkpoint blob."""
+    header = f"rank={rank}\nalpha={float(alpha)!r}\ndropout={float(dropout)!r}\n\n"
+    _write_atomic(path, header.encode("ascii") + checkpoint_bytes(named))
 
 
 def read_adapter_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:

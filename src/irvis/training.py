@@ -365,37 +365,32 @@ GRID_ROWS = (
 def forgetting_experiment(enc_cfg: EncoderConfig, cfg: TrainConfig,
                           seeds=(0, 1, 2, 3, 4), n_pairs: int = 24,
                           n_probe: int = 32) -> list[dict]:
-    """Run the five-row loss/adapter grid and report median probe accuracies."""
+    """Run the five-row loss/adapter grid, whose rows share each seed's one set
+    of pairs and probe scenes, and report median probe accuracies."""
     if not seeds:
         raise ConfigError("the forgetting grid needs at least one seed")
     teacher = frozen_teacher(enc_cfg)
-    report = []
-    for row_name, row in GRID_ROWS:
-        vis_scores, ir_scores = [], []
-        trainable = 0
-        for seed in seeds:
+    size = dict(height=enc_cfg.image_size, width=enc_cfg.image_size)
+    scores = {row_name: [] for row_name, _ in GRID_ROWS}
+    trainable = {row_name: 0 for row_name, _ in GRID_ROWS}
+    for seed in seeds:
+        # probes first: an image too small for both names the probes' larger minimum
+        probes = make_labeled_scenes(n_probe, seed=1000 + seed, **size)
+        pairs = make_pretrain_pairs(n_pairs, seed=cfg.seed + seed, **size)
+        for row_name, row in GRID_ROWS:
             lora = (cfg.lora or LoraConfig()) if row["use_lora"] else None
             run_cfg = replace(cfg, seed=cfg.seed + seed,
                               beta=cfg.beta if row["use_vv"] else 0.0, lora=lora)
-            state = student_state(teacher, run_cfg.lora, seed=run_cfg.seed)
+            state = student_state(teacher, lora, seed=run_cfg.seed)
             if row["train"]:
-                pairs = make_pretrain_pairs(n_pairs, seed=run_cfg.seed,
-                                            height=enc_cfg.image_size,
-                                            width=enc_cfg.image_size)
                 run_training(pairs, teacher, state, enc_cfg, run_cfg)
-            trainable = sum(t.size for t in trainable_map(state).values())
-            probes = make_labeled_scenes(n_probe, seed=1000 + seed,
-                                         height=enc_cfg.image_size,
-                                         width=enc_cfg.image_size)
-            vis, ir = probe_accuracies(state, *probes, enc_cfg)
-            vis_scores.append(vis)
-            ir_scores.append(ir)
-        report.append({
-            "row": row_name,
-            "uses_vv": row["use_vv"],
-            "uses_lora": row["use_lora"],
-            "trainable_params": trainable if row["train"] else 0,
-            "visible_probe": float(np.median(vis_scores)),
-            "infrared_probe": float(np.median(ir_scores)),
-        })
-    return report
+                trainable[row_name] = sum(t.size for t in trainable_map(state).values())
+            scores[row_name].append(probe_accuracies(state, *probes, enc_cfg))
+    return [{
+        "row": row_name,
+        "uses_vv": row["use_vv"],
+        "uses_lora": row["use_lora"],
+        "trainable_params": trainable[row_name],
+        "visible_probe": float(np.median([vis for vis, _ in scores[row_name]])),
+        "infrared_probe": float(np.median([ir for _, ir in scores[row_name]])),
+    } for row_name, row in GRID_ROWS]

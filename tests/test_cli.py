@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irvis import tensorio, training
+from irvis.autodiff import Tensor
 from irvis.cli import build_configs, main, parse_config
 from irvis.data import (SCENE_CLASSES, make_pretrain_pairs, read_manifest, read_pgm,
                         read_ppm)
 from irvis.encoder import EncoderConfig, init_params
-from irvis.lora import LoraConfig
+from irvis.lora import LoraConfig, adapters_from_tensors, merge
 
 
 def write_config(path, **overrides):
@@ -362,6 +363,18 @@ class TestAblate:
             assert np.isfinite(float(final))
             assert 0.0 <= float(vp) <= 1.0 and 0.0 <= float(ip) <= 1.0
 
+    def test_epochs_zero_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a scene or a teacher")
+
+        for name in ("frozen_teacher", "make_pretrain_pairs", "make_labeled_scenes"):
+            monkeypatch.setattr(f"irvis.cli.{name}", no_work)
+        cfgfile = write_config(tmp_path / "c.cfg", epochs=0, warmup_epochs=0,
+                               n_pairs=4, n_probe=4)
+        code, _, err = run(capsys, "ablate", "--config", str(cfgfile))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "epochs" in err
+
 
 class TestForget:
     def test_smoke_five_rows(self, tmp_path, capsys):
@@ -372,6 +385,13 @@ class TestForget:
         assert code == 0
         rows = [l for l in stdout.splitlines() if l.startswith("(")]
         assert [r[:3] for r in rows] == ["(a)", "(b)", "(c)", "(d)", "(e)"]
+
+    def test_epochs_zero_exit_0(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path / "c.cfg", epochs=0, warmup_epochs=0,
+                               n_pairs=4, n_probe=8, grid_seeds=1)
+        code, stdout, _ = run(capsys, "forget", "--config", str(cfgfile))
+        assert code == 0
+        assert len([l for l in stdout.splitlines() if l.startswith("(")]) == 5
 
     def test_adapters_follow_lora_targets_without_lora_enabled(self, tmp_path, capsys):
         trainable = []
@@ -424,6 +444,20 @@ class TestMerge:
         worst = float(stdout.strip().rsplit(" ", 1)[-1])
         assert worst < 1e-10
         assert merged.read_bytes() != (out / "final.ckpt").read_bytes()
+
+    def test_merges_at_the_configured_alpha_exactly(self, tmp_path, capsys):
+        out = self._pretrained(tmp_path, capsys, base_lr=0.01, lora_alpha=32.123456789)
+        merged = tmp_path / "merged.ckpt"
+        code, _, _ = run(capsys, "merge", "--checkpoint", str(out / "final.ckpt"),
+                         "--adapters", str(out / "adapters.ckpt"), "--out", str(merged))
+        assert code == 0
+        params = tensorio.read_checkpoint(out / "final.ckpt")
+        named, _ = tensorio.read_adapter_checkpoint(out / "adapters.ckpt")
+        want = dict(params)
+        for target, adapter in adapters_from_tensors(named, 4, 32.123456789, 0.0).items():
+            want[f"{target}.weight"] = merge(Tensor(params[f"{target}.weight"]),
+                                             adapter).data
+        assert merged.read_bytes() == tensorio.checkpoint_bytes(want)
 
     def test_overflowing_forward_exit_2(self, tmp_path, capsys):
         # finite weights whose products overflow: the two-path and merged

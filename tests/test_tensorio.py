@@ -67,6 +67,19 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     assert "rank=8" in head and "alpha=32" in head
 
 
+def test_adapter_header_floats_round_trip_exactly(tmp_path):
+    path = tmp_path / "adapters.ckpt"
+    named = {"a.lora_A": np.ones((1, 4))}
+    tensorio.write_adapter_checkpoint(path, named, rank=1, alpha=32.123456789,
+                                      dropout=0.123456789)
+    _, meta = tensorio.read_adapter_checkpoint(path)
+    assert meta == {"rank": 1.0, "alpha": 32.123456789, "dropout": 0.123456789}
+    # a numpy scalar writes as the float it holds
+    tensorio.write_adapter_checkpoint(path, named, rank=1, alpha=np.float64(32.0),
+                                      dropout=np.float64(0.1))
+    assert path.read_bytes().startswith(b"rank=1\nalpha=32.0\ndropout=0.1\n\n")
+
+
 WRITERS = {
     "tensor": lambda path: tensorio.write_tensor(path, np.ones((64, 64))),
     "checkpoint": lambda path: tensorio.write_checkpoint(path, {"w": np.ones((64, 64))}),

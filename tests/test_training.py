@@ -577,6 +577,65 @@ class TestForgettingGrid:
             assert 0.0 <= r["visible_probe"] <= 1.0
             assert 0.0 <= r["infrared_probe"] <= 1.0
 
+    @staticmethod
+    def row_major_grid(enc_cfg, cfg, seeds, n_pairs, n_probe):
+        """The grid as it was written before it became seed-major: rows outside
+        seeds, each seed's pairs and probe scenes rebuilt for every row."""
+        teacher = frozen_teacher(enc_cfg)
+        report = []
+        for row_name, row in training.GRID_ROWS:
+            vis_scores, ir_scores = [], []
+            trainable = 0
+            for seed in seeds:
+                lora = (cfg.lora or LoraConfig()) if row["use_lora"] else None
+                run_cfg = replace(cfg, seed=cfg.seed + seed,
+                                  beta=cfg.beta if row["use_vv"] else 0.0, lora=lora)
+                state = student_state(teacher, run_cfg.lora, seed=run_cfg.seed)
+                if row["train"]:
+                    pairs = make_pretrain_pairs(n_pairs, seed=run_cfg.seed,
+                                                height=enc_cfg.image_size,
+                                                width=enc_cfg.image_size)
+                    run_training(pairs, teacher, state, enc_cfg, run_cfg)
+                trainable = sum(t.size for t in trainable_map(state).values())
+                probes = make_labeled_scenes(n_probe, seed=1000 + seed,
+                                             height=enc_cfg.image_size,
+                                             width=enc_cfg.image_size)
+                vis, ir = training.probe_accuracies(state, *probes, enc_cfg)
+                vis_scores.append(vis)
+                ir_scores.append(ir)
+            report.append({
+                "row": row_name,
+                "uses_vv": row["use_vv"],
+                "uses_lora": row["use_lora"],
+                "trainable_params": trainable if row["train"] else 0,
+                "visible_probe": float(np.median(vis_scores)),
+                "infrared_probe": float(np.median(ir_scores)),
+            })
+        return report
+
+    def test_equals_the_row_major_loop(self, toy_cfg):
+        # cfg.seed = 3: the pairs' seed (3 + seed) differs from the probes' (1000 + seed)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, base_lr=3e-3, batch_size=4,
+                          lora=LoraConfig(rank=4, dropout=0.1), seed=3)
+        args = (toy_cfg, cfg, (0, 1), 6, 8)
+        assert forgetting_experiment(*args) == self.row_major_grid(*args)
+
+    def test_training_and_probes_write_nothing_into_samples(self, toy_cfg):
+        pairs = make_pretrain_pairs(6, seed=2, height=toy_cfg.image_size,
+                                    width=toy_cfg.image_size)
+        probes, labels = make_labeled_scenes(8, seed=1002, height=toy_cfg.image_size,
+                                             width=toy_cfg.image_size)
+        before = [(s.visible.data.copy(), s.infrared.data.copy()) for s in pairs + probes]
+        teacher = frozen_teacher(toy_cfg)
+        for lora in (LoraConfig(rank=4, dropout=0.1), None):
+            cfg = TrainConfig(epochs=2, warmup_epochs=1, base_lr=3e-3, batch_size=4,
+                              lora=lora, seed=2)
+            state = student_state(teacher, lora, seed=cfg.seed)
+            run_training(pairs, teacher, state, toy_cfg, cfg)
+            training.probe_accuracies(state, probes, labels, toy_cfg)
+        for s, (vis, ir) in zip(pairs + probes, before, strict=True):
+            assert same_bytes(s.visible.data, vis) and same_bytes(s.infrared.data, ir)
+
 
 def test_pooled_features_shape(toy_cfg, toy_params):
     samples, _ = make_labeled_scenes(4, seed=1)
