@@ -19,13 +19,18 @@ values enter autodiff (``Tensor`` construction) and where they leave it:
 callers pass results through ``check_finite``, which on a failure walks the
 tape already in memory and names the first op whose output is non-finite.
 
-``gelu`` needs ``erf``, which numpy lacks; ``erf`` here is a table-driven
-float64 kernel built from numpy alone.  At import it tabulates, at the nodes
-k/256 for |x| <= 6, the Taylor coefficients c_0..c_5 of erf: c_0 = erf(x_k),
-and c_j = (2/sqrt(pi)) exp(-x_k^2) (-1)^(j-1) H_(j-1)(x_k) / j! with H the
-physicists' Hermite polynomials.  A call rounds |x| to its nearest node, runs
-Horner in the exact offset, one ``take`` per coefficient, and restores the
-sign with ``copysign``.  It stays within 2 ulp of ``math.erf``.
+``gelu`` needs ``erf``, which numpy lacks; ``erf`` here is a float64 kernel
+built from numpy alone, in two ranges.  For |x| < 0.84375 it is fdlibm's
+rational form erf(x) = x + x P(x^2) / Q(x^2), with P and Q of degree 4 and 5,
+run by Horner with no gathers.  Every other element goes through a table:
+at import it tabulates, at the nodes k/256 for |x| <= 6, the Taylor
+coefficients c_0..c_5 of erf: c_0 = erf(x_k), and
+c_j = (2/sqrt(pi)) exp(-x_k^2) (-1)^(j-1) H_(j-1)(x_k) / j! with H the
+physicists' Hermite polynomials.  There it rounds |x| to its nearest node,
+runs Horner in the exact offset, one ``take`` per coefficient, and restores
+the sign with ``copysign``.  An element's range is its own, so its result
+does not depend on the rest of the array, and both ranges stay within 2 ulp
+of ``math.erf``.
 """
 
 from __future__ import annotations
@@ -61,17 +66,59 @@ def _erf_table() -> tuple[np.ndarray, ...]:
 
 _ERF_COEFFS = _erf_table()
 
+# fdlibm's s_erf.c for |x| < _ERF_SMALL: P's pp0..pp4, and Q's 1, qq1..qq5
+_ERF_SMALL = 0.84375
+_ERF_P = (1.28379167095512558561e-01, -3.25042107247001499370e-01,
+          -2.84817495755985104766e-02, -5.77027029648944159157e-03,
+          -2.37630166566501626084e-05)
+_ERF_Q = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+          5.08130628187576562776e-03, 1.32494738004321644526e-04,
+          -3.96022827877536812320e-06)
+
 
 def erf(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """The error function of ``scale * x``, elementwise, for a float64 array
     ``x`` and ``scale`` > 0.  Scaling here spares a caller the temporary
-    ``scale * x``: |x| * scale rounds exactly as |scale * x| does."""
+    ``scale * x``, and rounds exactly as it does."""
     x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)  # 1-d, so every step below gets an array, not a scalar
-    # u = |scale x| in steps; the exact offset from the nearest node is u - k, and a
-    # power-of-two scale of c_j makes Horner in it round as Horner in |x| - x_k
-    u = np.abs(flat)
-    u *= scale
+    t = np.multiply(x.reshape(-1), scale)  # 1-d, so each step gets an array, not a scalar
+    # one test for the common call: NaN fails both, and 0 lets an empty array pass
+    if t.max(initial=0.0) < _ERF_SMALL and t.min(initial=0.0) > -_ERF_SMALL:
+        return _erf_small(t).reshape(x.shape)
+    # any other call: the table for every element, then the rational form over
+    # those in its range; on an all-tail array, gathering the table's share
+    # out first cost about twice the table itself
+    out = _erf_nodes(t)
+    small = np.abs(t) < _ERF_SMALL
+    out[small] = _erf_small(t[small])
+    return out.reshape(x.shape)
+
+
+def _poly(z: np.ndarray, coeffs) -> np.ndarray:
+    """coeffs[0] + z (coeffs[1] + z (...)), by Horner in one new array."""
+    acc = z * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc *= z
+    acc += coeffs[0]
+    return acc
+
+
+def _erf_small(t: np.ndarray) -> np.ndarray:
+    """erf(t) = t + t P(t^2) / Q(t^2), for a 1-d ``t`` with every |t| < _ERF_SMALL."""
+    z = t * t
+    y = _poly(z, _ERF_P)
+    y /= _poly(z, _ERF_Q)
+    y *= t
+    y += t
+    return y
+
+
+def _erf_nodes(t: np.ndarray) -> np.ndarray:
+    """erf(t) from the node table, for a 1-d ``t`` of any values."""
+    # u = |t| in steps; the exact offset from the nearest node is u - k, and a
+    # power-of-two scale of c_j makes Horner in it round as Horner in |t| - t_k
+    u = np.abs(t)
     np.minimum(u, _ERF_MAX, out=u)  # keeps NaN, which the offset carries on
     u *= _ERF_STEP
     node = u + 0.5
@@ -84,7 +131,7 @@ def erf(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
     for coeff in _ERF_COEFFS[4::-1]:
         p *= offset
         p += coeff.take(k, out=c, mode="clip")  # "raise" would buffer ``out``
-    return np.copysign(p, flat, out=p).reshape(x.shape)
+    return np.copysign(p, t, out=p)
 
 
 def _finite(arr: np.ndarray) -> bool:

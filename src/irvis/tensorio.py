@@ -83,8 +83,9 @@ def _write_atomic(path, data: bytes) -> None:
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_tensor(path, arr: np.ndarray) -> None:

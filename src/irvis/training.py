@@ -277,11 +277,14 @@ def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
     """Epoch loop over seeded shuffled batches; ``on_step(metrics)`` after each step.
 
     The teacher's targets are computed once per call, in ``batch_size`` chunks,
-    so each scene goes through the frozen teacher once however many epochs run.
+    so each scene goes through the frozen teacher once however many epochs run,
+    and not at all when none does.
     """
     samples = list(samples)
     if not samples:
         raise DataError("no training samples")
+    if cfg.epochs == 0:
+        return state
     steps_per_epoch = -(-len(samples) // cfg.batch_size)
     chunks = [teacher_targets(samples[i:i + cfg.batch_size], teacher, enc_cfg, cfg.gamma)
               for i in range(0, len(samples), cfg.batch_size)]

@@ -473,6 +473,34 @@ class TestErf:
                 np.signbit(got), np.signbit(want)), c
 
 
+class TestErfRanges:
+    """``erf`` runs a rational form for |x| < 0.84375 and a node table beyond it."""
+
+    def test_range_edge_within_2_ulp_of_math_erf(self):
+        edge = [0.84375]
+        for toward in (0.0, np.inf):
+            v = 0.84375
+            for _ in range(3):
+                v = np.nextafter(v, toward)
+                edge.append(v)
+        x = np.array(edge + [-v for v in edge])
+        want = np.array([math.erf(v) for v in x])
+        assert ulps(ad.erf(x), want).max() <= 2.0
+
+    @pytest.mark.parametrize("odd", [np.nan, np.inf, -np.inf, 1e308, -1e308, 3.0,
+                                     -0.0, 5e-324])
+    @pytest.mark.parametrize("scale", [1.0, 1.0 / math.sqrt(2.0)])
+    def test_each_element_as_if_alone(self, odd, scale):
+        # without ``odd`` the array takes the rational form throughout; with it,
+        # no element's result, the sign of a zero included, may change
+        x = np.random.default_rng(12).normal(scale=0.3, size=(4, 32)).clip(-0.8, 0.8)
+        x[2, 5] = odd
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = ad.erf(x, scale)
+            alone = np.array([ad.erf(np.array(v), scale) for v in x.ravel()])
+        assert got.tobytes() == alone.tobytes()
+
+
 class TestGradCheck:
     def test_quadratic(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 3)))

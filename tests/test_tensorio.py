@@ -89,6 +89,16 @@ WRITERS = {
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_successful_write_unlinks_nothing(tmp_path, monkeypatch, writer):
+    # the rename consumed the temporary file, so there is nothing to remove
+    unlinked = []
+    monkeypatch.setattr(Path, "unlink", lambda self, missing_ok=False: unlinked.append(self))
+    WRITERS[writer](tmp_path / "out.bin")
+    assert unlinked == []
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
 @pytest.mark.parametrize("failure", ["disk full mid-write", "rename fails"])
 def test_failed_write_keeps_old_file(tmp_path, monkeypatch, writer, failure):
     path = tmp_path / "out.bin"

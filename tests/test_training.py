@@ -318,6 +318,24 @@ class TestBatchedStep:
             run_training(pairs, teacher, student_state(teacher), toy_cfg, cfg)
             assert len(seen) == 6 * run and len(set(seen)) == 6
 
+    def test_no_teacher_pass_when_no_step_runs(self, toy_cfg, monkeypatch):
+        teacher = frozen_teacher(toy_cfg)
+        calls = []
+
+        def counting_encode(img, params, *args, **kwargs):
+            if params is teacher:
+                calls.append(len(img))
+            return encode(img, params, *args, **kwargs)
+
+        monkeypatch.setattr(training, "encode", counting_encode)
+        cfg = TrainConfig(epochs=0, warmup_epochs=0, batch_size=4)
+        state = student_state(teacher)
+        assert run_training(make_pretrain_pairs(8, seed=10), teacher, state, toy_cfg,
+                            cfg) is state
+        assert calls == [] and state.step == 0 and state.log == []
+        with pytest.raises(DataError):  # an empty sample set is still an error
+            run_training([], teacher, state, toy_cfg, cfg)
+
     def test_run_equals_steps_on_per_batch_targets(self, toy_cfg):
         # run_training computes the targets once and slices them by position
         teacher = frozen_teacher(toy_cfg)
