@@ -635,44 +635,31 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     return _make(data, (logits,), backward, "bce_with_logits")
 
 
-def diag_cross_entropy(x: Tensor) -> Tensor:
-    """Row-wise softmax cross-entropy with target class = row index, mean over
-    rows; leading axes are a batch of square matrices, averaged over too."""
-    if x.data.ndim < 2 or x.shape[-1] != x.shape[-2]:
-        raise ShapeMismatchError(f"diag_cross_entropy needs a square matrix, got {x.shape}")
-    n = x.shape[-1]
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
-    data = np.array((lse - np.diagonal(z, axis1=-2, axis2=-1)).mean())
-    rows = lse.size
-
-    def backward(g):
-        p = np.exp(z)
-        p /= p.sum(axis=-1, keepdims=True)
-        x._accumulate(float(g) * (p - np.eye(n)) / rows)
-
-    return _make(data, (x,), backward, "diag_cross_entropy")
-
-
 def masked_softmax_nll(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Per row: negative log of the softmax mass on masked-in positions, mean
-    over rows; leading axes are a batch, averaged over too."""
+    """Softmax cross-entropy on the positives where ``mask`` is nonzero: per row
+    lse(z) - lse(z over the mask), z = x - rowmax, mean over rows; leading axes
+    are a batch, averaged over too.  In log space, positives far below the
+    row's maximum give a finite loss.  An identity mask is InfoNCE."""
     if x.data.ndim < 2 or x.data.shape != mask.shape:
         raise ShapeMismatchError(
             f"masked_softmax_nll shape mismatch: {x.shape} vs {mask.shape}"
         )
-    if not np.all(mask.sum(axis=-1) >= 1):
+    pos = mask != 0
+    if not pos.any(axis=-1).all():
         raise DegenerateInputError("masked_softmax_nll: a row has no selected position")
-    m = mask.astype(np.float64)
     z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    q = (p * m).sum(axis=-1, keepdims=True)
-    data = np.array((-np.log(q)).mean())
-    rows = q.size
+    zp = np.where(pos, z, -np.inf)
+    zm = zp.max(axis=-1, keepdims=True)
+    e, ep = np.exp(z), np.exp(zp - zm)
+    s, sp = e.sum(axis=-1, keepdims=True), ep.sum(axis=-1, keepdims=True)
+    data = np.array((np.log(s) - zm - np.log(sp)).mean())
+    rows = s.size
 
     def backward(g):
-        x._accumulate(float(g) * p * (q - m) / q / rows)
+        # softmax minus the softmax over the positives
+        p = e / s
+        p -= ep / sp
+        x._accumulate(float(g) * p / rows)
 
     return _make(data, (x,), backward, "masked_softmax_nll")
 

@@ -187,15 +187,18 @@ def cmd_pretrain(args) -> int:
     samples = _load_samples(v, enc)
     teacher = frozen_teacher(enc)
     state = student_state(teacher, cfg.lora, seed=cfg.seed)
-    best_loss, best_params = float("inf"), _params_copy(state.params)
+    # a step's loss scores the weights before its update: ``scored`` holds them
+    best_loss = float("inf")
+    best_params = scored = _params_copy(state.params)
     # one flushed line per step, so a run that fails keeps its finite steps
     with open(out / "metrics.jsonl", "w") as log:
         def on_step(metrics):
-            nonlocal best_loss, best_params
+            nonlocal best_loss, best_params, scored
             log.write(json.dumps(metrics) + "\n")
             log.flush()
             if metrics["loss"] < best_loss:
-                best_loss, best_params = metrics["loss"], _params_copy(state.params)
+                best_loss, best_params = metrics["loss"], scored
+            scored = _params_copy(state.params)
 
         run_training(samples, teacher, state, enc, cfg, on_step)
     tensorio.write_checkpoint(out / "teacher.ckpt", _params_copy(teacher))

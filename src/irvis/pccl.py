@@ -108,11 +108,16 @@ def _term_mse(f_s: Tensor, f_t: Tensor, labels=None, tau=None) -> Tensor:
     return ad.tmean(ad.mul(d, d))
 
 
+def _term_nce(f_s: Tensor, f_t: Tensor, labels=None, tau=None) -> Tensor:
+    """InfoNCE: the softmax loss whose one positive is the matching patch."""
+    s = similarity(f_s, f_t, tau)
+    return ad.masked_softmax_nll(s, np.broadcast_to(np.eye(*s.shape[-2:]), s.shape))
+
+
 LOSSES = {
     "pccl": lambda f_s, f_t, p, tau: loss_iv(similarity(f_s, f_t, tau), p),
     "pccl_softmax_variant":
         lambda f_s, f_t, p, tau: loss_variant_softmax(similarity(f_s, f_t, tau), p),
     "mse": _term_mse,
-    "nce": lambda f_s, f_t, p, tau: ad.diag_cross_entropy(
-        similarity(f_s, f_t, tau)),
+    "nce": _term_nce,
 }

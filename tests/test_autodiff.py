@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import math
 import zlib
@@ -394,8 +396,9 @@ class TestBatchedLosses:
 
     def test_diag_cross_entropy(self):
         x = np.random.default_rng(4).normal(size=(3, 5, 5))
-        per = [float(ad.diag_cross_entropy(Tensor(m)).data) for m in x]
-        assert abs(float(ad.diag_cross_entropy(Tensor(x)).data) - np.mean(per)) <= 1e-15
+        per = [float(ad.masked_softmax_nll(Tensor(m), np.eye(5)).data) for m in x]
+        got = ad.masked_softmax_nll(Tensor(x), np.broadcast_to(np.eye(5), x.shape))
+        assert abs(float(got.data) - np.mean(per)) <= 1e-15
 
     def test_masked_softmax_nll(self):
         rng = np.random.default_rng(5)
@@ -404,6 +407,44 @@ class TestBatchedLosses:
         per = [float(ad.masked_softmax_nll(Tensor(m), k).data) for m, k in zip(x, mask)]
         assert abs(float(ad.masked_softmax_nll(Tensor(x), mask).data)
                    - np.mean(per)) <= 1e-15
+
+
+def logsumexp(v):
+    m = v.max()
+    return m + np.log(np.exp(v - m).sum())
+
+
+class TestMaskedSoftmaxLogSpace:
+    """The loss is lse(row) - lse(row over the positives), never the log of a
+    probability, so positives far below the row's maximum stay finite."""
+
+    def test_positive_800_below_the_max(self):
+        x = Tensor([[0.0, 800.0]], requires_grad=True)
+        loss = ad.masked_softmax_nll(x, np.array([[1, 0]]))
+        loss.backward()
+        assert loss.item() == 800.0
+        assert np.array_equal(x.grad, [[-1.0, 1.0]])
+
+    def test_batch_with_every_positive_745_below_its_row_max(self):
+        rng = np.random.default_rng(6)
+        mask = (rng.random((3, 5, 5)) < 0.4) | np.eye(5, dtype=bool)
+        mask[:, np.arange(5), (np.arange(5) + 1) % 5] = False  # a negative in every row
+        x = rng.normal(size=(3, 5, 5))
+        x[mask] -= 800.0
+        xp = np.where(mask, x, -np.inf)
+        assert (x.max(axis=-1) - xp.max(axis=-1)).min() > 745.0
+        t = Tensor(x, requires_grad=True)
+        loss = ad.masked_softmax_nll(t, mask)
+        loss.backward()
+        rows = [(r, k) for xb, mb in zip(x, mask) for r, k in zip(xb, mb)]
+        want = np.mean([logsumexp(r) - logsumexp(r[k]) for r, k in rows])
+        assert abs(loss.item() - want) <= 1e-12 * want
+        soft = np.exp(x - x.max(axis=-1, keepdims=True))
+        soft /= soft.sum(axis=-1, keepdims=True)
+        pos = np.exp(xp - xp.max(axis=-1, keepdims=True))
+        pos /= pos.sum(axis=-1, keepdims=True)
+        assert np.isfinite(t.grad).all()
+        assert np.allclose(t.grad, (soft - pos) / 15, rtol=0.0, atol=1e-15)
 
 
 class TestTake:
@@ -657,8 +698,12 @@ def _gelu_case(rng):
             Tensor(rng.normal(size=(3, 5))))
 
 
+def _identity_mask_nll(t):
+    return ad.masked_softmax_nll(t, np.broadcast_to(np.eye(t.shape[-1]), t.shape))
+
+
 def _diag_ce_case(rng):
-    return ad.diag_cross_entropy, Tensor(rng.normal(size=(5, 5)))
+    return _identity_mask_nll, Tensor(rng.normal(size=(5, 5)))
 
 
 def _add_case(rng):
@@ -706,7 +751,7 @@ def _cosine_batched_case(rng):
 
 
 def _diag_ce_batched_case(rng):
-    return ad.diag_cross_entropy, Tensor(rng.normal(size=(3, 4, 4)))
+    return _identity_mask_nll, Tensor(rng.normal(size=(3, 4, 4)))
 
 
 def _masked_nll_batched_case(rng):
@@ -719,6 +764,13 @@ def _transpose_axes_case(rng):
             Tensor(rng.normal(size=(2, 3, 4))))
 
 
+def _reshape_case(rng):
+    return (weighted_sum(lambda t: ad.reshape(t, (4, 6)), rng.normal(size=(4, 6))),
+            Tensor(rng.normal(size=(2, 3, 4))))
+
+
+# "diag_cross_entropy" names the loss, NCE's softmax on diagonal positives:
+# masked_softmax_nll with an identity mask
 DIFF_OPS = {
     "matmul": _matmul_case,
     "matmul_batched": _matmul_batched_case,
@@ -738,6 +790,7 @@ DIFF_OPS = {
     "mean": _mean_case,
     "take": _take_case,
     "transpose_axes": _transpose_axes_case,
+    "reshape": _reshape_case,
 }
 
 
@@ -748,3 +801,15 @@ def test_grad_check_100_trials(name):
         rng = np.random.default_rng(base + trial)
         f, x = DIFF_OPS[name](rng)
         assert grad_check(f, x) < 1e-5, f"{name} trial {trial}"
+
+
+def test_every_tape_op_has_a_gradient_check():
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(ad)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_make"]
+    assert all(isinstance(c.args[-1], ast.Constant) for c in calls)
+    made = {c.args[-1].value for c in calls}
+    taped = set()
+    for name, case in DIFF_OPS.items():
+        f, x = case(np.random.default_rng(zlib.crc32(name.encode())))
+        taped |= {node._op for node in ad._topo(f(Tensor(x.data, requires_grad=True)))}
+    assert made <= taped, sorted(made - taped)

@@ -152,6 +152,32 @@ class TestPretrain:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes(), name
 
+    def test_best_checkpoint_holds_the_weights_its_loss_scored(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a step's loss is measured before its update, on the weights it starts from
+        started_from = []
+        step = training.train_step
+
+        def recording(state, *args, **kwargs):
+            started_from.append({k: t.data.copy() for k, t in state.params.items()})
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", recording)
+        cfgfile = write_config(tmp_path / "c.cfg", model_seed=7, seed=1, epochs=3,
+                               warmup_epochs=0, batch_size=4, n_pairs=8, base_lr=0.003)
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "pretrain", "--config", str(cfgfile), "--out", str(out))
+        assert code == 0
+        losses = [json.loads(line)["loss"]
+                  for line in (out / "metrics.jsonl").read_text().splitlines()]
+        best = int(np.argmin(losses))
+        assert 0 < best < len(losses) - 1  # neither the initial nor the final weights
+        got = tensorio.read_checkpoint(out / "best.ckpt")
+        want = started_from[best]
+        assert sorted(got) == sorted(want)
+        for name, arr in want.items():
+            assert np.array_equal(got[name], arr), name
+
     def test_metrics_streamed_before_numeric_failure(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path / "c.cfg", base_lr=1e300, warmup_epochs=0,
                                batch_size=1)

@@ -218,8 +218,10 @@ def two_branch_mse(f_i, f_v, f_vf):
 
 def two_branch_nce(z_iv, z_vv):
     """The NCE ablation on given logits: the term ``LOSSES["nce"]`` applies to
-    each branch's similarity, summed over both branches."""
-    return ad.diag_cross_entropy(z_iv) + ad.diag_cross_entropy(z_vv)
+    each branch's similarity, the softmax loss on the diagonal positives,
+    summed over both branches."""
+    return (ad.masked_softmax_nll(z_iv, np.eye(z_iv.shape[-1]))
+            + ad.masked_softmax_nll(z_vv, np.eye(z_vv.shape[-1])))
 
 
 class TestAblationLosses:
@@ -253,7 +255,7 @@ class TestAblationLosses:
         rng = np.random.default_rng(20)
         f_s, f_t = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(5, 8)))
         got = LOSSES["nce"](f_s, f_t, None, 0.04).item()
-        assert got == ad.diag_cross_entropy(similarity(f_s, f_t, 0.04)).item()
+        assert got == ad.masked_softmax_nll(similarity(f_s, f_t, 0.04), np.eye(5)).item()
 
     def test_nce_vs_naive(self):
         rng = np.random.default_rng(14)

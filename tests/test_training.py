@@ -531,18 +531,10 @@ class TestEndToEndGradients:
             p[name] = t
             f_i = encode(ir, p, toy_cfg).features
             f_v = encode(vis, p, toy_cfg).features
-            if loss_kind == "mse":
-                di, dv = f_i - f_vf, f_v - f_vf
-                return ad.tmean(ad.mul(di, di)) + ad.tmean(ad.mul(dv, dv))
-            s_iv = pccl.similarity(f_i, f_vf, 0.04)
-            s_vv = pccl.similarity(f_v, f_vf, 0.04)
-            if loss_kind == "nce":
-                return ad.diag_cross_entropy(s_iv) + ad.diag_cross_entropy(s_vv)
-            if loss_kind == "pccl_softmax_variant":
-                return (pccl.loss_variant_softmax(s_iv, labels)
-                        + pccl.loss_variant_softmax(s_vv, labels))
-            return pccl.loss_pccl(pccl.loss_iv(s_iv, labels),
-                                  pccl.loss_vv(s_vv, labels), 1.0, 1.0)
+            # the objective as train_step builds it, from the one loss table
+            term = pccl.LOSSES[loss_kind]
+            return pccl.loss_pccl(term(f_i, f_vf, labels, 0.04),
+                                  term(f_v, f_vf, labels, 0.04), 1.0, 1.0)
 
         err = grad_check(full_loss, student[name], sample=12, seed=2)
         assert err < 1e-4, loss_kind
