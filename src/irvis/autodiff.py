@@ -193,10 +193,8 @@ class Tensor:
     def __sub__(self, other):
         return add(self, scale(_as_tensor(other), -1.0))
 
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return scale(self, float(other))
-        return mul(self, _as_tensor(other))
+    def __mul__(self, c: float):
+        return scale(self, float(c))  # elementwise products are ``mul``
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
@@ -470,62 +468,53 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # -- fused encoder ops --------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor | None, b: Tensor | None, lora=None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None, lora=None) -> Tensor:
     """``x @ w + b + scale * (x * mask) @ A.T @ B.T`` for ``x`` (..., k),
     ``w`` (k, d), ``b`` (d,), ``A`` (r, k) and ``B`` (d, r).
 
-    ``lora`` is ``(A, B, scale, mask)``, the low-rank adapter branch, or
-    ``None`` for no branch; ``mask`` (x's shape) is the dropout mask, already
-    divided by the keep probability, or ``None`` to keep every input.  Absent
-    terms are ``None``: either ``w`` with an optional ``b``, or neither, and
-    then ``lora`` alone.  The terms are summed in that order.
+    ``b`` is ``None`` for no bias.  ``lora`` is ``(A, B, scale, mask)``, the
+    low-rank adapter branch, or ``None`` for no branch; ``mask`` (x's shape)
+    is the dropout mask, already divided by the keep probability, or ``None``
+    to keep every input.  The terms are summed in that order.
     """
     A, B, scale, mask = lora if lora is not None else (None, None, None, None)
-    k = x.shape[-1] if x.data.ndim else None
-    d = w.shape[-1] if w is not None and w.data.ndim == 2 else (
-        B.shape[0] if lora is not None and B.data.ndim == 2 else None)
-    if (d is None or x.data.ndim < 2
-            or (w is not None and w.shape != (k, d))
-            or (b is not None and (w is None or b.shape != (d,)))
+    k, d = w.shape if w.data.ndim == 2 else (None, None)
+    if (d is None or x.data.ndim < 2 or x.shape[-1] != k
+            or (b is not None and b.shape != (d,))
             or (lora is not None and (A.data.ndim != 2 or A.shape[1] != k
                                       or B.shape != (d, A.shape[0])
                                       or (mask is not None and mask.shape != x.shape)))):
-        ws, bs = (None if t is None else t.shape for t in (w, b))
+        bs = None if b is None else b.shape
         ab = "" if lora is None else f" + lora A {A.shape}, B {B.shape}"
-        raise ShapeMismatchError(f"linear shape mismatch: {x.shape} x {ws} + {bs}{ab}")
-    if w is not None:
-        data = x.data @ w.data
-        if b is not None:
-            data += b.data
+        raise ShapeMismatchError(f"linear shape mismatch: {x.shape} x {w.shape} + {bs}{ab}")
+    data = x.data @ w.data
+    if b is not None:
+        data += b.data
     if lora is not None:
         r = A.shape[0]
         xm = x.data if mask is None else x.data * mask
         h = xm @ A.data.T
-        branch = (h @ B.data.T) * scale
-        data = branch if w is None else np.add(data, branch, out=data)
+        data += (h @ B.data.T) * scale
 
     def backward(g):
         g2 = g.reshape(-1, d)
-        if w is not None and w.requires_grad:
+        if w.requires_grad:
             w._accumulate(x.data.reshape(-1, k).T @ g2)
         if b is not None and b.requires_grad:
             b._accumulate(g2.sum(axis=0))
-        gx = g @ w.data.T if x.requires_grad and w is not None else None
         if lora is not None:
             if B.requires_grad:
                 B._accumulate(scale * (g2.T @ h.reshape(-1, r)))
             gh = (g @ B.data) * scale
             if A.requires_grad:
                 A._accumulate(gh.reshape(-1, r).T @ xm.reshape(-1, k))
-            if x.requires_grad:
+        if x.requires_grad:
+            gx = g @ w.data.T
+            if lora is not None:
                 gb = gh @ A.data
                 if mask is not None:
                     gb *= mask
-                if gx is None:
-                    gx = gb
-                else:
-                    gx += gb
-        if gx is not None:
+                gx += gb
             x._accumulate(gx)
 
     parents = tuple(t for t in (x, w, b, A, B) if t is not None)

@@ -29,10 +29,10 @@ from .lora import (LoraConfig, adapter_tensors, adapters_from_tensors, forward_a
                    merge)
 from .pccl import similarity
 from .pccl import pseudo_labels  # noqa: F401  (benchmark wraps cli.pseudo_labels)
-from .training import (TrainConfig, forgetting_experiment, frozen_teacher,
+from .training import (GRID_ROWS, TrainConfig, forgetting_experiment, frozen_teacher,
                        make_labeled_scenes, make_pretrain_pairs, probe_accuracies,
                        run_training, student_features, student_state,
-                       teacher_targets)
+                       teacher_targets, trainable_map)
 from .training import linear_probe  # noqa: F401  (benchmark wraps cli.linear_probe)
 from .training import pooled_features  # noqa: F401  (benchmark wraps cli.pooled_features)
 from .training import train_step  # noqa: F401  (benchmark wraps cli.train_step)
@@ -148,8 +148,8 @@ def _load_samples(v: dict, enc: EncoderConfig):
                                night_fraction=v["night_fraction"])
 
 
-def _params_copy(params) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in params.items()}
+def _arrays(tensors) -> dict[str, np.ndarray]:
+    return {name: t.data for name, t in tensors.items()}
 
 
 # -- subcommands -------------------------------------------------------
@@ -187,34 +187,39 @@ def cmd_pretrain(args) -> int:
     samples = _load_samples(v, enc)
     teacher = frozen_teacher(enc)
     state = student_state(teacher, cfg.lora, seed=cfg.seed)
-    # a step's loss scores the weights before its update: ``scored`` holds them
+    # a step's loss scores the trainable weights before its update: ``scored``
+    # holds them.  Held by reference: each update gives every trainable tensor
+    # a new array, and the frozen ones are never written.
     best_loss = float("inf")
-    best_params = scored = _params_copy(state.params)
+    best = scored = _arrays(trainable_map(state))
     # one flushed line per step, so a run that fails keeps its finite steps
     with open(out / "metrics.jsonl", "w") as log:
         def on_step(metrics):
-            nonlocal best_loss, best_params, scored
+            nonlocal best_loss, best, scored
             log.write(json.dumps(metrics) + "\n")
             log.flush()
             if metrics["loss"] < best_loss:
-                best_loss, best_params = metrics["loss"], scored
-            scored = _params_copy(state.params)
+                best_loss, best = metrics["loss"], scored
+            scored = _arrays(trainable_map(state))
 
         run_training(samples, teacher, state, enc, cfg, on_step)
-    tensorio.write_checkpoint(out / "teacher.ckpt", _params_copy(teacher))
+    tensorio.write_checkpoint(out / "teacher.ckpt", _arrays(teacher))
     # the student starts as a byte-identical copy of the teacher
-    tensorio.write_checkpoint(out / "initial.ckpt", _params_copy(teacher))
+    tensorio.write_checkpoint(out / "initial.ckpt", _arrays(teacher))
     if cfg.epochs == 0:
         print("epochs=0: wrote initial checkpoint only")
         return 0
-    tensorio.write_checkpoint(out / "final.ckpt", _params_copy(state.params))
-    tensorio.write_checkpoint(out / "best.ckpt", best_params)
+    final = _arrays(state.params)
+    tensorio.write_checkpoint(out / "final.ckpt", final)
+    tensorio.write_checkpoint(out / "best.ckpt",
+                              {name: best.get(name, a) for name, a in final.items()})
     if state.adapters is not None:
-        tensorio.write_adapter_checkpoint(
-            out / "adapters.ckpt",
-            {name: t.data for name, t in
-             adapter_tensors(state.adapters).items()},
-            rank=cfg.lora.rank, alpha=cfg.lora.alpha, dropout=cfg.lora.dropout)
+        adapters = _arrays(adapter_tensors(state.adapters))
+        for name, named in (("adapters.ckpt", adapters),
+                            ("best_adapters.ckpt", {n: best[n] for n in adapters})):
+            tensorio.write_adapter_checkpoint(
+                out / name, named,
+                rank=cfg.lora.rank, alpha=cfg.lora.alpha, dropout=cfg.lora.dropout)
     print(f"pretrain done: {state.step} steps, "
           f"final loss {state.log[-1]['loss']:.6f}")
     return 0
@@ -252,11 +257,12 @@ def cmd_forget(args) -> int:
                                    n_pairs=v["n_pairs"], n_probe=v["n_probe"])
     print(f"{'row':<4} {'L_IV':<5} {'L_VV':<5} {'LoRA':<5} "
           f"{'trainable':>10} {'visible':>8} {'infrared':>9}")
-    for r in report:
-        print(f"({r['row']})  {'yes':<5} {'yes' if r['uses_vv'] else 'no':<5} "
-              f"{'yes' if r['uses_lora'] else 'no':<5} "
-              f"{r['trainable_params']:>10} {r['visible_probe']:>8.4f} "
-              f"{r['infrared_probe']:>9.4f}")
+    for r, (_, row) in zip(report, GRID_ROWS, strict=True):
+        # a row that trains nothing uses no loss
+        flags = "".join(f"{'yes' if on else 'no':<5} "
+                        for on in (row["train"], r["uses_vv"], r["uses_lora"]))
+        print(f"({r['row']})  {flags}{r['trainable_params']:>10} "
+              f"{r['visible_probe']:>8.4f} {r['infrared_probe']:>9.4f}")
     return 0
 
 

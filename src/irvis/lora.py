@@ -66,8 +66,10 @@ class LoraAdapter:
         return self.A, self.B, self.scaling, mask
 
     def delta(self, x: Tensor, rng=None) -> Tensor:
-        """Adapter branch (alpha/r) * drop(x) A^T B^T alone."""
-        return ad.linear(x, None, None, self.branch(x, rng))
+        """Adapter branch (alpha/r) * drop(x) A^T B^T: the adapted layer on a
+        zero base weight."""
+        w = Tensor(np.zeros((self.A.shape[1], self.B.shape[0])))
+        return ad.linear(x, w, None, self.branch(x, rng))
 
     def update_matrix(self) -> np.ndarray:
         """(k, d) matrix added to W by merging."""

@@ -246,11 +246,12 @@ class TestKernelsEqualTheirFormerExpressions:
 
 class TestLoraDelta:
     """The LoRA delta, ``linear``'s adapter branch, against the unfused chain
-    it replaces: alone and after ``x W`` and ``b``, with leading batch axes."""
+    it replaces: after ``x W``, with and without ``b``, with leading batch
+    axes."""
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_equals_unfused_chain(self, masked):
-        for lead, terms in itertools.product([(), (2,)], ["", "w", "wb"]):
+        for lead, terms in itertools.product([(), (2,)], ["w", "wb"]):
             rng = np.random.default_rng(15)
             shapes = {"x": lead + (3, 6), "w": (6, 4), "b": (4,), "A": (2, 6), "B": (4, 2)}
             values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
@@ -259,16 +260,15 @@ class TestLoraDelta:
             names = ["x", *terms, "A", "B"]
             fused, chain = ({n: Tensor(values[n], requires_grad=True) for n in names}
                             for _ in range(2))
-            out = ad.linear(fused["x"], fused.get("w"), fused.get("b"),
+            out = ad.linear(fused["x"], fused["w"], fused.get("b"),
                             (fused["A"], fused["B"], 2.5, mask))
             ad.tsum(ad.mul(out, g)).backward()
-            x, w, b = chain["x"], chain.get("w"), chain.get("b")
+            x, w, b = chain["x"], chain["w"], chain.get("b")
             xm = ad.mul(x, Tensor(mask)) if masked else x  # the former dropout op
             ref = (xm @ ad.transpose(chain["A"]) @ ad.transpose(chain["B"])) * 2.5
             if b is not None:
                 ref = b + ref
-            if w is not None:
-                ref = x @ w + ref
+            ref = x @ w + ref
             ad.tsum(ad.mul(ref, g)).backward()
             assert np.abs(out.data - ref.data).max() <= 1e-12, (lead, terms)
             for n in names:
@@ -293,13 +293,6 @@ class TestLoraDelta:
                     (a, Tensor(np.zeros((5, 2))), 1.0, None)]:
             with pytest.raises(ShapeMismatchError, match="lora A"):
                 ad.linear(x, w, None, bad)
-        with pytest.raises(ShapeMismatchError):
-            ad.linear(x, None, Tensor(np.zeros(4)))  # no term fixes the width
-
-    def test_bias_without_weight_raises(self):
-        x, a, b = (Tensor(np.zeros(s)) for s in ((3, 6), (2, 6), (4, 2)))
-        with pytest.raises(ShapeMismatchError, match=r"None \+ \(4,\) \+ lora"):
-            ad.linear(x, None, Tensor(np.zeros(4)), (a, b, 1.0, None))
 
 
 class TestCosineRows:
@@ -445,6 +438,19 @@ class TestMaskedSoftmaxLogSpace:
         pos /= pos.sum(axis=-1, keepdims=True)
         assert np.isfinite(t.grad).all()
         assert np.allclose(t.grad, (soft - pos) / 15, rtol=0.0, atol=1e-15)
+
+    def test_mask_of_another_shape_raises(self):
+        x = Tensor(np.zeros((2, 3, 3)))
+        with pytest.raises(ShapeMismatchError,
+                           match=r"masked_softmax_nll shape mismatch: \(2, 3, 3\) vs \(3, 3\)"):
+            ad.masked_softmax_nll(x, np.eye(3))
+
+    def test_row_without_a_positive_raises(self):
+        mask = np.eye(3)
+        mask[1, 1] = 0.0
+        with pytest.raises(DegenerateInputError,
+                           match="masked_softmax_nll: a row has no selected position"):
+            ad.masked_softmax_nll(Tensor(np.zeros((3, 3))), mask)
 
 
 class TestTake:
@@ -718,6 +724,20 @@ def _mul_case(rng):
             Tensor(rng.normal(size=(3, 4))))
 
 
+def _add_size1_axis_case(rng):
+    # the (3, 1) operand's gradient sums its broadcast axis, keeping it
+    b = Tensor(rng.normal(size=(3, 4)))
+    return (weighted_sum(lambda t: t + b, rng.normal(size=(3, 4))),
+            Tensor(rng.normal(size=(3, 1))))
+
+
+def _mul_size1_axis_case(rng):
+    # the (2, 1, 4) operand's gradient sums a leading axis away, then a size-1 one
+    b = Tensor(rng.normal(size=(5, 2, 3, 4)))
+    return (weighted_sum(lambda t: ad.mul(t, b), rng.normal(size=(5, 2, 3, 4))),
+            Tensor(rng.normal(size=(2, 1, 4))))
+
+
 def _mean_case(rng):
     return ad.tmean, Tensor(rng.normal(size=(3, 4)))
 
@@ -786,7 +806,9 @@ DIFF_OPS = {
     "diag_cross_entropy_batched": _diag_ce_batched_case,
     "masked_softmax_nll_batched": _masked_nll_batched_case,
     "add_broadcast": _add_case,
+    "add_size1_axis": _add_size1_axis_case,
     "mul": _mul_case,
+    "mul_size1_axis": _mul_size1_axis_case,
     "mean": _mean_case,
     "take": _take_case,
     "transpose_axes": _transpose_axes_case,

@@ -152,19 +152,22 @@ class TestPretrain:
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes(), name
 
-    def test_best_checkpoint_holds_the_weights_its_loss_scored(self, tmp_path, capsys,
-                                                               monkeypatch):
-        # a step's loss is measured before its update, on the weights it starts from
+    @staticmethod
+    def _lowest_loss_start(tmp_path, capsys, monkeypatch, **cfg):
+        """Run ``pretrain`` and return its output directory and the trainable
+        weights its lowest-loss step started from.  A step's loss is measured
+        before its update, on the weights it starts from."""
         started_from = []
         step = training.train_step
 
         def recording(state, *args, **kwargs):
-            started_from.append({k: t.data.copy() for k, t in state.params.items()})
+            started_from.append({k: t.data.copy()
+                                 for k, t in training.trainable_map(state).items()})
             return step(state, *args, **kwargs)
 
         monkeypatch.setattr(training, "train_step", recording)
-        cfgfile = write_config(tmp_path / "c.cfg", model_seed=7, seed=1, epochs=3,
-                               warmup_epochs=0, batch_size=4, n_pairs=8, base_lr=0.003)
+        cfgfile = write_config(tmp_path / "c.cfg", model_seed=7, epochs=3,
+                               warmup_epochs=0, batch_size=4, n_pairs=8, **cfg)
         out = tmp_path / "run"
         code, _, _ = run(capsys, "pretrain", "--config", str(cfgfile), "--out", str(out))
         assert code == 0
@@ -172,11 +175,46 @@ class TestPretrain:
                   for line in (out / "metrics.jsonl").read_text().splitlines()]
         best = int(np.argmin(losses))
         assert 0 < best < len(losses) - 1  # neither the initial nor the final weights
+        return out, started_from[best]
+
+    def test_best_checkpoint_holds_the_weights_its_loss_scored(self, tmp_path, capsys,
+                                                               monkeypatch):
+        out, want = self._lowest_loss_start(tmp_path, capsys, monkeypatch,
+                                            seed=1, base_lr=0.003)
         got = tensorio.read_checkpoint(out / "best.ckpt")
-        want = started_from[best]
         assert sorted(got) == sorted(want)
         for name, arr in want.items():
             assert np.array_equal(got[name], arr), name
+
+    def test_lora_best_checkpoints_hold_the_weights_their_loss_scored(
+            self, tmp_path, capsys, monkeypatch):
+        # best.ckpt and best_adapters.ckpt hold the trainable weights the
+        # lowest-loss step started from, over the frozen base weights
+        out, want = self._lowest_loss_start(tmp_path, capsys, monkeypatch, seed=2,
+                                            base_lr=0.01, lora_enabled="true", lora_rank=4)
+        base = tensorio.read_checkpoint(out / "initial.ckpt")
+        got = tensorio.read_checkpoint(out / "best.ckpt")
+        assert sorted(got) == sorted(base)
+        for name, arr in got.items():
+            assert np.array_equal(arr, want.get(name, base[name])), name
+        named, meta = tensorio.read_adapter_checkpoint(out / "best_adapters.ckpt")
+        final, final_meta = tensorio.read_adapter_checkpoint(out / "adapters.ckpt")
+        assert meta == final_meta
+        assert sorted(named) == sorted(final) == sorted(n for n in want if ".lora_" in n)
+        for name, arr in named.items():
+            assert np.array_equal(arr, want[name]), name
+        assert not all(np.array_equal(named[n], final[n]) for n in named)
+        # merged, the two files rebuild the adapted weights of that step
+        merged = tmp_path / "merged.ckpt"
+        code, _, _ = run(capsys, "merge", "--checkpoint", str(out / "best.ckpt"),
+                         "--adapters", str(out / "best_adapters.ckpt"), "--out", str(merged))
+        assert code == 0
+        rebuilt = tensorio.read_checkpoint(merged)
+        adapters = adapters_from_tensors({n: want[n] for n in named}, 4, meta["alpha"],
+                                         meta["dropout"])
+        for target, adapter in adapters.items():
+            w = f"{target}.weight"
+            assert np.array_equal(rebuilt[w], merge(Tensor(base[w]), adapter).data), w
 
     def test_metrics_streamed_before_numeric_failure(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path / "c.cfg", base_lr=1e300, warmup_epochs=0,
@@ -246,6 +284,15 @@ class TestDefaults:
             (EncoderConfig(seed=7), training.TrainConfig())
         _, cfg = build_configs(parse_config(tmp_path / "lora.cfg"))
         assert cfg == training.TrainConfig(lora=LoraConfig())
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("UNIV_SEED", raising=False)
+        (tmp_path / "plain.cfg").write_text("epochs=3\ntau=0.1\n")
+        (tmp_path / "noted.cfg").write_text(
+            "# a short run\n\nepochs=3\n   \n  # indented\ntau=0.1  # sharper\n\n")
+        values = parse_config(tmp_path / "noted.cfg")
+        assert values == parse_config(tmp_path / "plain.cfg")
+        assert (values["epochs"], values["tau"]) == (3, 0.1)
 
 
 class TestConfigRanges:
@@ -411,6 +458,18 @@ class TestForget:
         assert code == 0
         rows = [l for l in stdout.splitlines() if l.startswith("(")]
         assert [r[:3] for r in rows] == ["(a)", "(b)", "(c)", "(d)", "(e)"]
+
+    def test_only_trained_rows_use_a_loss(self, tmp_path, capsys):
+        # row (a), the frozen baseline, trains nothing: no L_IV either
+        cfgfile = write_config(tmp_path / "c.cfg", epochs=1, warmup_epochs=0,
+                               n_pairs=4, n_probe=8, grid_seeds=1)
+        code, stdout, _ = run(capsys, "forget", "--config", str(cfgfile))
+        assert code == 0
+        flags = {line[1]: line.split()[1:4] for line in stdout.splitlines()
+                 if line.startswith("(")}
+        assert flags == {"a": ["no", "no", "no"], "b": ["yes", "no", "no"],
+                         "c": ["yes", "yes", "no"], "d": ["yes", "no", "yes"],
+                         "e": ["yes", "yes", "yes"]}
 
     def test_epochs_zero_exit_0(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path / "c.cfg", epochs=0, warmup_epochs=0,

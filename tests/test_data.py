@@ -55,6 +55,12 @@ class TestGenScene:
         for arr in (out.visible.data, out.infrared.data):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
+    def test_unknown_object_kind_rejected(self):
+        bad = replace(two_class_spec(),
+                      objects=(SceneObject("triangle", 4.0, 4.0, 2.0, "person"),))
+        with pytest.raises(ConfigError, match="unknown object kind 'triangle'"):
+            gen_scene(bad, seed=0)
+
     def test_out_of_bounds_center_rejected(self):
         spec = two_class_spec()
         bad = replace(spec, objects=(SceneObject("circle", 40.0, 4.0, 2.0, "person"),))
@@ -237,6 +243,14 @@ class TestCodecs:
         with pytest.raises(DataError, match="trailing bytes"):
             read_ppm(p)
 
+    @pytest.mark.parametrize("size", [b"0 2", b"2 0"])
+    def test_zero_size_rejected(self, tmp_path, size):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5\n" + size + b"\n255\n")
+        w, h = size.decode().split()
+        with pytest.raises(DataError, match=f"bad image size {w}x{h}"):
+            read_pgm(p)
+
     def test_unsupported_maxval(self, tmp_path):
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
@@ -251,6 +265,12 @@ class TestManifest:
         p = tmp_path / "manifest.tsv"
         write_manifest(p, entries)
         assert read_manifest(p) == entries
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "manifest.tsv"
+        p.write_text("\ns0\tv0.ppm\ti0.pgm\tseq0\n  \t \n\ns1\tv1.ppm\ti1.pgm\tseq0\n\n")
+        assert read_manifest(p) == [ManifestEntry("s0", "v0.ppm", "i0.pgm", "seq0"),
+                                    ManifestEntry("s1", "v1.ppm", "i1.pgm", "seq0")]
 
     def test_field_count_error_names_line(self, tmp_path):
         p = tmp_path / "manifest.tsv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irvis import autodiff as ad
 from irvis.autodiff import Tensor
 from irvis.encoder import EncoderConfig, encode, init_params
 from irvis.errors import ConfigError, DataError, ShapeMismatchError
@@ -44,15 +45,16 @@ class TestForward:
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
         adapter = make_adapter(rng, dropout=0.25)
-        out = adapter.delta(x, rng=drawn_block(3, x.shape))
+        w = Tensor(rng.normal(size=(16, 24)))
+        out = ad.linear(x, w, None, adapter.branch(x, rng=drawn_block(3, x.shape)))
         mask = (np.random.default_rng(3).random(x.shape) >= 0.25) / (1.0 - 0.25)
         a, b = adapter.A.data, adapter.B.data
-        want = (x.data * mask) @ a.T @ b.T * adapter.scaling
+        want = x.data @ w.data + (x.data * mask) @ a.T @ b.T * adapter.scaling
         assert np.abs(out.data - want).max() <= 1e-12
-        from irvis.autodiff import tsum
-        tsum(out).backward()
-        row = adapter.scaling * np.ones(b.shape[0]) @ b @ a
-        assert np.abs(x.grad - mask * row).max() <= 1e-12
+        ad.tsum(out).backward()
+        ones = np.ones(b.shape[0])
+        row = adapter.scaling * ones @ b @ a
+        assert np.abs(x.grad - (ones @ w.data.T + mask * row)).max() <= 1e-12
         assert 0.0 < (mask == 0.0).mean() < 1.0
 
     def test_scaling_reads_the_rank_from_a(self):
@@ -75,8 +77,7 @@ class TestForward:
         w = Tensor(rng.normal(size=(16, 24)), requires_grad=False)
         x = Tensor(rng.normal(size=(5, 16)))
         adapter = make_adapter(rng)
-        from irvis.autodiff import tsum
-        tsum(forward_adapted(x, w, adapter)).backward()
+        ad.tsum(forward_adapted(x, w, adapter)).backward()
         assert w.grad is None
         assert adapter.A.grad is not None and adapter.B.grad is not None
 
@@ -118,6 +119,12 @@ class TestMerge:
         rng = np.random.default_rng(8)
         with pytest.raises(ShapeMismatchError):
             merge(Tensor(np.zeros((4, 4))), make_adapter(rng))
+
+    def test_unmerge_shape_mismatch(self):
+        adapter = make_adapter(np.random.default_rng(8))
+        with pytest.raises(ShapeMismatchError,
+                           match=r"unmerge shape mismatch: W\* \(4, 4\) vs update \(16, 24\)"):
+            unmerge(Tensor(np.zeros((4, 4))), adapter)
 
 
 class TestAttach:

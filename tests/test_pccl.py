@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,10 @@ class TestPseudoLabels:
         for gamma in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 pseudo_labels(a, gamma)
+        for shape in ((2, 3), (4, 3, 2), (3,)):
+            with pytest.raises(ShapeMismatchError,
+                               match=re.escape(f"attention must be square, got {shape}")):
+                pseudo_labels(np.full(shape, 1.0 / shape[-1]), 0.6)
 
     def test_nan_or_negative_row_named(self):
         # every comparison with NaN is False, so the checks must pass on truth

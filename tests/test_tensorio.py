@@ -1,5 +1,6 @@
 import errno
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,34 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 16)
     with pytest.raises(DataError):
         tensorio.read_tensor(path)
+
+
+def test_more_axes_than_numpy_holds_rejected(tmp_path):
+    path = tmp_path / "deep.tnsr"
+    rank = 65
+    path.write_bytes(b"UNIVTNSR" + struct.pack(f"<I{rank}Q", rank, *[1] * rank)
+                     + struct.pack("<d", 1.0))
+    with pytest.raises(DataError, match="bad tensor shape at offset 532: "):
+        tensorio.read_tensor(path)
+
+
+def test_tensor_with_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "t.tnsr"
+    tensorio.write_tensor(path, np.zeros((2, 3)))
+    path.write_bytes(path.read_bytes() + b"\0" * 5)
+    with pytest.raises(DataError, match=r"5 trailing bytes in .*t\.tnsr"):
+        tensorio.read_tensor(path)
+
+
+def test_duplicate_tensor_name_rejected(tmp_path):
+    # a checkpoint of two entries, both named "w"
+    one = tensorio.checkpoint_bytes({"w": np.zeros(2)})
+    (count,) = struct.unpack_from("<I", one, 8)
+    assert count == 1
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(one[:8] + struct.pack("<I", 2) + one[12:] * 2)
+    with pytest.raises(DataError, match=r"duplicate tensor 'w' in .*dup\.ckpt"):
+        tensorio.read_checkpoint(path)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -399,19 +399,28 @@ class TestFlatAdamW:
                 assert np.array_equal(flat_moment, np.concatenate(
                     [moments[name][i].reshape(-1) for name in sorted(moments)]))
 
-    def test_snapshots_of_weights_do_not_change(self, toy_cfg):
+    @pytest.mark.parametrize("lora", [LoraConfig(), None], ids=["lora", "full"])
+    def test_snapshots_of_weights_do_not_change(self, toy_cfg, lora):
+        # `irvis pretrain` keeps the trainable arrays of the best step by
+        # reference: an update must give each trainable tensor a new array
+        # and leave the frozen tensors' arrays as they are
         teacher = frozen_teacher(toy_cfg)
-        state = student_state(teacher)
-        cfg = TrainConfig(epochs=2, warmup_epochs=0, base_lr=1e-2)
+        state = student_state(teacher, lora)
+        cfg = TrainConfig(epochs=2, warmup_epochs=0, base_lr=1e-2, lora=lora)
         batch = make_pretrain_pairs(2, seed=0)
         targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
+        frozen = {k: t.data for k, t in state.params.items() if not t.requires_grad}
+        assert bool(frozen) == (lora is not None)
         for step in range(2):  # the second step updates slices of the first's array
-            held = {k: t.data for k, t in state.params.items()}
-            copies = {k: a.copy() for k, a in held.items()}
+            held = {k: t.data for k, t in trainable_map(state).items()}
+            copies = {k: a.tobytes() for k, a in held.items()}
             train_step(state, batch, targets, toy_cfg, cfg, lr_at(step, cfg, 1))
+            now = trainable_map(state)
             for k, a in held.items():
-                assert np.array_equal(a, copies[k]), (step, k)
-                assert not np.array_equal(state.params[k].data, copies[k]), (step, k)
+                assert a.tobytes() == copies[k], (step, k)
+                assert now[k].data.tobytes() != copies[k], (step, k)
+            for k, a in frozen.items():
+                assert state.params[k].data is a, (step, k)
 
     def test_default_lora_step_records_83_tape_nodes(self, monkeypatch):
         # 8 for the patch stage, 30 per block and 15 for the final norm, the
