@@ -3,9 +3,13 @@
 Tensors record the op graph as they are built (parents, a backward
 closure and the op's name per node); ``Tensor.backward`` replays the tape in
 reverse topological order, accumulating into ``.grad`` with ``+=`` so shared
-parameters sum contributions from every branch.  The hot chains of the
-encoder are one op each: ``linear``, which also carries a LoRA adapter's
-low-rank branch, and ``attention``.
+parameters sum contributions from every branch.  A transformer block is one
+node, ``block``, built from the same forward and backward array kernels as
+the per-op nodes ``layernorm``, ``linear`` (which also carries a LoRA
+adapter's low-rank branch), ``attention`` and ``gelu``, so the two give the
+same bytes.  A node records as parents its input and only those weights
+that take a gradient.  The reducing ops (``tmean``, ``bce_with_logits``,
+``masked_softmax_nll``) can keep the first axis, one loss per entry.
 
 Gradient buffers are owned.  A backward hands ``_accumulate`` an array that
 nothing else holds: the first write to a tensor's ``.grad`` keeps that array,
@@ -397,33 +401,30 @@ def tsum(a: Tensor) -> Tensor:
     return _make(np.array(a.data.sum()), (a,), backward, "sum")
 
 
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward(g):
-        a._accumulate(np.full_like(a.data, float(g) / n))
-
-    return _make(np.array(a.data.mean()), (a,), backward, "mean")
+# -- array kernels -------------------------------------------------------
+# One forward and one backward per op, on plain arrays.  A forward returns
+# its output and what its backward reads; a backward returns the gradients
+# that ``need`` flags, and None for the rest.  The tape ops below wrap them
+# one by one, and ``block`` chains them into one node.
 
 
-def gelu(a: Tensor) -> Tensor:
-    cdf = erf(a.data, _INV_SQRT2)
+def _gelu_fwd(x: np.ndarray):
+    cdf = erf(x, _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
-    data = a.data * cdf
+    return x * cdf, cdf
 
-    def backward(g):
-        # g * (cdf + x * pdf(x)) in one buffer, each product in its usual order
-        t = np.multiply(a.data, -0.5)
-        t *= a.data
-        np.exp(t, out=t)
-        t *= _INV_SQRT2PI
-        t *= a.data
-        t += cdf
-        t *= g
-        a._accumulate(t)
 
-    return _make(data, (a,), backward, "gelu")
+def _gelu_bwd(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    # g * (cdf + x * pdf(x)) in one buffer, each product in its usual order
+    t = np.multiply(x, -0.5)
+    t *= x
+    np.exp(t, out=t)
+    t *= _INV_SQRT2PI
+    t *= x
+    t += cdf
+    t *= g
+    return t
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -434,38 +435,204 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def layernorm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    xhat = x.data - _row_mean(x.data)
+def _layernorm_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    xhat = x - _row_mean(x)
     sq = xhat * xhat
     inv = _row_mean(sq)  # np.var's steps: mean, subtract, square, mean
     inv += LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    data = np.multiply(xhat, weight.data, out=sq)
-    data += bias.data
-    d = x.data.shape[-1]
+    out = np.multiply(xhat, w, out=sq)
+    out += b
+    return out, xhat, inv
 
-    def backward(g):
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0))
-        if weight.requires_grad:
-            weight._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv with gx = g * weight
-            gx = g * weight.data
-            t = gx * xhat
-            m2 = _row_mean(t)
-            gx -= _row_mean(gx)
-            gx -= np.multiply(xhat, m2, out=t)
-            gx *= inv
-            x._accumulate(gx)
 
-    return _make(data, (x, weight, bias), backward, "layernorm")
+def _layernorm_bwd(g, xhat, inv, w, need):
+    """(gx, gw, gb) for ``need``, the flags of (x, w, b)."""
+    d = xhat.shape[-1]
+    gx = gw = gb = None
+    if need[2]:
+        gb = g.reshape(-1, d).sum(axis=0)
+    if need[1]:
+        gw = (g * xhat).reshape(-1, d).sum(axis=0)
+    if need[0]:
+        # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv with gx = g * weight
+        gx = g * w
+        t = gx * xhat
+        m2 = _row_mean(t)
+        gx -= _row_mean(gx)
+        gx -= np.multiply(xhat, m2, out=t)
+        gx *= inv
+    return gx, gw, gb
+
+
+def _linear_fwd(x, w, b, lora):
+    """``x @ w + b + scale * (x * mask) @ A.T @ B.T``, the terms summed in
+    that order; ``b`` may be None and ``lora`` is (A, B, scale, mask) or None.
+    Also returns the branch's masked input and its rank-wide activations."""
+    out = x @ w
+    if b is not None:
+        out += b
+    if lora is None:
+        return out, None, None
+    A, B, scale, mask = lora
+    xm = x if mask is None else x * mask
+    h = xm @ A.T
+    branch = h @ np.ascontiguousarray(B.T)
+    branch *= scale
+    out += branch
+    return out, xm, h
+
+
+def _linear_bwd(g, x, w, lora, xm, h, need):
+    """(gx, gw, gb, gA, gB) for ``need``, the flags of (x, w, b, A, B)."""
+    k, d = w.shape
+    g2 = g.reshape(-1, d)
+    gx = gw = gb = gA = gB = None
+    if need[1]:
+        gw = x.reshape(-1, k).T @ g2
+    if need[2]:
+        gb = g2.sum(axis=0)
+    if lora is not None:
+        A, B, scale, mask = lora
+        r = A.shape[0]
+        if need[4]:
+            gB = g2.T @ h.reshape(-1, r)
+            gB *= scale
+        gh = g @ B
+        gh *= scale
+        if need[3]:
+            gA = gh.reshape(-1, r).T @ xm.reshape(-1, k)
+    if need[0]:
+        gx = g @ w.T
+        if lora is not None:
+            gbranch = gh @ A
+            if mask is not None:
+                gbranch *= mask
+            gx += gbranch
+    return gx, gw, gb, gA, gB
+
+
+def _qkv_views(qkv: np.ndarray, heads: int, dh: int):
+    """q, k and v of every head, (*lead, heads, N, dh) views of the packed
+    (*lead, N, 3 * heads * dh) columns."""
+    nb = qkv.ndim - 2
+    perm = (nb + 1, *range(nb), nb + 2, nb, nb + 3)
+    return np.transpose(qkv.reshape(qkv.shape[:-1] + (3, heads, dh)), perm)
+
+
+def _attention_fwd(qkv: np.ndarray, heads: int, dh: int):
+    """The heads' outputs merged to (*lead, N, heads * dh), and the maps."""
+    if qkv.ndim < 2 or qkv.shape[-1] != 3 * heads * dh:
+        raise ShapeMismatchError(
+            f"attention needs 3 * {heads} heads * {dh} packed columns, got {qkv.shape}"
+        )
+    lead, n = qkv.shape[:-2], qkv.shape[-2]
+    q, k, v = _qkv_views(qkv, heads, dh)
+    # the row softmax, in place in the scores
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= 1.0 / np.sqrt(dh)
+    # the row max, exact, as a max down the columns of the scores' transpose:
+    # numpy reduces that faster than along rows only n long
+    p -= np.maximum.reduce(np.ascontiguousarray(p.reshape(-1, n).T),
+                           axis=0).reshape(p.shape[:-1] + (1,))
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    out = np.empty(lead + (n, heads * dh))
+    # matmul writes each head's result through a view of the merged columns
+    np.matmul(p, v, out=np.swapaxes(out.reshape(lead + (n, heads, dh)), -2, -3))
+    return out, p
+
+
+def _attention_bwd(g, qkv, p, heads: int, dh: int) -> np.ndarray:
+    q, k, v = _qkv_views(qkv, heads, dh)
+    go = np.swapaxes(g.reshape(g.shape[:-1] + (heads, dh)), -2, -3)
+    # gs = p * (gp - sum(gp * p)) / sqrt(dh), in place in gp
+    gs = go @ np.swapaxes(v, -1, -2)
+    gs -= np.add.reduce(gs * p, axis=-1, keepdims=True)
+    gs *= p
+    gs *= 1.0 / np.sqrt(dh)
+    grad = np.empty(qkv.shape)
+    gq, gk, gv = _qkv_views(grad, heads, dh)
+    np.matmul(gs, k, out=gq)
+    np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
+    np.matmul(np.swapaxes(p, -1, -2), go, out=gv)
+    return grad
 
 
 # -- fused encoder ops --------------------------------------------------
+
+
+def _needs(tensors) -> tuple[bool, ...]:
+    return tuple(t is not None and t.requires_grad for t in tensors)
+
+
+def _hand(tensors, grads) -> None:
+    """Accumulate each gradient a backward computed into its tensor."""
+    for t, g in zip(tensors, grads):
+        if g is not None:
+            t._accumulate(g)
+
+
+def _taped(x: Tensor, *weights) -> tuple[Tensor, ...]:
+    """A node's parents: its input, and those of its weights that take a
+    gradient.  A weight that takes none has no tape of its own, so recording
+    it would only lengthen every sweep."""
+    return (x,) + tuple(w for w in weights if w is not None and w.requires_grad)
+
+
+def _layer_tensors(w, b, lora) -> tuple:
+    """(w, b, A, B) of a ``linear`` layer; None for an absent one."""
+    return (w, b) + ((None, None) if lora is None else tuple(lora[:2]))
+
+
+def _run_linear(x: np.ndarray, layer):
+    """A layer ``(w, b, lora)``'s forward on ``x``: its output, and the cache
+    ``_back_linear`` reads."""
+    w, b, lora = layer
+    A, B, _, mask = lora if lora is not None else (None, None, None, None)
+    k, d = w.shape if w.data.ndim == 2 else (None, None)
+    if (d is None or x.ndim < 2 or x.shape[-1] != k
+            or (b is not None and b.shape != (d,))
+            or (lora is not None and (A.data.ndim != 2 or A.shape[1] != k
+                                      or B.shape != (d, A.shape[0])
+                                      or (mask is not None and mask.shape != x.shape)))):
+        bs = None if b is None else b.shape
+        ab = "" if lora is None else f" + lora A {A.shape}, B {B.shape}"
+        raise ShapeMismatchError(f"linear shape mismatch: {x.shape} x {w.shape} + {bs}{ab}")
+    arrays = None if lora is None else (A.data, B.data, *lora[2:])
+    out, xm, h = _linear_fwd(x, w.data, None if b is None else b.data, arrays)
+    return out, (x, arrays, xm, h)
+
+
+def _back_linear(g, layer, cache, need_x: bool):
+    """Hand a layer's weights their gradients; return its input's, if needed."""
+    x, arrays, xm, h = cache
+    tensors = _layer_tensors(*layer)
+    gx, *grads = _linear_bwd(g, x, layer[0].data, arrays, xm, h, (need_x,) + _needs(tensors))
+    _hand(tensors, grads)
+    return gx
+
+
+def gelu(a: Tensor) -> Tensor:
+    data, cdf = _gelu_fwd(a.data)
+
+    def backward(g):
+        a._accumulate(_gelu_bwd(g, a.data, cdf))
+
+    return _make(data, (a,), backward, "gelu")
+
+
+def layernorm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis, then scale and shift."""
+    data, xhat, inv = _layernorm_fwd(x.data, weight.data, bias.data)
+    tensors = (x, weight, bias)
+
+    def backward(g):
+        _hand(tensors, _layernorm_bwd(g, xhat, inv, weight.data, _needs(tensors)))
+
+    return _make(data, _taped(x, weight, bias), backward, "layernorm")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None, lora=None) -> Tensor:
@@ -477,48 +644,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None, lora=None) -> Tensor:
     is the dropout mask, already divided by the keep probability, or ``None``
     to keep every input.  The terms are summed in that order.
     """
-    A, B, scale, mask = lora if lora is not None else (None, None, None, None)
-    k, d = w.shape if w.data.ndim == 2 else (None, None)
-    if (d is None or x.data.ndim < 2 or x.shape[-1] != k
-            or (b is not None and b.shape != (d,))
-            or (lora is not None and (A.data.ndim != 2 or A.shape[1] != k
-                                      or B.shape != (d, A.shape[0])
-                                      or (mask is not None and mask.shape != x.shape)))):
-        bs = None if b is None else b.shape
-        ab = "" if lora is None else f" + lora A {A.shape}, B {B.shape}"
-        raise ShapeMismatchError(f"linear shape mismatch: {x.shape} x {w.shape} + {bs}{ab}")
-    data = x.data @ w.data
-    if b is not None:
-        data += b.data
-    if lora is not None:
-        r = A.shape[0]
-        xm = x.data if mask is None else x.data * mask
-        h = xm @ A.data.T
-        data += (h @ B.data.T) * scale
+    layer = (w, b, lora)
+    data, cache = _run_linear(x.data, layer)
 
     def backward(g):
-        g2 = g.reshape(-1, d)
-        if w.requires_grad:
-            w._accumulate(x.data.reshape(-1, k).T @ g2)
-        if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
-        if lora is not None:
-            if B.requires_grad:
-                B._accumulate(scale * (g2.T @ h.reshape(-1, r)))
-            gh = (g @ B.data) * scale
-            if A.requires_grad:
-                A._accumulate(gh.reshape(-1, r).T @ xm.reshape(-1, k))
-        if x.requires_grad:
-            gx = g @ w.data.T
-            if lora is not None:
-                gb = gh @ A.data
-                if mask is not None:
-                    gb *= mask
-                gx += gb
-            x._accumulate(gx)
+        _hand((x,), (_back_linear(g, layer, cache, x.requires_grad),))
 
-    parents = tuple(t for t in (x, w, b, A, B) if t is not None)
-    return _make(data, parents, backward, "linear")
+    return _make(data, _taped(x, *_layer_tensors(*layer)), backward, "linear")
 
 
 def attention(qkv: Tensor, heads: int, dh: int) -> tuple[Tensor, np.ndarray]:
@@ -529,44 +661,60 @@ def attention(qkv: Tensor, heads: int, dh: int) -> tuple[Tensor, np.ndarray]:
     (..., N, heads * dh), and the row-stochastic attention maps
     (..., heads, N, N) as a plain array, off the tape.
     """
-    lead, b = qkv.shape[:-2], qkv.data.ndim - 2
-    if b < 0 or qkv.shape[-1] != 3 * heads * dh:
-        raise ShapeMismatchError(
-            f"attention needs 3 * {heads} heads * {dh} packed columns, got {qkv.shape}"
-        )
-    n = qkv.shape[-2]
-    perm = (b + 1, *range(b), b + 2, b, b + 3)
-    # views of (*lead, N, 3, heads, dh) as (3, *lead, heads, N, dh): q, k and v
-    # of every head; matmul writes the per-head results through such views
-    q, k, v = np.transpose(qkv.data.reshape(lead + (n, 3, heads, dh)), perm)
-    c = 1.0 / np.sqrt(dh)
-    # the row softmax, in place in the scores
-    p = q @ np.swapaxes(k, -1, -2)
-    p *= c
-    # the row max, exact, as a max down the columns of the scores' transpose:
-    # numpy reduces that faster than along rows only n long
-    p -= np.maximum.reduce(np.ascontiguousarray(p.reshape(-1, n).T),
-                           axis=0).reshape(p.shape[:-1] + (1,))
-    np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
-    data = np.empty(lead + (n, heads * dh))
-    np.matmul(p, v, out=np.swapaxes(data.reshape(lead + (n, heads, dh)), -2, -3))
+    data, p = _attention_fwd(qkv.data, heads, dh)
 
     def backward(g):
-        go = np.swapaxes(g.reshape(lead + (n, heads, dh)), -2, -3)
-        # gs = p * (gp - sum(gp * p)) * c, in place in gp
-        gs = go @ np.swapaxes(v, -1, -2)
-        gs -= np.add.reduce(gs * p, axis=-1, keepdims=True)
-        gs *= p
-        gs *= c
-        grad = np.empty(qkv.shape)
-        gq, gk, gv = np.transpose(grad.reshape(lead + (n, 3, heads, dh)), perm)
-        np.matmul(gs, k, out=gq)
-        np.matmul(np.swapaxes(gs, -1, -2), q, out=gk)
-        np.matmul(np.swapaxes(p, -1, -2), go, out=gv)
-        qkv._accumulate(grad)
+        qkv._accumulate(_attention_bwd(g, qkv.data, p, heads, dh))
 
     return _make(data, (qkv,), backward, "attention"), p
+
+
+def block(x: Tensor, norm1, qkv, proj, norm2, fc1, fc2, heads: int,
+          dh: int) -> tuple[Tensor, np.ndarray]:
+    """One pre-norm transformer block as one tape node, for ``x`` (..., N, D):
+    ``x1 = x + proj(attention(qkv(layernorm(x))))``, then
+    ``x1 + fc2(gelu(fc1(layernorm(x1))))``.
+
+    ``norm1`` and ``norm2`` are a LayerNorm's (weight, bias); ``qkv``,
+    ``proj``, ``fc1`` and ``fc2`` are a layer's (weight, bias, lora) as
+    ``linear`` takes them, dropout masks included.  Attention runs ``heads``
+    heads of width ``dh``, as ``attention`` does.  Returns the output and the
+    per-head attention maps (..., heads, N, N), off the tape.  It runs the
+    kernels of the tape ops it replaces, and sums each gradient in their
+    order, so its outputs and gradients are theirs, byte for byte.  Every
+    weight, bias, LayerNorm parameter and adapter that takes a gradient gets one.
+    """
+    h1, *ln1 = _layernorm_fwd(x.data, norm1[0].data, norm1[1].data)
+    q, c_qkv = _run_linear(h1, qkv)
+    merged, p = _attention_fwd(q, heads, dh)
+    # each residual sum goes into its branch's own new array (a + b is b + a)
+    x1, c_proj = _run_linear(merged, proj)
+    x1 += x.data
+    h2, *ln2 = _layernorm_fwd(x1, norm2[0].data, norm2[1].data)
+    f1, c_fc1 = _run_linear(h2, fc1)
+    g1, cdf = _gelu_fwd(f1)
+    data, c_fc2 = _run_linear(g1, fc2)
+    data += x1
+
+    def backward(g):
+        # the chain's reverse sweep: each residual's input gradient is the
+        # incoming one plus its LayerNorm's, as two accumulations added them
+        gg1 = _back_linear(g, fc2, c_fc2, True)
+        gh2 = _back_linear(_gelu_bwd(gg1, f1, cdf), fc1, c_fc1, True)
+        gx1, *grads = _layernorm_bwd(gh2, *ln2, norm2[0].data, (True,) + _needs(norm2))
+        _hand(norm2, grads)
+        gx1 += g
+        gq = _attention_bwd(_back_linear(gx1, proj, c_proj, True), q, p, heads, dh)
+        gh1 = _back_linear(gq, qkv, c_qkv, True)
+        gx, *grads = _layernorm_bwd(gh1, *ln1, norm1[0].data, _needs((x, *norm1)))
+        _hand(norm1, grads)
+        if gx is not None:
+            gx += gx1
+            x._accumulate(gx)
+
+    weights = (*norm1, *norm2) + sum((_layer_tensors(*layer)
+                                      for layer in (qkv, proj, fc1, fc2)), ())
+    return _make(data, _taped(x, *weights), backward, "block"), p
 
 
 # -- row-structured ops used by the contrastive machinery --------------
@@ -574,22 +722,26 @@ def attention(qkv: Tensor, heads: int, dh: int) -> tuple[Tensor, np.ndarray]:
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """All-pairs cosine similarity between rows of ``a`` and rows of ``b``;
-    leading axes are a batch: ``(..., N, D)`` and ``(..., M, D)`` give ``(..., N, M)``."""
-    if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-1]):
+    leading axes are a batch: ``(..., N, D)`` and ``(..., M, D)`` give ``(..., N, M)``.
+    ``a`` may carry one more leading axis than a batched ``b``: each of its
+    entries is then compared with the same ``b``."""
+    if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-1]
+            or (a.shape[:-2] != b.shape[:-2]
+                and (b.data.ndim < 3 or a.shape[1:-2] != b.shape[:-2]))):
         raise ShapeMismatchError(
             f"cosine_rows shape mismatch: {a.shape} vs {b.shape}"
         )
     na = np.linalg.norm(a.data, axis=-1, keepdims=True)
     nb = np.linalg.norm(b.data, axis=-1, keepdims=True)
-    for name, norms in (("a", na), ("b", nb)):
-        zero = np.argwhere(norms[..., 0] == 0.0)
-        if zero.size:
-            *sample, row = (int(i) for i in zero[0])
-            at = f" of batch entry {tuple(sample)}" if sample else ""
-            raise DegenerateInputError(
-                f"cosine_rows: zero-norm row {row}{at} in argument {name}"
-            )
+    if not (na.all() and nb.all()):  # the search runs only when a norm is zero
+        for name, norms in (("a", na), ("b", nb)):
+            zero = np.argwhere(norms[..., 0] == 0.0)
+            if zero.size:
+                *sample, row = (int(i) for i in zero[0])
+                at = f" of batch entry {tuple(sample)}" if sample else ""
+                raise DegenerateInputError(
+                    f"cosine_rows: zero-norm row {row}{at} in argument {name}"
+                )
     an = a.data / na
     bn = b.data / nb
     out = an @ np.swapaxes(bn, -1, -2)
@@ -599,37 +751,81 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
             a._accumulate((g @ bn - (g * out).sum(axis=-1, keepdims=True) * an) / na)
         if b.requires_grad:
             col = np.swapaxes((g * out).sum(axis=-2, keepdims=True), -1, -2)
-            b._accumulate((np.swapaxes(g, -1, -2) @ an - col * bn) / nb)
+            b._accumulate(_unbroadcast((np.swapaxes(g, -1, -2) @ an - col * bn) / nb,
+                                       b.shape))
 
     return _make(out, (a, b), backward, "cosine_rows")
 
 
-def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
-    """Mean binary cross-entropy in the fused, overflow-safe logits form."""
+# The reducing ops below average a whole array to a scalar, or with ``split``
+# give one mean per entry of its first axis, a vector.  Each entry's mean is
+# taken over its own contiguous block, and its gradient scaled by its own
+# incoming value, exactly as the op without ``split`` treats an array of one
+# entry; so splitting changes no byte of any entry's loss or gradient.
+
+
+def _means(per: np.ndarray, split: bool) -> np.ndarray:
+    return np.array([entry.mean() for entry in per]) if split else np.array(per.mean())
+
+
+def _mean_grad(g: np.ndarray, d: np.ndarray, n: int, split: bool) -> np.ndarray:
+    """``float(g) * d / n``, the gradient of the mean of ``n`` terms whose
+    derivatives are ``d``; with ``split``, entry ``i`` takes ``g[i]``."""
+    if not split:
+        return float(g) * d / n
+    d *= g.reshape(g.shape + (1,) * (d.ndim - 1))
+    d /= n
+    return d
+
+
+def _entry_shape(x: np.ndarray, split: bool) -> tuple[int, ...]:
+    return x.shape[1:] if split else x.shape
+
+
+def tmean(a: Tensor, split: bool = False) -> Tensor:
+    shape = _entry_shape(a.data, split)
+    n = math.prod(shape)
+
+    def backward(g):
+        if not split:
+            a._accumulate(np.full_like(a.data, float(g) / n))
+        else:
+            grad = np.empty_like(a.data)
+            grad[...] = (g / n).reshape(g.shape + (1,) * len(shape))
+            a._accumulate(grad)
+
+    return _make(_means(a.data, split), (a,), backward, "mean")
+
+
+def bce_with_logits(logits: Tensor, targets: Tensor, split: bool = False) -> Tensor:
+    """Mean binary cross-entropy in the fused, overflow-safe logits form.  With
+    ``split``, every entry of the first axis of ``logits`` takes the same
+    ``targets`` and gets its own mean."""
     z, t = logits.data, targets.data
-    if z.shape != t.shape:
+    if _entry_shape(z, split) != t.shape:
         raise ShapeMismatchError(
             f"bce_with_logits shape mismatch: {z.shape} vs {t.shape}"
         )
     if not np.all((t == 0.0) | (t == 1.0)):
         raise ValueError("bce_with_logits targets must be binary")
     per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    data = np.array(per.mean())
-    n = z.size
+    n = t.size
 
     def backward(g):
         sig = 1.0 / (1.0 + np.exp(-z))
-        logits._accumulate(float(g) * (sig - t) / n)
+        logits._accumulate(_mean_grad(g, sig - t, n, split))
 
-    return _make(data, (logits,), backward, "bce_with_logits")
+    return _make(_means(per, split), (logits,), backward, "bce_with_logits")
 
 
-def masked_softmax_nll(x: Tensor, mask: np.ndarray) -> Tensor:
+def masked_softmax_nll(x: Tensor, mask: np.ndarray, split: bool = False) -> Tensor:
     """Softmax cross-entropy on the positives where ``mask`` is nonzero: per row
     lse(z) - lse(z over the mask), z = x - rowmax, mean over rows; leading axes
     are a batch, averaged over too.  In log space, positives far below the
-    row's maximum give a finite loss.  An identity mask is InfoNCE."""
-    if x.data.ndim < 2 or x.data.shape != mask.shape:
+    row's maximum give a finite loss.  An identity mask is InfoNCE.  With
+    ``split``, every entry of the first axis of ``x`` takes the same ``mask``
+    and gets its own mean."""
+    if x.data.ndim < 2 + split or _entry_shape(x.data, split) != mask.shape:
         raise ShapeMismatchError(
             f"masked_softmax_nll shape mismatch: {x.shape} vs {mask.shape}"
         )
@@ -641,16 +837,16 @@ def masked_softmax_nll(x: Tensor, mask: np.ndarray) -> Tensor:
     zm = zp.max(axis=-1, keepdims=True)
     e, ep = np.exp(z), np.exp(zp - zm)
     s, sp = e.sum(axis=-1, keepdims=True), ep.sum(axis=-1, keepdims=True)
-    data = np.array((np.log(s) - zm - np.log(sp)).mean())
-    rows = s.size
+    rows = math.prod(mask.shape[:-1])
 
     def backward(g):
         # softmax minus the softmax over the positives
         p = e / s
         p -= ep / sp
-        x._accumulate(float(g) * p / rows)
+        x._accumulate(_mean_grad(g, p, rows, split))
 
-    return _make(data, (x,), backward, "masked_softmax_nll")
+    return _make(_means(np.log(s) - zm - np.log(sp), split), (x,), backward,
+                 "masked_softmax_nll")
 
 
 # -- verification oracle ----------------------------------------------

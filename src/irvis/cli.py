@@ -309,12 +309,10 @@ def cmd_dump_matrices(args) -> int:
     for start in range(0, len(samples), cfg.batch_size):
         chunk = samples[start:start + cfg.batch_size]
         f_vf, labels = teacher_targets(chunk, teacher, enc, cfg.gamma)
-        f_i, f_v = student_features(chunk, student, enc)
-        s_iv = similarity(f_i, f_vf, cfg.tau)
-        s_vv = similarity(f_v, f_vf, cfg.tau)
+        s_iv, s_vv = similarity(student_features(chunk, student, enc), f_vf, cfg.tau).data
         for j, sample in enumerate(chunk):
-            tensorio.write_tensor(out / f"{sample.scene_id}.m_iv.tnsr", s_iv.data[j])
-            tensorio.write_tensor(out / f"{sample.scene_id}.m_vv.tnsr", s_vv.data[j])
+            tensorio.write_tensor(out / f"{sample.scene_id}.m_iv.tnsr", s_iv[j])
+            tensorio.write_tensor(out / f"{sample.scene_id}.m_vv.tnsr", s_vv[j])
             tensorio.write_tensor(out / f"{sample.scene_id}.m_p.tnsr", labels.values[j])
     print(f"dumped matrices to {out}")
     return 0

@@ -1,8 +1,8 @@
 """Miniature patch-token transformer encoder.
 
 Produces per-patch features (post final LayerNorm) and exports the
-last layer's head-averaged attention map.  No CLS token: every matrix
-downstream is N x N over patch tokens.
+last layer's attention maps.  No CLS token: every matrix downstream is
+N x N over patch tokens.  Each block is one ``autodiff.block`` node.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 
 INIT_STD = 0.02
 
@@ -30,6 +30,8 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, ("image_size", "patch_size", "channels", "depth", "dim",
+                                "heads", "mlp_ratio", "seed"))
         for name in ("image_size", "patch_size", "channels", "depth", "dim",
                      "heads", "mlp_ratio"):
             if not getattr(self, name) >= 1:  # NaN fails it too
@@ -54,8 +56,14 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    features: Tensor        # (N, dim), or (B, N, dim) for a batch
-    attention_last: Tensor  # (N, N) or (B, N, N), row-stochastic, head-averaged
+    features: Tensor          # (N, dim), or (B, N, dim) for a batch
+    attention_heads: np.ndarray  # the last block's maps, (heads, N, N) or (B, heads, N, N)
+
+    @property
+    def attention_last(self) -> Tensor:
+        """(N, N) or (B, N, N): the last block's maps averaged over heads, off
+        the tape; averaged only when read, as a training step never does."""
+        return Tensor(self.attention_heads.mean(axis=-3))
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
@@ -110,9 +118,11 @@ def patchify(img: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     return x.reshape(lead + (n * n, cfg.patch_dim))
 
 
-def _linear(x: Tensor, params: dict[str, Tensor], name: str, adapters, rng) -> Tensor:
-    lora = adapters[name].branch(x, rng) if adapters and name in adapters else None
-    return ad.linear(x, params[f"{name}.weight"], params[f"{name}.bias"], lora)
+def _layer(params: dict[str, Tensor], name: str, adapters, rng, shape) -> tuple:
+    """(weight, bias, lora) of layer ``name`` for an input of ``shape``, as
+    ``linear`` takes them; an adapter's dropout mask is drawn here."""
+    lora = adapters[name].branch(shape, rng) if adapters and name in adapters else None
+    return params[f"{name}.weight"], params[f"{name}.bias"], lora
 
 
 def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
@@ -122,25 +132,23 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
     which makes the adapters' dropout live.
 
     ``img`` is one (C, H, W) image or a (B, C, H, W) batch; a batch gives
-    features (B, N, dim) and attention maps (B, N, N).
+    features (B, N, dim) and the last block's maps (B, heads, N, N).
     """
     data = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
     patches = Tensor(patchify(data, cfg))
-    x = _linear(patches, params, "patch_embed", adapters, rng) + params["pos_embed"]
-
+    x = ad.linear(patches, *_layer(params, "patch_embed", adapters, rng, patches.shape))
+    x = x + params["pos_embed"]
     dh = cfg.dim // cfg.heads
     for i in range(cfg.depth):
         pre = f"blocks.{i}"
-        h = ad.layernorm(x, params[f"{pre}.norm1.weight"], params[f"{pre}.norm1.bias"])
-        qkv = _linear(h, params, f"{pre}.qkv", adapters, rng)
-        merged, attn = ad.attention(qkv, cfg.heads, dh)
-        x = x + _linear(merged, params, f"{pre}.proj", adapters, rng)
-
-        h = ad.layernorm(x, params[f"{pre}.norm2.weight"], params[f"{pre}.norm2.bias"])
-        h = ad.gelu(_linear(h, params, f"{pre}.fc1", adapters, rng))
-        x = x + _linear(h, params, f"{pre}.fc2", adapters, rng)
-
+        hidden = x.shape[:-1] + (params[f"{pre}.fc2.weight"].shape[0],)
+        norm1, norm2 = ((params[f"{pre}.{n}.weight"], params[f"{pre}.{n}.bias"])
+                        for n in ("norm1", "norm2"))
+        # the masks are drawn in the layers' order: qkv, proj, fc1, fc2
+        qkv, proj, fc1, fc2 = (_layer(params, f"{pre}.{name}", adapters, rng, shape)
+                               for name, shape in (("qkv", x.shape), ("proj", x.shape),
+                                                   ("fc1", x.shape), ("fc2", hidden)))
+        x, attn = ad.block(x, norm1, qkv, proj, norm2, fc1, fc2, cfg.heads, dh)
     features = ad.layernorm(x, params["norm.weight"], params["norm.bias"])
-    # pseudo-labels read the map without gradients, so it leaves the tape
     return EncoderOutput(features=ad.check_finite(features, "encode features"),
-                         attention_last=Tensor(attn.mean(axis=-3)))
+                         attention_heads=attn)

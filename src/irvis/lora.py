@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import trunc_normal
-from .errors import ConfigError, DataError, ShapeMismatchError
+from .errors import ConfigError, DataError, ShapeMismatchError, require_integers
 
 @dataclass(frozen=True)
 class LoraConfig:
@@ -28,6 +28,7 @@ class LoraConfig:
     target_modules: tuple[str, ...] = ("qkv", "proj", "fc1", "fc2", "patch_embed")
 
     def __post_init__(self):
+        require_integers(self, ("rank",))
         if not self.rank >= 1:
             raise ConfigError(f"LoRA rank must be >= 1, got {self.rank}")
         if not 0.0 <= self.dropout < 1.0:
@@ -55,21 +56,21 @@ class LoraAdapter:
     def scaling(self) -> float:
         return self.alpha / self.A.shape[0]
 
-    def branch(self, x: Tensor, rng=None) -> tuple:
+    def branch(self, shape, rng=None) -> tuple:
         """``(A, B, scale, mask)``: the operands of this adapter's branch on
-        ``x`` for ``ad.linear``.  Dropout is live iff ``rng`` is passed: the
-        mask is ``rng.dropout_mask(x.shape, p)``, cut from the uniforms a
-        training step draws ahead for all its adapters."""
+        an input of ``shape`` for ``ad.linear``.  Dropout is live iff ``rng``
+        is passed: the mask is ``rng.dropout_mask(shape, p)``, cut from the
+        uniforms a training step draws ahead for all its adapters."""
         mask = None
         if rng is not None and self.dropout_p > 0.0:
-            mask = rng.dropout_mask(x.shape, self.dropout_p)
+            mask = rng.dropout_mask(shape, self.dropout_p)
         return self.A, self.B, self.scaling, mask
 
     def delta(self, x: Tensor, rng=None) -> Tensor:
         """Adapter branch (alpha/r) * drop(x) A^T B^T: the adapted layer on a
         zero base weight."""
         w = Tensor(np.zeros((self.A.shape[1], self.B.shape[0])))
-        return ad.linear(x, w, None, self.branch(x, rng))
+        return ad.linear(x, w, None, self.branch(x.shape, rng))
 
     def update_matrix(self) -> np.ndarray:
         """(k, d) matrix added to W by merging."""
@@ -79,7 +80,8 @@ class LoraAdapter:
 def forward_adapted(x: Tensor, w: Tensor, adapter: LoraAdapter) -> Tensor:
     """Two-path forward x W + adapter branch, without dropout; gradients reach
     B and A only."""
-    return ad.check_finite(ad.linear(x, w, None, adapter.branch(x)), "adapted forward")
+    return ad.check_finite(ad.linear(x, w, None, adapter.branch(x.shape)),
+                           "adapted forward")
 
 
 def merge(w: Tensor, adapter: LoraAdapter) -> Tensor:

@@ -2,9 +2,10 @@
 
 Similarity logits between student and frozen-teacher patch features,
 binary pseudo-labels derived from the teacher's attention map, and the
-loss table ``LOSSES``: one per-branch term per loss kind, the one loss API.
-Pseudo-label construction is deliberately non-differentiable; teacher
-features must be detached by the caller.
+loss table ``LOSSES``: one term per loss kind, the one loss API, which
+scores both branches in one pass.  Pseudo-label construction is
+deliberately non-differentiable; teacher features must be detached by the
+caller.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ class PseudoLabelMatrix:
 
 
 def similarity(f_a: Tensor, f_b: Tensor, tau: float) -> Tensor:
-    """Logits cosine / tau, (N, N) or (B, N, N), of the rows of ``f_a`` against ``f_b``."""
+    """Logits cosine / tau, (N, N) or (B, N, N), of the rows of ``f_a`` against
+    ``f_b``; student features with a leading branch axis, (2, B, N, D), give
+    (2, B, N, N) against the same teacher features (B, N, D)."""
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
     return ad.check_finite(ad.cosine_rows(f_a, f_b) * (1.0 / tau), "similarity")
@@ -67,15 +70,20 @@ def pseudo_labels(attention: np.ndarray | Tensor, gamma: float) -> PseudoLabelMa
     return PseudoLabelMatrix(values=labels, per_row_m=per_row_m)
 
 
-def _check_match(s: Tensor, p: PseudoLabelMatrix) -> None:
-    if s.shape != p.values.shape:
-        raise ShapeMismatchError(f"similarity {s.shape} vs labels {p.values.shape}")
+def _branched(s: Tensor, p: PseudoLabelMatrix) -> bool:
+    """Whether the logits ``s`` carry a leading branch axis over the labels'
+    shape; ``ShapeMismatchError`` unless they have that shape, with or without it."""
+    if s.shape == p.values.shape:
+        return False
+    if s.shape[1:] == p.values.shape:
+        return True
+    raise ShapeMismatchError(f"similarity {s.shape} vs labels {p.values.shape}")
 
 
 def loss_iv(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
-    """Cross-modal alignment: BCE of the similarity logits against pseudo-labels."""
-    _check_match(s, p)
-    return ad.bce_with_logits(s, Tensor(p.values))
+    """Cross-modal alignment: BCE of the similarity logits against pseudo-labels;
+    logits with a leading branch axis give one loss per branch."""
+    return ad.bce_with_logits(s, Tensor(p.values), split=_branched(s, p))
 
 
 # Visible-knowledge distillation: the same term, applied to the visible branch.
@@ -90,28 +98,32 @@ def loss_pccl(l_iv: Tensor, l_vv: Tensor, alpha: float = 1.0,
 
 
 def loss_variant_softmax(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
-    """Per row, -log of the softmax mass on label-positive positions."""
-    _check_match(s, p)
-    return ad.masked_softmax_nll(s, p.values)
+    """Per row, -log of the softmax mass on label-positive positions; logits
+    with a leading branch axis give one loss per branch."""
+    return ad.masked_softmax_nll(s, p.values, split=_branched(s, p))
 
 
-# -- per-branch terms: (f_student, f_teacher, labels, tau) -> scalar ----
-# Training applies a term to the infrared branch (L_IV) and to the visible
-# branch (L_VV) and weights the two with ``loss_pccl``.  Helpers are looked
-# up by module-global name at call time, so wrapping one reaches each kind
-# that calls it: ``loss_iv`` and ``loss_variant_softmax`` time only the two
-# pccl kinds, ``similarity`` also ``nce``, and ``mse`` calls none of them.
+# -- the loss table: (f_student, f_teacher, labels, tau) -> [L_IV, L_VV] --
+# ``f_student`` holds both branches on its first axis, (2, B, N, D): the
+# infrared images' features, then the visible ones'.  The teacher features
+# (B, N, D) and the labels are shared by both.  Each term runs one similarity
+# pass and one reduction pass for the two, and returns their losses as one
+# (2,) Tensor, which ``loss_pccl`` weights.  Helpers are looked up by
+# module-global name at call time, so wrapping one reaches each kind that
+# calls it: ``loss_iv`` and ``loss_variant_softmax`` time only the two pccl
+# kinds, ``similarity`` also ``nce``, and ``mse`` calls none of them.
 
 
 def _term_mse(f_s: Tensor, f_t: Tensor, labels=None, tau=None) -> Tensor:
     d = f_s - f_t
-    return ad.tmean(ad.mul(d, d))
+    return ad.tmean(ad.mul(d, d), split=True)
 
 
 def _term_nce(f_s: Tensor, f_t: Tensor, labels=None, tau=None) -> Tensor:
     """InfoNCE: the softmax loss whose one positive is the matching patch."""
     s = similarity(f_s, f_t, tau)
-    return ad.masked_softmax_nll(s, np.broadcast_to(np.eye(*s.shape[-2:]), s.shape))
+    return ad.masked_softmax_nll(s, np.broadcast_to(np.eye(*s.shape[-2:]), s.shape[1:]),
+                                 split=True)
 
 
 LOSSES = {

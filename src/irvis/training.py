@@ -10,13 +10,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as datamod
 from . import pccl
 from .autodiff import Tensor, check_finite, check_grads_finite
 # the scene builders are also looked up here, by the CLI and the benchmark
 from .data import make_labeled_scenes, make_pretrain_pairs
 from .encoder import EncoderConfig, encode, init_params
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, require_integers
 from .lora import LoraConfig, adapter_tensors, attach, dropout_mask
 
 LOSS_KINDS = tuple(pccl.LOSSES)
@@ -42,6 +43,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, ("epochs", "warmup_epochs", "batch_size", "seed"))
         # comparisons are written so that NaN fails them too
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ConfigError(f"need 0 <= warmup_epochs <= epochs, got "
@@ -54,8 +56,12 @@ class TrainConfig:
         if not 0.0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be nonnegative and finite, "
                               f"got {self.weight_decay}")
-        if not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ConfigError(f"betas must be in [0, 1), got {self.betas}")
+        try:
+            betas_ok = len(self.betas) == 2 and all(0.0 <= b < 1.0 for b in self.betas)
+        except TypeError:  # not a sequence, or not of numbers
+            betas_ok = False
+        if not betas_ok:
+            raise ConfigError(f"betas must be a pair of values in [0, 1), got {self.betas!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
         if not (self.alpha >= 0.0 and self.beta >= 0.0):
@@ -186,13 +192,16 @@ def teacher_targets(samples, teacher: dict[str, Tensor], enc_cfg: EncoderConfig,
 
 
 def student_features(batch, params: dict[str, Tensor], enc_cfg: EncoderConfig,
-                     **encode_kwargs):
-    """(f_i, f_v): student features of the infrared and visible images of a
-    batch of pairs, from one (2B, C, H, W) stack ordered ir_0, vis_0, ir_1, ..."""
+                     **encode_kwargs) -> Tensor:
+    """Student features of a batch of pairs, branch-first: (2, B, N, dim), the
+    infrared images' then the visible images'.  They come from one
+    (2B, C, H, W) stack ordered ir_0, vis_0, ir_1, ..., the order in which
+    the images draw their dropout rows, and are then reordered on the tape."""
     images = [to_channels(img.data, enc_cfg.channels)
               for s in batch for img in (s.infrared, s.visible)]
     features = encode(np.stack(images), params, enc_cfg, **encode_kwargs).features
-    return features[0::2], features[1::2]
+    pairs = ad.reshape(features, (len(batch), 2) + features.shape[1:])
+    return ad.transpose(pairs, (1, 0, 2, 3))
 
 
 class _RowDraws:
@@ -241,11 +250,10 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
         rng = _RowDraws(np.random.default_rng(cfg.seed + state.step)
                         .random((2 * len(batch), width)))
     try:
-        f_i, f_v = student_features(batch, state.params, enc_cfg,
-                                    adapters=state.adapters, rng=rng)
-        term = pccl.LOSSES[cfg.loss_kind]
-        l_iv = term(f_i, f_vf, labels, cfg.tau)
-        l_vv = term(f_v, f_vf, labels, cfg.tau)
+        f_s = student_features(batch, state.params, enc_cfg,
+                               adapters=state.adapters, rng=rng)
+        losses = pccl.LOSSES[cfg.loss_kind](f_s, f_vf, labels, cfg.tau)
+        l_iv, l_vv = losses[0], losses[1]
         loss = check_finite(pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta), "the loss")
         if loss.requires_grad and (cfg.alpha or cfg.beta):  # alpha = beta = 0: no signal
             loss.backward()

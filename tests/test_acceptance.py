@@ -78,25 +78,20 @@ def test_02_gradient_suite(capsys, toy_cfg):
         # end-to-end: full training objective per loss kind
         teacher = frozen_teacher(toy_cfg)
         student = init_params(toy_cfg)
-        from irvis.training import to_channels
-        sample = make_pretrain_pairs(1, seed=21)[0]
-        vis = to_channels(sample.visible.data, toy_cfg.channels)
-        ir = to_channels(sample.infrared.data, toy_cfg.channels)
-        t_out = encode(vis, teacher, toy_cfg)
-        labels = pccl.pseudo_labels(t_out.attention_last, 0.6)
-        f_vf = t_out.features
+        from irvis.training import student_features
+        batch = make_pretrain_pairs(1, seed=21)
+        f_vf, labels = teacher_targets(batch, teacher, toy_cfg, 0.6)
         name = "blocks.0.proj.weight"
 
         def loss_fn(kind):
             def f(t):
                 p = dict(student)
                 p[name] = t
-                f_i = encode(ir, p, toy_cfg).features
-                f_v = encode(vis, p, toy_cfg).features
-                # the objective as train_step builds it, from the one loss table
-                term = pccl.LOSSES[kind]
-                return pccl.loss_pccl(term(f_i, f_vf, labels, 0.04),
-                                      term(f_v, f_vf, labels, 0.04), 1.0, 1.0)
+                # the objective as train_step builds it: one loss-table call
+                # scores both branches of the batch's student features
+                losses = pccl.LOSSES[kind](student_features(batch, p, toy_cfg),
+                                           f_vf, labels, 0.04)
+                return pccl.loss_pccl(losses[0], losses[1], 1.0, 1.0)
             return f
 
         for kind in pccl.LOSSES:

@@ -770,6 +770,18 @@ def _cosine_batched_case(rng):
     return weighted_sum(lambda t: cosine_rows(a, t), w), Tensor(rng.normal(size=(2, 4, 3)))
 
 
+def _cosine_shared_case(rng):
+    # a (2, 2, 5, 3) against a (2, 4, 3) that both entries of a's first axis
+    # share; each trial differentiates one side
+    w = rng.normal(size=(2, 2, 5, 4))
+    if rng.integers(2):
+        b = Tensor(rng.normal(size=(2, 4, 3)))
+        return (weighted_sum(lambda t: cosine_rows(t, b), w),
+                Tensor(rng.normal(size=(2, 2, 5, 3))))
+    a = Tensor(rng.normal(size=(2, 2, 5, 3)))
+    return weighted_sum(lambda t: cosine_rows(a, t), w), Tensor(rng.normal(size=(2, 4, 3)))
+
+
 def _diag_ce_batched_case(rng):
     return _identity_mask_nll, Tensor(rng.normal(size=(3, 4, 4)))
 
@@ -789,6 +801,45 @@ def _reshape_case(rng):
             Tensor(rng.normal(size=(2, 3, 4))))
 
 
+def _block_case(lora):
+    """``block`` on 2 images of 3 patches of width 4, with 2 heads of width 2
+    and a hidden width of 8.  A trial differentiates the input or one
+    parameter: in full mode any weight, bias or LayerNorm parameter (all take
+    gradients); in LoRA mode an adapter's A or B (rank 2, dropout masks at
+    keep probability 0.7, the base weights frozen)."""
+    widths = {"qkv": (4, 12), "proj": (4, 4), "fc1": (4, 8), "fc2": (8, 4)}
+
+    def make(rng):
+        t = {"x": Tensor(rng.normal(size=(2, 3, 4)))}
+        for name in ("norm1", "norm2"):
+            t[f"{name}.w"] = Tensor(1.0 + 0.2 * rng.normal(size=4), requires_grad=not lora)
+            t[f"{name}.b"] = Tensor(0.2 * rng.normal(size=4), requires_grad=not lora)
+        masks = {}
+        for name, (k, d) in widths.items():
+            t[f"{name}.w"] = Tensor(rng.normal(size=(k, d)) / np.sqrt(k),
+                                    requires_grad=not lora)
+            t[f"{name}.b"] = Tensor(0.2 * rng.normal(size=d), requires_grad=not lora)
+            if lora:
+                t[f"{name}.A"] = Tensor(0.5 * rng.normal(size=(2, k)), requires_grad=True)
+                t[f"{name}.B"] = Tensor(0.5 * rng.normal(size=(d, 2)), requires_grad=True)
+                masks[name] = (rng.random((2, 3, k)) >= 0.3) / 0.7
+        wrt = [name for name, v in t.items() if name == "x" or v.requires_grad]
+        pick = wrt[rng.integers(len(wrt))]
+        w = rng.normal(size=(2, 3, 4))
+
+        def f(arg):
+            a = dict(t, **{pick: arg})
+
+            def layer(name):
+                branch = (a[f"{name}.A"], a[f"{name}.B"], 1.5, masks[name]) if lora else None
+                return a[f"{name}.w"], a[f"{name}.b"], branch
+            return ad.block(a["x"], (a["norm1.w"], a["norm1.b"]), layer("qkv"), layer("proj"),
+                            (a["norm2.w"], a["norm2.b"]), layer("fc1"), layer("fc2"),
+                            heads=2, dh=2)[0]
+        return weighted_sum(f, w), Tensor(t[pick].data)
+    return make
+
+
 # "diag_cross_entropy" names the loss, NCE's softmax on diagonal positives:
 # masked_softmax_nll with an identity mask
 DIFF_OPS = {
@@ -799,8 +850,11 @@ DIFF_OPS = {
     **_lora_delta_cases(),
     "cosine_rows": _cosine_case,
     "cosine_rows_batched": _cosine_batched_case,
+    "cosine_rows_shared": _cosine_shared_case,
     "bce_with_logits": _bce_case,
     "layernorm": _layernorm_case,
+    "block_full": _block_case(lora=False),
+    "block_lora": _block_case(lora=True),
     "gelu": _gelu_case,
     "diag_cross_entropy": _diag_ce_case,
     "diag_cross_entropy_batched": _diag_ce_batched_case,

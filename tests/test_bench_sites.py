@@ -52,8 +52,9 @@ def test_loss_table_looks_up_helpers_at_call_time(monkeypatch):
     for name in ("similarity", "loss_iv", "loss_variant_softmax"):
         monkeypatch.setattr(pccl, name, counting(name))
     rng = np.random.default_rng(0)
-    f_s, f_t = Tensor(rng.normal(size=(4, 8))), Tensor(rng.normal(size=(4, 8)))
-    labels = pccl.pseudo_labels(np.full((4, 4), 0.25), 0.6)
+    # both branches of a batch of one image against its teacher features
+    f_s, f_t = Tensor(rng.normal(size=(2, 1, 4, 8))), Tensor(rng.normal(size=(1, 4, 8)))
+    labels = pccl.pseudo_labels(np.full((1, 4, 4), 0.25), 0.6)
     expected = {"pccl": ["similarity", "loss_iv"],
                 "pccl_softmax_variant": ["similarity", "loss_variant_softmax"],
                 "nce": ["similarity"], "mse": []}

@@ -223,7 +223,7 @@ class TestPretrain:
                            "--out", str(tmp_path / "run"))
         assert code == 2 and "at step 1" in err, err
         # the message names the op, found by walking the step's tape
-        assert re.search(r"first produced by (linear|attention|layernorm"
+        assert re.search(r"first produced by (linear|attention|layernorm|block"
                          r"|gelu|add|scale|cosine_rows|bce_with_logits)\b", err), err
         lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 1

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from irvis import autodiff as ad
 from irvis.autodiff import LN_EPS, Tensor
-from irvis.encoder import EncoderConfig, encode, init_params, patchify
+from irvis.encoder import EncoderConfig, EncoderOutput, encode, init_params, patchify
 from irvis.errors import ConfigError, ShapeMismatchError
+from irvis.lora import LoraConfig, adapter_tensors, attach
+from irvis.training import _RowDraws
 
 
 def test_config_validation():
@@ -22,6 +25,16 @@ def test_config_validation():
                 EncoderConfig(**{name: bad})
     cfg = EncoderConfig(image_size=16, patch_size=4)
     assert cfg.num_patches == 16
+
+
+@pytest.mark.parametrize("bad", [dict(dim=32.0), dict(depth=1.5), dict(heads=4.0),
+                                 dict(image_size=16.0), dict(seed=0.5), dict(depth=True)],
+                         ids=repr)
+def test_counts_must_be_integers(bad):
+    (field,) = bad
+    with pytest.raises(ConfigError, match=field):
+        EncoderConfig(**bad)
+    assert EncoderConfig(**{field: np.int64(1 if field in ("depth", "seed") else 16)})
 
 
 def test_init_deterministic_and_seed_sensitive():
@@ -187,3 +200,56 @@ def test_parameters_of_another_width_rejected(toy_cfg):
     wide = init_params(EncoderConfig(dim=48, heads=4, seed=1))
     with pytest.raises(ShapeMismatchError):
         encode(np.zeros((3, 16, 16)), wide, toy_cfg)
+
+
+def chain_encode(img, params, cfg, *, adapters=None, rng=None):
+    """``encode`` as a chain of per-op tape nodes, ten per block, drawing the
+    adapters' masks in the same order."""
+    def lin(x, name):
+        lora = adapters[name].branch(x.shape, rng) if adapters and name in adapters else None
+        return ad.linear(x, params[f"{name}.weight"], params[f"{name}.bias"], lora)
+
+    def norm(x, name):
+        return ad.layernorm(x, params[f"{name}.weight"], params[f"{name}.bias"])
+
+    x = lin(Tensor(patchify(img, cfg)), "patch_embed") + params["pos_embed"]
+    for i in range(cfg.depth):
+        pre = f"blocks.{i}"
+        merged, attn = ad.attention(lin(norm(x, f"{pre}.norm1"), f"{pre}.qkv"),
+                                    cfg.heads, cfg.dim // cfg.heads)
+        x = x + lin(merged, f"{pre}.proj")
+        x = x + lin(ad.gelu(lin(norm(x, f"{pre}.norm2"), f"{pre}.fc1")), f"{pre}.fc2")
+    return EncoderOutput(features=norm(x, "norm"), attention_heads=attn)
+
+
+@pytest.mark.parametrize("lora", [True, False], ids=["lora", "full"])
+def test_block_nodes_equal_the_per_op_chain(lora):
+    """Two blocks, as one node each, against the chain of per-op nodes: the
+    features, the last block's maps and every gradient, byte for byte."""
+    cfg = EncoderConfig(depth=2, seed=3)
+    rng = np.random.default_rng(12)
+    imgs = rng.random((4, 3, 16, 16))
+    weights = rng.normal(size=(4, cfg.num_patches, cfg.dim))
+    runs = []
+    for encode_fn in (encode, chain_encode):
+        params = init_params(cfg)
+        adapters, draws = None, None
+        if lora:
+            adapters = attach(params, LoraConfig(rank=4, dropout=0.1), seed=5)
+            for a in adapters.values():  # B starts at zero, which would zero A's gradient
+                a.B.data = np.random.default_rng(7).normal(size=a.B.shape)
+            width = cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
+            draws = _RowDraws(np.random.default_rng(8).random((4, width)))
+        out = encode_fn(imgs, params, cfg, adapters=adapters, rng=draws)
+        ad.tsum(ad.mul(out.features, Tensor(weights))).backward()
+        tensors = dict(params, **(adapter_tensors(adapters) if lora else {}))
+        runs.append((out.features.data, out.attention_heads,
+                     {name: t.grad for name, t in tensors.items() if t.requires_grad}))
+    (features, maps, grads), (want_features, want_maps, want_grads) = runs
+    assert features.tobytes() == want_features.tobytes()
+    assert maps.shape == (4, cfg.heads, cfg.num_patches, cfg.num_patches)
+    assert maps.tobytes() == want_maps.tobytes()
+    assert sorted(grads) == sorted(want_grads)
+    assert len(grads) == (19 if lora else len(params))
+    for name, grad in grads.items():
+        assert grad.tobytes() == want_grads[name].tobytes(), name

@@ -46,7 +46,7 @@ class TestForward:
         x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
         adapter = make_adapter(rng, dropout=0.25)
         w = Tensor(rng.normal(size=(16, 24)))
-        out = ad.linear(x, w, None, adapter.branch(x, rng=drawn_block(3, x.shape)))
+        out = ad.linear(x, w, None, adapter.branch(x.shape, rng=drawn_block(3, x.shape)))
         mask = (np.random.default_rng(3).random(x.shape) >= 0.25) / (1.0 - 0.25)
         a, b = adapter.A.data, adapter.B.data
         want = x.data @ w.data + (x.data * mask) @ a.T @ b.T * adapter.scaling
@@ -167,6 +167,12 @@ class TestAttach:
         params = init_params(toy_cfg)
         with pytest.raises(ConfigError, match="nonexistent"):
             attach(params, LoraConfig(target_modules=("qkv", "nonexistent")), seed=0)
+
+    @pytest.mark.parametrize("rank", [2.5, 2.0, True, "2"])
+    def test_rank_must_be_an_integer(self, rank):
+        with pytest.raises(ConfigError, match="rank"):
+            LoraConfig(rank=rank)
+        assert LoraConfig(rank=np.int64(2)).rank == 2
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
     def test_non_finite_alpha(self, alpha):

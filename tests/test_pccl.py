@@ -217,17 +217,25 @@ class TestCombinedLoss:
         assert grad_check(combined, x) < 1e-5
 
 
+def branches(*tensors):
+    """Tensors of one shape stacked on a new first axis, the branch axis that
+    ``LOSSES`` takes; the values only, off the tape."""
+    return Tensor(np.stack([t.data for t in tensors]))
+
+
 def two_branch_mse(f_i, f_v, f_vf):
-    """The MSE ablation as training applies it: one ``LOSSES`` term per branch."""
-    return LOSSES["mse"](f_i, f_vf, None, None) + LOSSES["mse"](f_v, f_vf, None, None)
+    """The MSE ablation as training applies it: one ``LOSSES`` call scores
+    both branches, and their losses are summed."""
+    losses = LOSSES["mse"](branches(f_i, f_v), f_vf, None, None)
+    return losses[0] + losses[1]
 
 
 def two_branch_nce(z_iv, z_vv):
     """The NCE ablation on given logits: the term ``LOSSES["nce"]`` applies to
-    each branch's similarity, the softmax loss on the diagonal positives,
-    summed over both branches."""
-    return (ad.masked_softmax_nll(z_iv, np.eye(z_iv.shape[-1]))
-            + ad.masked_softmax_nll(z_vv, np.eye(z_vv.shape[-1])))
+    both branches' similarities at once, the softmax loss on the diagonal
+    positives, one per branch, summed over both branches."""
+    losses = ad.masked_softmax_nll(branches(z_iv, z_vv), np.eye(z_iv.shape[-1]), split=True)
+    return losses[0] + losses[1]
 
 
 class TestAblationLosses:
@@ -260,7 +268,9 @@ class TestAblationLosses:
     def test_nce_term_is_diag_cross_entropy_of_similarity(self):
         rng = np.random.default_rng(20)
         f_s, f_t = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(5, 8)))
-        got = LOSSES["nce"](f_s, f_t, None, 0.04).item()
+        # one branch of a batch of one image
+        got = LOSSES["nce"](Tensor(f_s.data[None, None]), Tensor(f_t.data[None]),
+                            None, 0.04)[0].item()
         assert got == ad.masked_softmax_nll(similarity(f_s, f_t, 0.04), np.eye(5)).item()
 
     def test_nce_vs_naive(self):
@@ -324,3 +334,42 @@ def test_gradients_do_not_reach_teacher_features():
     loss_iv(similarity(f_i, f_vf, 0.04), p).backward()
     assert f_i.grad is not None
     assert f_vf.grad is None
+
+
+def _mse_per_branch(f, f_t, p, tau):
+    d = f - f_t
+    return ad.tmean(ad.mul(d, d))
+
+
+def _nce_per_branch(f, f_t, p, tau):
+    s = similarity(f, f_t, tau)
+    return ad.masked_softmax_nll(s, np.broadcast_to(np.eye(*s.shape[-2:]), s.shape))
+
+
+# Each kind as one scalar term per branch, built from the ops' unsplit forms:
+# the form training used before one call scored both branches.
+PER_BRANCH = {
+    "pccl": lambda f, f_t, p, tau: loss_iv(similarity(f, f_t, tau), p),
+    "pccl_softmax_variant":
+        lambda f, f_t, p, tau: loss_variant_softmax(similarity(f, f_t, tau), p),
+    "mse": _mse_per_branch,
+    "nce": _nce_per_branch,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOSSES))
+def test_two_branch_term_equals_two_per_branch_evaluations(kind):
+    # (2, B, N, D) student features against (B, N, D) teacher features
+    rng = np.random.default_rng(23)
+    f_s = Tensor(rng.normal(size=(2, 3, 6, 8)), requires_grad=True)
+    f_t = Tensor(rng.normal(size=(3, 6, 8)))
+    p = pseudo_labels(np.stack([random_stochastic(rng, 6) for _ in range(3)]), 0.6)
+    alpha, beta = 0.7, 1.3
+    losses = LOSSES[kind](f_s, f_t, p, 0.04)
+    loss_pccl(losses[0], losses[1], alpha, beta).backward()
+    per = [Tensor(f_s.data[b].copy(), requires_grad=True) for b in range(2)]
+    want = [PER_BRANCH[kind](f, f_t, p, 0.04) for f in per]
+    loss_pccl(want[0], want[1], alpha, beta).backward()
+    assert losses.shape == (2,)
+    assert losses.data.tobytes() == np.array([w.item() for w in want]).tobytes()
+    assert f_s.grad.tobytes() == np.stack([f.grad for f in per]).tobytes()

@@ -15,8 +15,8 @@ PACKAGE = ROOT / "src" / "irvis"
 KEPT = {
     "grad_check": "the finite-difference oracle every gradient test compares against",
     "tsum": "an op of the unfused reference chains the tests compare fused ops against",
-    "transpose": "an op of the unfused reference chains the tests compare fused ops against",
-    "reshape": "an op of the unfused reference chains the tests compare fused ops against",
+    "gelu": "a tape op of the per-op chain the tests compare ``block`` against",
+    "attention": "a tape op of the per-op chain the tests compare ``block`` against",
     "unmerge": "acceptance 3 pins the merge/unmerge round trip",
     "sparsity_report": "the planned run trace writes it at the end of a run",
     "Tensor.item": "the tests read scalar losses with it",

@@ -72,6 +72,23 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("bad, field", [
+        (dict(betas=(0.9,)), "betas"), (dict(betas=(0.9, 0.99, 0.999)), "betas"),
+        (dict(betas=0.9), "betas"), (dict(betas=("a", "b")), "betas"),
+        (dict(batch_size=2.5), "batch_size"), (dict(epochs=2.5), "epochs"),
+        (dict(warmup_epochs=1.0), "warmup_epochs"), (dict(seed=1.5), "seed"),
+        (dict(epochs=True), "epochs"),
+    ], ids=repr)
+    def test_malformed_values_fail_at_construction(self, bad, field):
+        # the CLI parses integers, so only the Python API can pass these
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**bad)
+
+    def test_numpy_integers_are_counts(self):
+        cfg = TrainConfig(epochs=np.int64(3), warmup_epochs=np.int32(1),
+                          batch_size=np.int64(2), seed=np.uint8(4))
+        assert cfg.epochs == 3 and cfg.batch_size == 2
+
 
 class TestToChannels:
     def test_expand_gray(self):
@@ -125,7 +142,7 @@ class TestTrainStep:
     def test_non_finite_gradient_of_finite_loss_stops_step(self, toy_cfg, monkeypatch):
         def term(f_s, f_t, labels, tau):
             # every value stays finite; the gradient is 1e300 * 1e300 = inf
-            return ad.tmean(f_s) * 1e-300 * 1e300 * 1e300
+            return ad.tmean(f_s, split=True) * 1e-300 * 1e300 * 1e300
 
         monkeypatch.setitem(pccl.LOSSES, "mse", term)
         teacher = frozen_teacher(toy_cfg)
@@ -256,10 +273,16 @@ class SequentialDraws:
         return dropout_mask(self.rng.random(shape), p)
 
 
+def one(a):
+    """``a`` with a leading axis of one, on the tape."""
+    return ad.reshape(a, (1,) + a.shape)
+
+
 def reference_train_step(state, batch, teacher, enc_cfg, cfg):
     """The step as one forward pass per image: per pair the teacher, then the
     infrared and the visible student pass, each drawing its own dropout masks
-    from the step's generator; the loss averages the per-pair losses."""
+    from the step's generator; the loss averages the per-pair losses, each
+    branch of each pair scored by its own loss-table call."""
     rng = SequentialDraws(np.random.default_rng(cfg.seed + state.step))
     term = pccl.LOSSES[cfg.loss_kind]
     l_iv = l_vv = 0.0
@@ -267,12 +290,15 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
         vis = to_channels(sample.visible.data, enc_cfg.channels)
         ir = to_channels(sample.infrared.data, enc_cfg.channels)
         t = encode(vis, teacher, enc_cfg)
-        labels = pccl.pseudo_labels(t.attention_last, cfg.gamma)
+        p = pccl.pseudo_labels(t.attention_last, cfg.gamma)
+        # a branch axis of one and a batch of one
+        f_t = one(t.features)
+        labels = pccl.PseudoLabelMatrix(values=p.values[None], per_row_m=p.per_row_m[None])
         kw = dict(adapters=state.adapters, rng=rng)
         f_i = encode(ir, state.params, enc_cfg, **kw).features
         f_v = encode(vis, state.params, enc_cfg, **kw).features
-        l_iv = l_iv + term(f_i, t.features, labels, cfg.tau)
-        l_vv = l_vv + term(f_v, t.features, labels, cfg.tau)
+        l_iv = l_iv + term(one(one(f_i)), f_t, labels, cfg.tau)[0]
+        l_vv = l_vv + term(one(one(f_v)), f_t, labels, cfg.tau)[0]
     l_iv, l_vv = l_iv * (1.0 / len(batch)), l_vv * (1.0 / len(batch))
     loss = pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta)
     loss.backward()
@@ -422,9 +448,11 @@ class TestFlatAdamW:
             for k, a in frozen.items():
                 assert state.params[k].data is a, (step, k)
 
-    def test_default_lora_step_records_83_tape_nodes(self, monkeypatch):
-        # 8 for the patch stage, 30 per block and 15 for the final norm, the
-        # branch split and the loss: one linear node per adapted layer
+    def test_default_lora_step_records_36_tape_nodes(self, monkeypatch):
+        # 6 for the patch stage (the adapted linear with its input and its
+        # adapter's A and B, pos_embed and its add), 9 per block (one block
+        # node and its 4 adapters' A and B) and 12 for the final norm, the
+        # branch split and the loss: frozen weights are not recorded
         enc = EncoderConfig()
         teacher = frozen_teacher(enc)
         cfg = TrainConfig(lora=LoraConfig())
@@ -440,7 +468,7 @@ class TestFlatAdamW:
         batch = make_pretrain_pairs(4, seed=0)
         train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
                    enc, cfg, 1e-3)
-        assert counts == [83]
+        assert counts == [36]
 
 
 class TestStepBuffers:
@@ -500,8 +528,8 @@ class TestStepBuffers:
         batch = make_pretrain_pairs(4, seed=0)
         train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
                    enc, cfg, 1e-3)
-        # 19 trainable leaves and the 34 op nodes above them
-        assert seen == [(83, 53)]
+        # 19 trainable leaves and the 15 op nodes above them
+        assert seen == [(36, 34)]
 
     def test_whole_block_masks_equal_the_rule_per_segment(self):
         shapes = [(6, 16, 48)] + [(6, 16, k) for _ in range(2) for k in (32, 32, 32, 128)]
@@ -513,8 +541,7 @@ class TestStepBuffers:
         draws = training._RowDraws(block)
         col = 0
         for shape, a in zip(shapes, adapters, strict=True):
-            x = ad.Tensor(np.zeros(shape))
-            mask = a.branch(x, draws)[3]
+            mask = a.branch(shape, draws)[3]
             width = math.prod(shape[1:])
             u = block[:, col:col + width].reshape(shape)
             col += width
@@ -527,23 +554,18 @@ class TestEndToEndGradients:
     def test_param_gradient_matches_finite_differences(self, toy_cfg, loss_kind):
         teacher = frozen_teacher(toy_cfg)
         student = student_state(teacher).params
-        sample = make_pretrain_pairs(1, seed=6)[0]
-        vis = to_channels(sample.visible.data, toy_cfg.channels)
-        ir = to_channels(sample.infrared.data, toy_cfg.channels)
-        teacher_out = encode(vis, teacher, toy_cfg)
-        f_vf = teacher_out.features
-        labels = pccl.pseudo_labels(teacher_out.attention_last, 0.6)
+        batch = make_pretrain_pairs(1, seed=6)
+        f_vf, labels = teacher_targets(batch, teacher, toy_cfg, 0.6)
         name = "blocks.1.qkv.weight"
 
         def full_loss(t):
             p = dict(student)
             p[name] = t
-            f_i = encode(ir, p, toy_cfg).features
-            f_v = encode(vis, p, toy_cfg).features
-            # the objective as train_step builds it, from the one loss table
-            term = pccl.LOSSES[loss_kind]
-            return pccl.loss_pccl(term(f_i, f_vf, labels, 0.04),
-                                  term(f_v, f_vf, labels, 0.04), 1.0, 1.0)
+            # the objective as train_step builds it: one loss-table call
+            # scores both branches of the batch's student features
+            losses = pccl.LOSSES[loss_kind](training.student_features(batch, p, toy_cfg),
+                                            f_vf, labels, 0.04)
+            return pccl.loss_pccl(losses[0], losses[1], 1.0, 1.0)
 
         err = grad_check(full_loss, student[name], sample=12, seed=2)
         assert err < 1e-4, loss_kind
