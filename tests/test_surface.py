@@ -1,13 +1,23 @@
 """Every public function and class in ``src/irvis``, and every public method
 and property of a public class, has a caller outside the tests: another
 module of the package (re-exports in ``__init__.py`` do not count), its own
-module beyond its definition, ``perfbench/`` or ``scripts/``.  A name that
-only tests reach is surface to delete, or it is kept here with its reason.
+module beyond its definition, or ``perfbench/``.  A name that only tests
+reach is surface to delete, or it is kept here with its reason for as
+long as it lacks a caller.
+
+A module-level name is called only where a load resolves to its definition:
+``alias.name`` with ``alias`` bound to the defining module, a name imported
+from that module, or a load in the defining module itself.  A parameter or
+local of the same name shadows it, as Python's scoping does.  A method or
+property is called at any attribute load of its name.  An entry of
+``perfbench/tracing.py``'s ``SPAN_SITES`` calls the function it wraps.
 """
 
 import ast
-import re
+import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "irvis"
@@ -21,6 +31,9 @@ KEPT = {
     "sparsity_report": "the planned run trace writes it at the end of a run",
     "Tensor.item": "the tests read scalar losses with it",
 }
+
+SCOPES = (ast.Module, ast.FunctionDef, ast.ClassDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def public_definitions(tree):
@@ -36,51 +49,170 @@ def public_members(tree):
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
 
 
-def names_used(nodes, with_strings=False):
-    """Identifiers referenced in ``nodes``: names, attributes, imported names
-    and, with ``with_strings``, the words of string constants."""
-    used = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                used.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                used.add(sub.attr)
-            elif isinstance(sub, ast.alias) and with_strings:
-                used.add(sub.name.rsplit(".", 1)[-1])
-            elif (with_strings and isinstance(sub, ast.Constant)
-                  and isinstance(sub.value, str)):
-                used.update(re.findall(r"\w+", sub.value))
-    return used
+def own_nodes(scope):
+    """The nodes under ``scope``, without those of the scopes nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+class Loads(ast.NodeVisitor):
+    """What the loads of one file resolve to.
+
+    ``own`` names the file's module in the package (None outside it) and
+    ``modules`` all the package's modules.  A binding is ``("module", m)``
+    (``m`` is "" for the package), ``("name", m, name)``, or None for a name
+    that is nothing of the package.  ``resolved`` collects ``(m, name,
+    site)`` and ``attrs`` ``(attr, site)``: ``site`` is the file's module and
+    the definitions, outermost first, that the load sits in.
+    """
+
+    def __init__(self, own, modules):
+        self.own, self.modules = own, modules
+        self.scopes = []  # (is_class, name -> binding), innermost last
+        self.site = []
+        self.resolved, self.attrs = set(), set()
+
+    def module_binding(self, dotted):
+        head, _, rest = dotted.partition(".")
+        if head == PACKAGE.name and (not rest or rest in self.modules):
+            return ("module", rest)
+        return None
+
+    def imported(self, node):
+        """name -> binding for an import statement."""
+        if isinstance(node, ast.Import):
+            return {a.asname or a.name.partition(".")[0]:
+                    self.module_binding(a.name if a.asname else a.name.partition(".")[0])
+                    for a in node.names}
+        source = (("module", node.module or "") if node.level
+                  else self.module_binding(node.module))
+        if source == ("module", ""):
+            return {a.asname or a.name: self.module_binding(f"{PACKAGE.name}.{a.name}")
+                    for a in node.names}
+        return {a.asname or a.name: source and ("name", source[1], a.name)
+                for a in node.names}
+
+    def bindings(self, scope):
+        """name -> binding for the names ``scope`` binds for itself."""
+        own = self.own if isinstance(scope, ast.Module) else None
+        out, shared = {}, set()
+        for node in own_nodes(scope):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out.update(self.imported(node))
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                out.setdefault(node.id, own and ("name", own, node.id))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out[node.name] = own and ("name", own, node.name)
+            elif isinstance(node, ast.arg):
+                out[node.arg] = None
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                out[node.name] = None
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        return {k: v for k, v in out.items() if k not in shared}
+
+    def resolve(self, node):
+        if isinstance(node, ast.Name):
+            # a class body's names are not visible in the scopes nested in it
+            for depth, (is_class, names) in enumerate(reversed(self.scopes)):
+                if node.id in names and not (is_class and depth):
+                    return names[node.id]
+        elif isinstance(node, ast.Attribute):
+            base = self.resolve(node.value)
+            if base and base[0] == "module":
+                if base[1]:
+                    return ("name", base[1], node.attr)
+                return self.module_binding(f"{PACKAGE.name}.{node.attr}")
+        return None
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.record(node)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.attrs.add((node.attr, self.where()))
+            self.record(node)
+        self.visit(node.value)
+
+    def record(self, node):
+        binding = self.resolve(node)
+        if binding and binding[0] == "name":
+            self.resolved.add((*binding[1:], self.where()))
+
+    def where(self):
+        return (self.own, *filter(None, self.site))
+
+    def visit_scope(self, node):
+        self.scopes.append((isinstance(node, ast.ClassDef), self.bindings(node)))
+        self.site.append(getattr(node, "name", None))
+        self.generic_visit(node)
+        self.site.pop()
+        self.scopes.pop()
+
+    visit_Module = visit_FunctionDef = visit_ClassDef = visit_Lambda = visit_scope
+    visit_ListComp = visit_SetComp = visit_DictComp = visit_GeneratorExp = visit_scope
+
+
+def span_sites(tree):
+    """The ``SPAN_SITES`` tuple assigned in ``tree``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "SPAN_SITES" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def unused_names(package, callers=(), sites=()):
+    """Public names of ``package`` (module -> tree) that nothing but their own
+    definition calls.  ``callers`` are the trees of files outside the package,
+    ``sites`` the ``SPAN_SITES`` entries of the benchmark's tracer."""
+    resolved, attrs = set(), set()
+    for own, tree in [*package.items(), *((None, t) for t in callers)]:
+        loads = Loads(own, set(package))
+        loads.visit(tree)
+        resolved |= loads.resolved
+        attrs |= loads.attrs
+    for owner, attr, _ in sites:
+        module, _, cls = owner.partition(":")
+        module = module.removeprefix(PACKAGE.name + ".")
+        if cls:
+            attrs.add((attr, ("perfbench",)))
+        else:
+            resolved.add((module, attr, ("perfbench",)))
+    unused = []
+    for stem, tree in package.items():
+        for node in public_definitions(tree):
+            if not any(m == stem and n == node.name and site[:2] != (stem, node.name)
+                       for m, n, site in resolved):
+                unused.append(f"{stem}.{node.name}")
+        for cls, node in public_members(tree):
+            if not any(a == node.name and site[:3] != (stem, cls.name, node.name)
+                       for a, site in attrs):
+                unused.append(f"{stem}.{cls.name}.{node.name}")
+    return unused
 
 
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    modules = {p.stem: parse(p) for p in sorted(PACKAGE.glob("*.py"))
+def package_unused():
+    package = {p.stem: parse(p) for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"}
-    outside = set()
-    for folder in ("perfbench", "scripts"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            outside |= names_used([parse(path)], with_strings=True)
-    used = {stem: names_used([tree]) for stem, tree in modules.items()}
-    unused = []
-    for stem, tree in modules.items():
-        elsewhere = set().union(*(u for s, u in used.items() if s != stem))
-        for node in public_definitions(tree):
-            own = names_used([n for n in tree.body if n is not node])
-            if node.name in KEPT or node.name in own | elsewhere | outside:
-                continue
-            unused.append(f"{stem}.{node.name}")
-        for cls, node in public_members(tree):
-            own = names_used([n for n in tree.body if n is not cls]
-                             + [n for n in cls.body if n is not node])
-            if f"{cls.name}.{node.name}" in KEPT or node.name in own | elsewhere | outside:
-                continue
-            unused.append(f"{stem}.{cls.name}.{node.name}")
-    assert not unused, f"public names that only tests reach: {unused}"
+    callers = [parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return unused_names(package, callers, span_sites(parse(ROOT / "perfbench" / "tracing.py")))
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    unused = {name.split(".", 1)[1]: name for name in package_unused()}
+    only_tests = [unused[key] for key in set(unused) - set(KEPT)]
+    assert not only_tests, f"public names that only tests reach: {only_tests}"
+    assert set(KEPT) <= set(unused), f"kept names that have a caller: {set(KEPT) - set(unused)}"
 
 
 def test_kept_names_exist():
@@ -91,3 +223,85 @@ def test_kept_names_exist():
             defined |= {node.name for node in public_definitions(tree)}
             defined |= {f"{cls.name}.{node.name}" for cls, node in public_members(tree)}
     assert set(KEPT) <= defined, set(KEPT) - defined
+
+
+def trees(**sources):
+    return {name: ast.parse(textwrap.dedent(src)) for name, src in sources.items()}
+
+
+RESOLVER_CASES = {
+    # a public function whose name appears elsewhere only as a parameter
+    "parameter": (trees(ops="""
+        def attention(x):
+            return x
+        def pseudo_labels(attention, gamma):
+            return attention > gamma
+        """, pccl="""
+        from .ops import pseudo_labels
+        def labels(attention):
+            return pseudo_labels(attention, 0.5)
+        """), ["ops.attention", "pccl.labels"]),
+    # a local of the same name in the defining module
+    "local": (trees(ops="""
+        def tsum(x):
+            return x
+        def mean(x):
+            tsum = x.sum()
+            return [tsum for tsum in x], tsum
+        """), ["ops.tsum", "ops.mean"]),
+    # an alias bound to another module than the defining one
+    "other_module": (trees(ops="""
+        def gelu(x):
+            return x
+        """, act="""
+        def relu(x):
+            return x
+        """, nn="""
+        from . import act as ad
+        def block(x):
+            return ad.gelu(x)
+        """), ["ops.gelu", "act.relu", "nn.block"]),
+    # each resolving form counts: an alias, an imported name, a load in the
+    # defining module and an attribute load of a method
+    "resolved": (trees(ops="""
+        def tsum(x):
+            return x
+        def gelu(x):
+            return tsum(x)
+        def attention(x):
+            return Tensor()
+        class Tensor:
+            def item(self):
+                return self
+        """, nn="""
+        from . import ops as ad
+        from .ops import gelu as act
+        def block(x):
+            return act(ad.attention(x)).item()
+        """), ["nn.block"]),
+}
+
+
+def test_span_sites_and_outside_callers_count():
+    package = trees(ops="""
+        def encode(x):
+            return Tensor()
+        def decode(x):
+            return x
+        class Tensor:
+            def backward(self):
+                return self
+        """)
+    caller = ast.parse(f"import {PACKAGE.name}.ops\n{PACKAGE.name}.ops.decode(1)\n")
+    sites = (
+        (f"{PACKAGE.name}.ops", "encode", "ops.encode"),
+        (f"{PACKAGE.name}.ops:Tensor", "backward", "ops.backward"),
+    )
+    assert unused_names(package, [caller], sites) == []
+    assert unused_names(package) == ["ops.encode", "ops.decode", "ops.Tensor.backward"]
+
+
+@pytest.mark.parametrize("case", sorted(RESOLVER_CASES))
+def test_only_a_load_that_resolves_to_the_definition_is_a_caller(case):
+    package, flagged = RESOLVER_CASES[case]
+    assert sorted(unused_names(package)) == sorted(flagged)
