@@ -18,6 +18,12 @@ anyway; the ops whose gradient passes the incoming one through (``add``,
 ``reshape`` and ``transpose``) hand over a copy, so no two tensors on a tape
 share a ``.grad`` buffer.
 
+A node saves only the arrays its backward reads.  A layer's input is read only by
+its weight's gradient, so ``linear`` and ``block`` keep it only when that
+weight takes one, as fixed when the node is made.  In a LoRA step, whose
+base weights are frozen, a block keeps none of its four layers' inputs;
+each adapter branch keeps its own masked input.  A full fine-tune keeps them.
+
 Ops do not scan their outputs for NaN/Inf.  Finiteness is checked where
 values enter autodiff (``Tensor`` construction) and where they leave it:
 callers pass results through ``check_finite``, which on a failure walks the
@@ -486,7 +492,8 @@ def _linear_fwd(x, w, b, lora):
 
 
 def _linear_bwd(g, x, w, lora, xm, h, need):
-    """(gx, gw, gb, gA, gB) for ``need``, the flags of (x, w, b, A, B)."""
+    """(gx, gw, gb, gA, gB) for ``need``, the flags of (x, w, b, A, B);
+    ``x`` is read only for ``gw``."""
     k, d = w.shape
     g2 = g.reshape(-1, d)
     gx = gw = gb = gA = gB = None
@@ -589,7 +596,9 @@ def _layer_tensors(w, b, lora) -> tuple:
 
 def _run_linear(x: np.ndarray, layer):
     """A layer ``(w, b, lora)``'s forward on ``x``: its output, and the cache
-    ``_back_linear`` reads."""
+    ``_back_linear`` reads.  Which of the layer's tensors take a gradient is
+    fixed here, and the cache holds ``x`` only if ``w`` does, the one
+    gradient that reads it."""
     w, b, lora = layer
     A, B, _, mask = lora if lora is not None else (None, None, None, None)
     k, d = w.shape if w.data.ndim == 2 else (None, None)
@@ -603,15 +612,15 @@ def _run_linear(x: np.ndarray, layer):
         raise ShapeMismatchError(f"linear shape mismatch: {x.shape} x {w.shape} + {bs}{ab}")
     arrays = None if lora is None else (A.data, B.data, *lora[2:])
     out, xm, h = _linear_fwd(x, w.data, None if b is None else b.data, arrays)
-    return out, (x, arrays, xm, h)
+    need = _needs(_layer_tensors(*layer))
+    return out, (x if need[0] else None, arrays, xm, h, need)
 
 
 def _back_linear(g, layer, cache, need_x: bool):
     """Hand a layer's weights their gradients; return its input's, if needed."""
-    x, arrays, xm, h = cache
-    tensors = _layer_tensors(*layer)
-    gx, *grads = _linear_bwd(g, x, layer[0].data, arrays, xm, h, (need_x,) + _needs(tensors))
-    _hand(tensors, grads)
+    x, arrays, xm, h, need = cache
+    gx, *grads = _linear_bwd(g, x, layer[0].data, arrays, xm, h, (need_x,) + need)
+    _hand(_layer_tensors(*layer), grads)
     return gx
 
 

@@ -37,12 +37,13 @@ class LoraConfig:
             raise ConfigError(f"LoRA alpha must be finite, got {self.alpha}")
 
 
-def dropout_mask(u: np.ndarray, p: float) -> np.ndarray:
+def dropout_mask(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
     """``(u >= p) / (1 - p)``, the inverted-dropout mask of uniform draws
     ``u``, byte for byte: a kept entry is 1 / (1 - p) rounded once either
     way, and multiplying skips the divide.  Elementwise, so the mask of a
-    block of draws, cut into segments, is the mask of each segment."""
-    return np.multiply(u >= p, 1.0 / (1.0 - p))
+    block of draws, cut into segments, is the mask of each segment.  It is
+    written to ``out`` if given, which may be ``u`` itself."""
+    return np.multiply(u >= p, 1.0 / (1.0 - p), out=out)
 
 
 @dataclass

@@ -209,9 +209,11 @@ class _RowDraws:
 
     ``dropout_mask(shape, p)`` takes the next column segment, as a view
     reshaped to ``shape``, whose first axis is the rows.  The masks are made
-    by one ``lora.dropout_mask`` pass over the whole block, once per dropout
-    probability ``p``; the rule is elementwise, so each segment equals the
-    mask of its own draws, byte for byte.
+    when the draws are built, by one ``lora.dropout_mask`` pass over the
+    whole block for each dropout probability in ``probs``; the rule is
+    elementwise, so each segment equals the mask of its own draws, byte for
+    byte.  Nothing reads the uniforms after that, so the last mask is
+    written over them: with one probability, the block is the mask.
 
     A generator fills an array in C order, so row ``r`` of the block holds,
     segment by segment, the values that the ``r``-th of ``rows`` sequential
@@ -219,14 +221,13 @@ class _RowDraws:
     dropout masks from here therefore drops exactly what one pass per row did.
     """
 
-    def __init__(self, block: np.ndarray):
-        self.block = block
-        self.masks: dict[float, np.ndarray] = {}
+    def __init__(self, block: np.ndarray, probs):
+        *first, last = dict.fromkeys(probs)
+        self.masks = {p: dropout_mask(block, p) for p in first}
+        self.masks[last] = dropout_mask(block, last, out=block)
         self.col = 0
 
     def dropout_mask(self, shape, p: float) -> np.ndarray:
-        if p not in self.masks:
-            self.masks[p] = dropout_mask(self.block, p)
         width = math.prod(shape[1:])
         segment = self.masks[p][:, self.col:self.col + width]
         self.col += width
@@ -248,7 +249,7 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
         # one draw for the batch: a row per student image, a segment per adapter
         width = enc_cfg.num_patches * sum(a.A.shape[1] for a in dropped)
         rng = _RowDraws(np.random.default_rng(cfg.seed + state.step)
-                        .random((2 * len(batch), width)))
+                        .random((2 * len(batch), width)), [a.dropout_p for a in dropped])
     try:
         f_s = student_features(batch, state.params, enc_cfg,
                                adapters=state.adapters, rng=rng)

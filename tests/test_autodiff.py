@@ -791,6 +791,27 @@ def _masked_nll_batched_case(rng):
     return lambda t: ad.masked_softmax_nll(t, mask), Tensor(rng.normal(size=(3, 4, 4)))
 
 
+# The split forms as the loss table runs them: two entries of the first axis
+# share one (3, 4, 4) target or mask, and a random weight per entry gives
+# each its own incoming gradient.
+def _bce_split_case(rng):
+    tgt = Tensor((rng.random((3, 4, 4)) > 0.5).astype(float))
+    return (weighted_sum(lambda t: bce_with_logits(t, tgt, split=True), rng.normal(size=2)),
+            Tensor(rng.normal(size=(2, 3, 4, 4))))
+
+
+def _masked_nll_split_case(rng):
+    mask = (rng.random((3, 4, 4)) < 0.4) | np.eye(4, dtype=bool)
+    return (weighted_sum(lambda t: ad.masked_softmax_nll(t, mask, split=True),
+                         rng.normal(size=2)),
+            Tensor(rng.normal(size=(2, 3, 4, 4))))
+
+
+def _mean_split_case(rng):
+    return (weighted_sum(lambda t: ad.tmean(t, split=True), rng.normal(size=2)),
+            Tensor(rng.normal(size=(2, 3, 4, 4))))
+
+
 def _transpose_axes_case(rng):
     return (weighted_sum(lambda t: ad.transpose(t, (1, 2, 0)), rng.normal(size=(3, 4, 2))),
             Tensor(rng.normal(size=(2, 3, 4))))
@@ -852,6 +873,7 @@ DIFF_OPS = {
     "cosine_rows_batched": _cosine_batched_case,
     "cosine_rows_shared": _cosine_shared_case,
     "bce_with_logits": _bce_case,
+    "bce_with_logits_split": _bce_split_case,
     "layernorm": _layernorm_case,
     "block_full": _block_case(lora=False),
     "block_lora": _block_case(lora=True),
@@ -859,11 +881,13 @@ DIFF_OPS = {
     "diag_cross_entropy": _diag_ce_case,
     "diag_cross_entropy_batched": _diag_ce_batched_case,
     "masked_softmax_nll_batched": _masked_nll_batched_case,
+    "masked_softmax_nll_split": _masked_nll_split_case,
     "add_broadcast": _add_case,
     "add_size1_axis": _add_size1_axis_case,
     "mul": _mul_case,
     "mul_size1_axis": _mul_size1_axis_case,
     "mean": _mean_case,
+    "mean_split": _mean_split_case,
     "take": _take_case,
     "transpose_axes": _transpose_axes_case,
     "reshape": _reshape_case,

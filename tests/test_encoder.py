@@ -239,7 +239,7 @@ def test_block_nodes_equal_the_per_op_chain(lora):
             for a in adapters.values():  # B starts at zero, which would zero A's gradient
                 a.B.data = np.random.default_rng(7).normal(size=a.B.shape)
             width = cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
-            draws = _RowDraws(np.random.default_rng(8).random((4, width)))
+            draws = _RowDraws(np.random.default_rng(8).random((4, width)), [0.1])
         out = encode_fn(imgs, params, cfg, adapters=adapters, rng=draws)
         ad.tsum(ad.mul(out.features, Tensor(weights))).backward()
         tensors = dict(params, **(adapter_tensors(adapters) if lora else {}))

@@ -17,10 +17,11 @@ def make_adapter(rng, k=16, d=24, rank=4, alpha=8.0, zero_b=False, dropout=0.0):
                        alpha=alpha, dropout_p=dropout)
 
 
-def drawn_block(seed, shape):
-    """A step's pre-drawn block for inputs of ``shape``: one row per leading
-    entry, the same uniforms in C order as ``default_rng(seed).random(shape)``."""
-    return _RowDraws(np.random.default_rng(seed).random((shape[0], np.prod(shape[1:]))))
+def drawn_block(seed, shape, p):
+    """A step's pre-drawn masks at dropout ``p`` for inputs of ``shape``: one
+    row per leading entry, made from the same uniforms in C order as
+    ``default_rng(seed).random(shape)``."""
+    return _RowDraws(np.random.default_rng(seed).random((shape[0], np.prod(shape[1:]))), [p])
 
 
 class TestForward:
@@ -46,7 +47,7 @@ class TestForward:
         x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
         adapter = make_adapter(rng, dropout=0.25)
         w = Tensor(rng.normal(size=(16, 24)))
-        out = ad.linear(x, w, None, adapter.branch(x.shape, rng=drawn_block(3, x.shape)))
+        out = ad.linear(x, w, None, adapter.branch(x.shape, rng=drawn_block(3, x.shape, 0.25)))
         mask = (np.random.default_rng(3).random(x.shape) >= 0.25) / (1.0 - 0.25)
         a, b = adapter.A.data, adapter.B.data
         want = x.data @ w.data + (x.data * mask) @ a.T @ b.T * adapter.scaling
@@ -148,7 +149,7 @@ class TestAttach:
         assert np.array_equal(first, second)
         width = toy_cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
         dropped = encode(img, params, toy_cfg, adapters=adapters,
-                         rng=drawn_block(2, (2, width))).features.data
+                         rng=drawn_block(2, (2, width), 0.5)).features.data
         assert not np.array_equal(first, dropped)
 
     def test_adapter_param_arithmetic(self, toy_cfg):

@@ -538,14 +538,38 @@ class TestStepBuffers:
                                 dropout_p=p) for s, p in zip(shapes, probs, strict=True)]
         rng = np.random.default_rng(6)
         block = rng.random((6, sum(math.prod(s[1:]) for s in shapes)))
-        draws = training._RowDraws(block)
+        uniforms = block.copy()  # the draws write their last mask over the block
+        draws = training._RowDraws(block, probs)
         col = 0
         for shape, a in zip(shapes, adapters, strict=True):
             mask = a.branch(shape, draws)[3]
             width = math.prod(shape[1:])
-            u = block[:, col:col + width].reshape(shape)
+            u = uniforms[:, col:col + width].reshape(shape)
             col += width
             assert same_bytes(mask, (u >= a.dropout_p) / (1.0 - a.dropout_p)), shape
+
+    def test_one_probability_writes_its_mask_over_the_draws(self):
+        block = np.random.default_rng(9).random((4, 3 * 16 * 8))
+        uniforms = block.copy()
+        draws = training._RowDraws(block, [0.1, 0.1, 0.1])
+        masks = [draws.dropout_mask((4, 16, 8), 0.1) for _ in range(3)]
+        assert all(np.shares_memory(mask, block) for mask in masks)
+        assert same_bytes(np.concatenate([m.reshape(4, -1) for m in masks], axis=1),
+                          dropout_mask(uniforms, 0.1))
+
+    def test_a_layer_keeps_its_input_only_for_its_weight_gradient(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(2, 3, 4))
+        lora = (ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True),
+                ad.Tensor(rng.normal(size=(5, 2)), requires_grad=True), 1.5,
+                (rng.random(x.shape) >= 0.3) / 0.7)
+        for trainable in (False, True):
+            w = ad.Tensor(rng.normal(size=(4, 5)), requires_grad=trainable)
+            b = ad.Tensor(rng.normal(size=5), requires_grad=True)
+            cache = ad._run_linear(x, (w, b, lora))[1]
+            # the adapter branch keeps its masked input, a new array
+            assert not any(a is x for a in cache[1:] if isinstance(a, np.ndarray))
+            assert (cache[0] is x) == trainable
 
 
 class TestEndToEndGradients:
