@@ -7,9 +7,10 @@ parameters sum contributions from every branch.  A transformer block is one
 node, ``block``, built from the same forward and backward array kernels as
 the per-op nodes ``layernorm``, ``linear`` (which also carries a LoRA
 adapter's low-rank branch), ``attention`` and ``gelu``, so the two give the
-same bytes.  A node records as parents its input and only those weights
-that take a gradient.  The reducing ops (``tmean``, ``bce_with_logits``,
-``masked_softmax_nll``) can keep the first axis, one loss per entry.
+same bytes.  A node records as parents only the operands that take a
+gradient, and ``_make`` alone picks them.  The reducing ops (``tmean``,
+``bce_with_logits``, ``masked_softmax_nll``) can keep the first axis, one
+loss per entry.
 
 Gradient buffers are owned.  A backward hands ``_accumulate`` an array that
 nothing else holds: the first write to a tensor's ``.grad`` keeps that array,
@@ -20,9 +21,10 @@ share a ``.grad`` buffer.
 
 A node saves only the arrays its backward reads.  A layer's input is read only by
 its weight's gradient, so ``linear`` and ``block`` keep it only when that
-weight takes one, as fixed when the node is made.  In a LoRA step, whose
-base weights are frozen, a block keeps none of its four layers' inputs;
-each adapter branch keeps its own masked input.  A full fine-tune keeps them.
+weight takes one, as fixed when the node is made, and ``linear`` keeps its
+input tensor only when that takes one.  In a LoRA step, whose base weights
+are frozen, a block keeps none of its four layers' inputs; each adapter
+branch keeps its own masked input.  A full fine-tune keeps them.
 
 Ops do not scan their outputs for NaN/Inf.  Finiteness is checked where
 values enter autodiff (``Tensor`` construction) and where they leave it:
@@ -273,17 +275,16 @@ def check_grads_finite(loss: Tensor, tensors) -> None:
     raise NumericError("non-finite gradient")
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
+def _make(data: np.ndarray, operands: tuple, backward, op: str) -> Tensor:
+    """The tensor ``op`` made.  Its parents are those of its ``operands`` that
+    take a gradient (None marks an absent one); with none, it is off the tape."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out._parents = ()
-    out._backward = None
     out._op = op
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = parents
-        out._backward = backward
+    out._parents = tuple(t for t in operands if t is not None and t.requires_grad)
+    out.requires_grad = bool(out._parents)
+    out._backward = backward if out.requires_grad else None
     return out
 
 
@@ -378,23 +379,13 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), backward, "reshape")
 
 
-def _basic_key(key) -> bool:
-    """An int, a slice or a tuple of those: it selects each element at most once."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(k, slice) or (isinstance(k, (int, np.integer))
-                                        and not isinstance(k, bool)) for k in parts)
-
-
 def take(a: Tensor, key) -> Tensor:
     data = np.array(a.data[key])
-    basic = _basic_key(key)
 
     def backward(g):
+        # a fancy key may repeat an index: each use adds its gradient
         full = np.zeros_like(a.data)
-        if basic:
-            full[key] += g
-        else:  # a fancy key may repeat an index: each use adds its gradient
-            np.add.at(full, key, g)
+        np.add.at(full, key, g)
         a._accumulate(full)
 
     return _make(data, (a,), backward, "take")
@@ -475,11 +466,10 @@ def _layernorm_bwd(g, xhat, inv, w, need):
 
 def _linear_fwd(x, w, b, lora):
     """``x @ w + b + scale * (x * mask) @ A.T @ B.T``, the terms summed in
-    that order; ``b`` may be None and ``lora`` is (A, B, scale, mask) or None.
-    Also returns the branch's masked input and its rank-wide activations."""
+    that order; ``lora`` is (A, B, scale, mask) or None.  Also returns the
+    branch's masked input and its rank-wide activations."""
     out = x @ w
-    if b is not None:
-        out += b
+    out += b
     if lora is None:
         return out, None, None
     A, B, scale, mask = lora
@@ -582,13 +572,6 @@ def _hand(tensors, grads) -> None:
             t._accumulate(g)
 
 
-def _taped(x: Tensor, *weights) -> tuple[Tensor, ...]:
-    """A node's parents: its input, and those of its weights that take a
-    gradient.  A weight that takes none has no tape of its own, so recording
-    it would only lengthen every sweep."""
-    return (x,) + tuple(w for w in weights if w is not None and w.requires_grad)
-
-
 def _layer_tensors(w, b, lora) -> tuple:
     """(w, b, A, B) of a ``linear`` layer; None for an absent one."""
     return (w, b) + ((None, None) if lora is None else tuple(lora[:2]))
@@ -603,15 +586,14 @@ def _run_linear(x: np.ndarray, layer):
     A, B, _, mask = lora if lora is not None else (None, None, None, None)
     k, d = w.shape if w.data.ndim == 2 else (None, None)
     if (d is None or x.ndim < 2 or x.shape[-1] != k
-            or (b is not None and b.shape != (d,))
+            or b.shape != (d,)
             or (lora is not None and (A.data.ndim != 2 or A.shape[1] != k
                                       or B.shape != (d, A.shape[0])
                                       or (mask is not None and mask.shape != x.shape)))):
-        bs = None if b is None else b.shape
         ab = "" if lora is None else f" + lora A {A.shape}, B {B.shape}"
-        raise ShapeMismatchError(f"linear shape mismatch: {x.shape} x {w.shape} + {bs}{ab}")
+        raise ShapeMismatchError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}{ab}")
     arrays = None if lora is None else (A.data, B.data, *lora[2:])
-    out, xm, h = _linear_fwd(x, w.data, None if b is None else b.data, arrays)
+    out, xm, h = _linear_fwd(x, w.data, b.data, arrays)
     need = _needs(_layer_tensors(*layer))
     return out, (x if need[0] else None, arrays, xm, h, need)
 
@@ -641,25 +623,27 @@ def layernorm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     def backward(g):
         _hand(tensors, _layernorm_bwd(g, xhat, inv, weight.data, _needs(tensors)))
 
-    return _make(data, _taped(x, weight, bias), backward, "layernorm")
+    return _make(data, tensors, backward, "layernorm")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None, lora=None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, lora=None) -> Tensor:
     """``x @ w + b + scale * (x * mask) @ A.T @ B.T`` for ``x`` (..., k),
     ``w`` (k, d), ``b`` (d,), ``A`` (r, k) and ``B`` (d, r).
 
-    ``b`` is ``None`` for no bias.  ``lora`` is ``(A, B, scale, mask)``, the
-    low-rank adapter branch, or ``None`` for no branch; ``mask`` (x's shape)
-    is the dropout mask, already divided by the keep probability, or ``None``
-    to keep every input.  The terms are summed in that order.
+    ``lora`` is ``(A, B, scale, mask)``, the low-rank adapter branch, or
+    ``None`` for no branch; ``mask`` (x's shape) is the dropout mask, already
+    divided by the keep probability, or ``None`` to keep every input.  The
+    terms are summed in that order.
     """
     layer = (w, b, lora)
     data, cache = _run_linear(x.data, layer)
+    if not x.requires_grad:
+        x = None  # no gradient to hand it, so the backward does not keep it
 
     def backward(g):
-        _hand((x,), (_back_linear(g, layer, cache, x.requires_grad),))
+        _hand((x,), (_back_linear(g, layer, cache, x is not None),))
 
-    return _make(data, _taped(x, *_layer_tensors(*layer)), backward, "linear")
+    return _make(data, (x,) + _layer_tensors(*layer), backward, "linear")
 
 
 def attention(qkv: Tensor, heads: int, dh: int) -> tuple[Tensor, np.ndarray]:
@@ -723,7 +707,7 @@ def block(x: Tensor, norm1, qkv, proj, norm2, fc1, fc2, heads: int,
 
     weights = (*norm1, *norm2) + sum((_layer_tensors(*layer)
                                       for layer in (qkv, proj, fc1, fc2)), ())
-    return _make(data, _taped(x, *weights), backward, "block"), p
+    return _make(data, (x,) + weights, backward, "block"), p
 
 
 # -- row-structured ops used by the contrastive machinery --------------
@@ -777,12 +761,10 @@ def _means(per: np.ndarray, split: bool) -> np.ndarray:
     return np.array([entry.mean() for entry in per]) if split else np.array(per.mean())
 
 
-def _mean_grad(g: np.ndarray, d: np.ndarray, n: int, split: bool) -> np.ndarray:
-    """``float(g) * d / n``, the gradient of the mean of ``n`` terms whose
-    derivatives are ``d``; with ``split``, entry ``i`` takes ``g[i]``."""
-    if not split:
-        return float(g) * d / n
-    d *= g.reshape(g.shape + (1,) * (d.ndim - 1))
+def _mean_grad(g: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """``g * d / n``, in place in ``d``: the gradient of the mean of ``n``
+    terms whose derivatives are ``d``; entry ``i`` of a split takes ``g[i]``."""
+    d *= g.reshape(g.shape + (1,) * (d.ndim - g.ndim))
     d /= n
     return d
 
@@ -796,12 +778,9 @@ def tmean(a: Tensor, split: bool = False) -> Tensor:
     n = math.prod(shape)
 
     def backward(g):
-        if not split:
-            a._accumulate(np.full_like(a.data, float(g) / n))
-        else:
-            grad = np.empty_like(a.data)
-            grad[...] = (g / n).reshape(g.shape + (1,) * len(shape))
-            a._accumulate(grad)
+        grad = np.empty_like(a.data)
+        grad[...] = (g / n).reshape(g.shape + (1,) * len(shape))
+        a._accumulate(grad)
 
     return _make(_means(a.data, split), (a,), backward, "mean")
 
@@ -822,7 +801,7 @@ def bce_with_logits(logits: Tensor, targets: Tensor, split: bool = False) -> Ten
 
     def backward(g):
         sig = 1.0 / (1.0 + np.exp(-z))
-        logits._accumulate(_mean_grad(g, sig - t, n, split))
+        logits._accumulate(_mean_grad(g, sig - t, n))
 
     return _make(_means(per, split), (logits,), backward, "bce_with_logits")
 
@@ -852,7 +831,7 @@ def masked_softmax_nll(x: Tensor, mask: np.ndarray, split: bool = False) -> Tens
         # softmax minus the softmax over the positives
         p = e / s
         p -= ep / sp
-        x._accumulate(_mean_grad(g, p, rows, split))
+        x._accumulate(_mean_grad(g, p, rows))
 
     return _make(_means(np.log(s) - zm - np.log(sp), split), (x,), backward,
                  "masked_softmax_nll")

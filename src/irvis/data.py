@@ -286,6 +286,9 @@ def read_manifest(path) -> list[ManifestEntry]:
         parts = line.split("\t")
         if len(parts) != 4:
             raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")
+        # the id names the scene's output files, so it must be a plain file name
+        if parts[0] in ("", ".", "..") or "/" in parts[0] or "\0" in parts[0]:
+            raise DataError(f"{path}:{lineno}: scene id {parts[0]!r} is not a file name")
         entries.append(ManifestEntry(*parts))
     return entries
 

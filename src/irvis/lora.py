@@ -69,9 +69,9 @@ class LoraAdapter:
 
     def delta(self, x: Tensor, rng=None) -> Tensor:
         """Adapter branch (alpha/r) * drop(x) A^T B^T: the adapted layer on a
-        zero base weight."""
+        zero base weight and bias."""
         w = Tensor(np.zeros((self.A.shape[1], self.B.shape[0])))
-        return ad.linear(x, w, None, self.branch(x.shape, rng))
+        return ad.linear(x, w, Tensor(np.zeros(w.shape[1])), self.branch(x.shape, rng))
 
     def update_matrix(self) -> np.ndarray:
         """(k, d) matrix added to W by merging."""
@@ -79,10 +79,10 @@ class LoraAdapter:
 
 
 def forward_adapted(x: Tensor, w: Tensor, adapter: LoraAdapter) -> Tensor:
-    """Two-path forward x W + adapter branch, without dropout; gradients reach
-    B and A only."""
-    return ad.check_finite(ad.linear(x, w, None, adapter.branch(x.shape)),
-                           "adapted forward")
+    """Two-path forward x W + adapter branch, without dropout (a zero bias);
+    gradients reach B and A only."""
+    zero = Tensor(np.zeros(adapter.B.shape[0]))
+    return ad.check_finite(ad.linear(x, w, zero, adapter.branch(x.shape)), "adapted forward")
 
 
 def merge(w: Tensor, adapter: LoraAdapter) -> Tensor:

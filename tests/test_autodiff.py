@@ -1,7 +1,7 @@
 import ast
 import inspect
-import itertools
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -246,33 +246,29 @@ class TestKernelsEqualTheirFormerExpressions:
 
 class TestLoraDelta:
     """The LoRA delta, ``linear``'s adapter branch, against the unfused chain
-    it replaces: after ``x W``, with and without ``b``, with leading batch
-    axes."""
+    it replaces: after ``x W + b``, with leading batch axes."""
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_equals_unfused_chain(self, masked):
-        for lead, terms in itertools.product([(), (2,)], ["w", "wb"]):
+        for lead in [(), (2,)]:
             rng = np.random.default_rng(15)
             shapes = {"x": lead + (3, 6), "w": (6, 4), "b": (4,), "A": (2, 6), "B": (4, 2)}
             values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
             mask = (rng.random(shapes["x"]) >= 0.3) / 0.7 if masked else None
             g = Tensor(rng.normal(size=lead + (3, 4)))
-            names = ["x", *terms, "A", "B"]
-            fused, chain = ({n: Tensor(values[n], requires_grad=True) for n in names}
+            fused, chain = ({n: Tensor(v, requires_grad=True) for n, v in values.items()}
                             for _ in range(2))
-            out = ad.linear(fused["x"], fused["w"], fused.get("b"),
+            out = ad.linear(fused["x"], fused["w"], fused["b"],
                             (fused["A"], fused["B"], 2.5, mask))
             ad.tsum(ad.mul(out, g)).backward()
-            x, w, b = chain["x"], chain["w"], chain.get("b")
+            x = chain["x"]
             xm = ad.mul(x, Tensor(mask)) if masked else x  # the former dropout op
             ref = (xm @ ad.transpose(chain["A"]) @ ad.transpose(chain["B"])) * 2.5
-            if b is not None:
-                ref = b + ref
-            ref = x @ w + ref
+            ref = x @ chain["w"] + (chain["b"] + ref)
             ad.tsum(ad.mul(ref, g)).backward()
-            assert np.abs(out.data - ref.data).max() <= 1e-12, (lead, terms)
-            for n in names:
-                assert np.abs(fused[n].grad - chain[n].grad).max() <= 1e-12, (lead, terms, n)
+            assert np.abs(out.data - ref.data).max() <= 1e-12, lead
+            for n in values:
+                assert np.abs(fused[n].grad - chain[n].grad).max() <= 1e-12, (lead, n)
 
     def test_adds_the_branch_after_the_bias(self):
         # x W, then + b, then + the branch: the order of the former add nodes
@@ -286,13 +282,13 @@ class TestLoraDelta:
 
     def test_shape_mismatch(self):
         x, a = Tensor(np.zeros((3, 6))), Tensor(np.zeros((2, 6)))
-        w = Tensor(np.zeros((6, 4)))
+        w, b = Tensor(np.zeros((6, 4))), Tensor(np.zeros(4))
         for bad in [(a, Tensor(np.zeros((4, 3))), 1.0, None),
                     (Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 2))), 1.0, None),
                     (a, Tensor(np.zeros((4, 2))), 1.0, np.ones((3, 5))),
                     (a, Tensor(np.zeros((5, 2))), 1.0, None)]:
             with pytest.raises(ShapeMismatchError, match="lora A"):
-                ad.linear(x, w, None, bad)
+                ad.linear(x, w, b, bad)
 
 
 class TestCosineRows:
@@ -627,6 +623,32 @@ class TestTensorInvariants:
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ShapeMismatchError):
             (x + x).backward()
+
+
+class TestParentRule:
+    """A node records as parents only the operands that take a gradient."""
+
+    def test_add_records_only_its_taped_operand(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        out = a + Tensor(np.ones(3))
+        assert out._parents == (a,)
+        assert (Tensor(np.ones(3)) + Tensor(np.ones(3)))._parents == ()
+
+    def test_linear_drops_a_frozen_input(self):
+        class Referable(Tensor):
+            __slots__ = ("__weakref__",)
+
+        rng = np.random.default_rng(17)
+        x = Referable(rng.normal(size=(2, 3, 6)))
+        w, b = Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=4))
+        a, bb = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((2, 6), (4, 2)))
+        out = ad.linear(x, w, b, (a, bb, 2.5, None))
+        assert out._parents == (a, bb)
+        ref = weakref.ref(x)
+        del x
+        assert ref() is None  # the node does not keep it alive
+        ad.tsum(out).backward()
+        assert a.grad is not None and bb.grad is not None
 
 
 def _matmul_case(rng):

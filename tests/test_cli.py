@@ -584,6 +584,23 @@ class TestDumpMatrices:
         assert set(np.unique(m_p)) <= {0.0, 1.0}
         assert np.all(np.diag(m_p) == 1.0)
 
+    @pytest.mark.parametrize("scene_id", ["", ".", "..", "../../escaped", "a\0b"],
+                             ids=["empty", "dot", "dotdot", "slash", "nul"])
+    def test_scene_id_not_a_file_name_exit_1(self, tmp_path, capsys, scene_id):
+        box = tmp_path / "box"
+        code, _, _ = run(capsys, "gen-data", "--out", str(box / "data"), "--pairs", "2")
+        assert code == 0
+        manifest = box / "data" / "manifest.tsv"
+        first, second = manifest.read_text().splitlines()
+        manifest.write_text(first + "\n" + scene_id + second[second.index("\t"):] + "\n")
+        cfgfile = write_config(box / "c.cfg", manifest=manifest)
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(capsys, "dump-matrices", "--config", str(cfgfile),
+                             "--out", str(box / "out"))
+        assert code == 1 and "Traceback" not in out + err
+        assert f"{manifest}:2: " in err, err
+        assert [p for p in sorted(tmp_path.rglob("*")) if p != box / "out"] == before
+
     def test_overflowing_similarity_exit_2(self, tmp_path, capsys):
         # a positive, finite tau whose inverse overflows
         cfgfile = write_config(tmp_path / "c.cfg", n_pairs=2, tau=1e-310)

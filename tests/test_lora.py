@@ -47,7 +47,8 @@ class TestForward:
         x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
         adapter = make_adapter(rng, dropout=0.25)
         w = Tensor(rng.normal(size=(16, 24)))
-        out = ad.linear(x, w, None, adapter.branch(x.shape, rng=drawn_block(3, x.shape, 0.25)))
+        out = ad.linear(x, w, Tensor(np.zeros(24)),
+                        adapter.branch(x.shape, rng=drawn_block(3, x.shape, 0.25)))
         mask = (np.random.default_rng(3).random(x.shape) >= 0.25) / (1.0 - 0.25)
         a, b = adapter.A.data, adapter.B.data
         want = x.data @ w.data + (x.data * mask) @ a.T @ b.T * adapter.scaling
@@ -57,6 +58,25 @@ class TestForward:
         row = adapter.scaling * ones @ b @ a
         assert np.abs(x.grad - (ones @ w.data.T + mask * row)).max() <= 1e-12
         assert 0.0 < (mask == 0.0).mean() < 1.0
+
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_delta_is_linear_on_a_zero_weight_and_bias(self, drawn):
+        rng = np.random.default_rng(14)
+        adapter = make_adapter(rng, dropout=0.25)
+        x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
+        draws = (lambda: drawn_block(4, x.shape, 0.25)) if drawn else (lambda: None)
+        got = adapter.delta(x, draws())
+        want = ad.linear(x, Tensor(np.zeros((16, 24))), Tensor(np.zeros(24)),
+                         adapter.branch(x.shape, draws()))
+        assert np.array_equal(got.data, want.data)
+        grads = []
+        for out in (got, want):
+            ad.tsum(out).backward()
+            grads.append([t.grad for t in (x, adapter.A, adapter.B)])
+            for t in (x, adapter.A, adapter.B):
+                t.grad = None
+        for g, h in zip(*grads, strict=True):
+            assert np.array_equal(g, h)
 
     def test_scaling_reads_the_rank_from_a(self):
         adapter = make_adapter(np.random.default_rng(13), rank=3, alpha=6.0)

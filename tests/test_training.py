@@ -448,11 +448,12 @@ class TestFlatAdamW:
             for k, a in frozen.items():
                 assert state.params[k].data is a, (step, k)
 
-    def test_default_lora_step_records_36_tape_nodes(self, monkeypatch):
-        # 6 for the patch stage (the adapted linear with its input and its
-        # adapter's A and B, pos_embed and its add), 9 per block (one block
-        # node and its 4 adapters' A and B) and 12 for the final norm, the
-        # branch split and the loss: frozen weights are not recorded
+    def test_default_lora_step_records_34_tape_nodes(self, monkeypatch):
+        # 5 for the patch stage (the adapted linear and its adapter's A and B,
+        # pos_embed and its add), 9 per block (one block node and its 4
+        # adapters' A and B) and 11 for the final norm, the branch split and
+        # the loss: frozen weights, the patches and the teacher's features
+        # take no gradient, so they are not recorded
         enc = EncoderConfig()
         teacher = frozen_teacher(enc)
         cfg = TrainConfig(lora=LoraConfig())
@@ -468,7 +469,7 @@ class TestFlatAdamW:
         batch = make_pretrain_pairs(4, seed=0)
         train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
                    enc, cfg, 1e-3)
-        assert counts == [36]
+        assert counts == [34]
 
 
 class TestStepBuffers:
@@ -528,8 +529,8 @@ class TestStepBuffers:
         batch = make_pretrain_pairs(4, seed=0)
         train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
                    enc, cfg, 1e-3)
-        # 19 trainable leaves and the 15 op nodes above them
-        assert seen == [(36, 34)]
+        # 19 trainable leaves and the 15 op nodes above them, and nothing else
+        assert seen == [(34, 34)]
 
     def test_whole_block_masks_equal_the_rule_per_segment(self):
         shapes = [(6, 16, 48)] + [(6, 16, k) for _ in range(2) for k in (32, 32, 32, 128)]
