@@ -151,7 +151,8 @@ def _finite(arr: np.ndarray) -> bool:
 
 
 class Tensor:
-    """A dense float64 array plus optional gradient buffer."""
+    """A float64 value that can go on the tape, with its gradient buffer.  A
+    value that never takes a gradient (an image, a mask, a target) is an array."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
@@ -172,9 +173,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def _accumulate(self, g: np.ndarray) -> None:
         """Add ``g``, an array nothing else holds, to ``.grad``."""
@@ -785,23 +783,23 @@ def tmean(a: Tensor, split: bool = False) -> Tensor:
     return _make(_means(a.data, split), (a,), backward, "mean")
 
 
-def bce_with_logits(logits: Tensor, targets: Tensor, split: bool = False) -> Tensor:
-    """Mean binary cross-entropy in the fused, overflow-safe logits form.  With
-    ``split``, every entry of the first axis of ``logits`` takes the same
-    ``targets`` and gets its own mean."""
-    z, t = logits.data, targets.data
-    if _entry_shape(z, split) != t.shape:
+def bce_with_logits(logits: Tensor, targets: np.ndarray, split: bool = False) -> Tensor:
+    """Mean binary cross-entropy in the fused, overflow-safe logits form,
+    against fixed 0/1 ``targets``.  With ``split``, every entry of the first
+    axis of ``logits`` takes the same ``targets`` and gets its own mean."""
+    z = logits.data
+    if _entry_shape(z, split) != targets.shape:
         raise ShapeMismatchError(
-            f"bce_with_logits shape mismatch: {z.shape} vs {t.shape}"
+            f"bce_with_logits shape mismatch: {z.shape} vs {targets.shape}"
         )
-    if not np.all((t == 0.0) | (t == 1.0)):
+    if not np.all((targets == 0.0) | (targets == 1.0)):
         raise ValueError("bce_with_logits targets must be binary")
-    per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    n = t.size
+    per = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
+    n = targets.size
 
     def backward(g):
         sig = 1.0 / (1.0 + np.exp(-z))
-        logits._accumulate(_mean_grad(g, sig - t, n))
+        logits._accumulate(_mean_grad(g, sig - targets, n))
 
     return _make(_means(per, split), (logits,), backward, "bce_with_logits")
 

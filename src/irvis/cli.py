@@ -23,8 +23,7 @@ from .autodiff import Tensor, check_finite
 from .encoder import EncoderConfig
 from .encoder import encode  # noqa: F401  (benchmark wraps cli.encode)
 from .encoder import init_params  # noqa: F401  (benchmark wraps cli.init_params)
-from .errors import (ConfigError, DataError, DegenerateInputError, NumericError,
-                     ShapeMismatchError)
+from .errors import ConfigError, DataError, NumericError
 from .lora import (LoraConfig, adapter_tensors, adapters_from_tensors, forward_adapted,
                    merge)
 from .pccl import similarity
@@ -142,7 +141,13 @@ def build_configs(v: dict) -> tuple[EncoderConfig, TrainConfig]:
 
 def _load_samples(v: dict, enc: EncoderConfig):
     if v["manifest"]:
-        return list(datamod.load_pairs(v["manifest"]))
+        samples = list(datamod.load_pairs(v["manifest"]))
+        for s in samples:  # checked here, so no batch stacks images of two sizes
+            h, w = s.visible.shape[1:]
+            if (h, w) != (enc.image_size, enc.image_size):
+                raise DataError(f"{s.scene_id}: a {w}x{h} image, but image_size is "
+                                f"{enc.image_size}")
+        return samples
     return make_pretrain_pairs(v["n_pairs"], seed=v["seed"],
                                height=enc.image_size, width=enc.image_size,
                                night_fraction=v["night_fraction"])
@@ -170,8 +175,8 @@ def cmd_gen_data(args) -> int:
         scene_id = f"scene-{i:05d}" + ("-night" if i >= args.pairs - n_night else "")
         vis_name = f"{scene_id}.ppm"
         ir_name = f"{scene_id}.pgm"
-        datamod.write_ppm(out / vis_name, sample.visible.data)
-        datamod.write_pgm(out / ir_name, sample.infrared.data)
+        datamod.write_ppm(out / vis_name, sample.visible)
+        datamod.write_pgm(out / ir_name, sample.infrared)
         entries.append(datamod.ManifestEntry(scene_id, vis_name, ir_name,
                                              f"seq{i // 8}"))
     datamod.write_manifest(out / "manifest.tsv", entries)
@@ -367,8 +372,7 @@ def main(argv=None) -> int:
         # non-finite values raise NumericError (exit 2); numpy's warnings add nothing
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (ConfigError, DataError, DegenerateInputError, ShapeMismatchError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:  # every error type of bad input is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

@@ -1,6 +1,6 @@
 """Aligned visible/infrared pairs: synthetic scene rendering and the scene
 sets built from it (pretraining pairs, labeled probe scenes), PPM/PGM
-codecs, manifests, and batching.
+codecs, manifests, and batching.  Images are plain float arrays in [0, 1].
 
 The synthetic generator bakes in the modality asymmetry the training
 loop relies on: the visible channel carries color and is scaled by an
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ConfigError, DataError
 
 
@@ -61,8 +60,8 @@ PROBE_CLASSES = {
 
 @dataclass
 class PairedSample:
-    visible: Tensor   # (3, H, W) in [0,1]
-    infrared: Tensor  # (1, H, W) in [0,1]
+    visible: np.ndarray   # (3, H, W) in [0,1]
+    infrared: np.ndarray  # (1, H, W) in [0,1]
     scene_id: str
 
 
@@ -107,8 +106,7 @@ def gen_scene(spec: SceneSpec, seed: int, scene_id: str = "synthetic") -> Paired
     if spec.noise_infrared > 0.0:
         infrared += rng.normal(0.0, spec.noise_infrared, infrared.shape)
     np.clip(pair, 0.0, 1.0, out=pair)
-    return PairedSample(visible=Tensor(visible), infrared=Tensor(infrared),
-                        scene_id=scene_id)
+    return PairedSample(visible=visible, infrared=infrared, scene_id=scene_id)
 
 
 def night_count(n: int, night_fraction: float) -> int:
@@ -279,7 +277,7 @@ def read_manifest(path) -> list[ManifestEntry]:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a text file: {exc}") from exc
-    entries = []
+    entries, first = [], {}  # scene id -> the line that gave it
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -289,6 +287,9 @@ def read_manifest(path) -> list[ManifestEntry]:
         # the id names the scene's output files, so it must be a plain file name
         if parts[0] in ("", ".", "..") or "/" in parts[0] or "\0" in parts[0]:
             raise DataError(f"{path}:{lineno}: scene id {parts[0]!r} is not a file name")
+        if first.setdefault(parts[0], lineno) != lineno:
+            raise DataError(f"{path}:{lineno}: scene id {parts[0]!r} repeats line "
+                            f"{first[parts[0]]}")
         entries.append(ManifestEntry(*parts))
     return entries
 
@@ -317,8 +318,7 @@ def load_pairs(manifest_path):
                 f"{entry.scene_id}: resolution mismatch "
                 f"{visible.shape[1:]} vs {infrared.shape[1:]}"
             )
-        yield PairedSample(visible=Tensor(visible), infrared=Tensor(infrared),
-                           scene_id=entry.scene_id)
+        yield PairedSample(visible=visible, infrared=infrared, scene_id=entry.scene_id)
 
 
 def batch(samples, size: int, seed: int):

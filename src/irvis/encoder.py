@@ -60,10 +60,10 @@ class EncoderOutput:
     attention_heads: np.ndarray  # the last block's maps, (heads, N, N) or (B, heads, N, N)
 
     @property
-    def attention_last(self) -> Tensor:
-        """(N, N) or (B, N, N): the last block's maps averaged over heads, off
-        the tape; averaged only when read, as a training step never does."""
-        return Tensor(self.attention_heads.mean(axis=-3))
+    def attention_last(self) -> np.ndarray:
+        """(N, N) or (B, N, N): the last block's maps averaged over heads;
+        averaged only when read, as a training step never does."""
+        return self.attention_heads.mean(axis=-3)
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
@@ -125,7 +125,7 @@ def _layer(params: dict[str, Tensor], name: str, adapters, rng, shape) -> tuple:
     return params[f"{name}.weight"], params[f"{name}.bias"], lora
 
 
-def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
+def encode(img: np.ndarray, params: dict[str, Tensor], cfg: EncoderConfig, *,
            adapters=None, rng=None) -> EncoderOutput:
     """Forward pass; pure in (img, params), deterministic unless ``rng``, a
     training step's pre-drawn mask block (``LoraAdapter.branch``), is passed,
@@ -134,8 +134,7 @@ def encode(img, params: dict[str, Tensor], cfg: EncoderConfig, *,
     ``img`` is one (C, H, W) image or a (B, C, H, W) batch; a batch gives
     features (B, N, dim) and the last block's maps (B, heads, N, N).
     """
-    data = img.data if isinstance(img, Tensor) else np.asarray(img, dtype=np.float64)
-    patches = Tensor(patchify(data, cfg))
+    patches = Tensor(patchify(img, cfg))
     x = ad.linear(patches, *_layer(params, "patch_embed", adapters, rng, patches.shape))
     x = x + params["pos_embed"]
     dh = cfg.dim // cfg.heads

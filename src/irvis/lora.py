@@ -35,6 +35,8 @@ class LoraConfig:
             raise ConfigError(f"LoRA dropout must be in [0, 1), got {self.dropout}")
         if not -math.inf < self.alpha < math.inf:
             raise ConfigError(f"LoRA alpha must be finite, got {self.alpha}")
+        if not self.target_modules:
+            raise ConfigError("LoRA target_modules must name at least one layer")
 
 
 def dropout_mask(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -122,7 +124,10 @@ def attach(params: dict[str, Tensor], cfg: LoraConfig,
         if leaf not in cfg.target_modules:
             continue
         matched[leaf] = True
-        k, d = params[name].shape
+        shape = params[name].shape
+        if len(shape) != 2:
+            raise ConfigError(f"LoRA target {target!r} is not a matrix: shape {shape}")
+        k, d = shape
         if cfg.rank > min(d, k):
             raise ConfigError(
                 f"rank {cfg.rank} exceeds min dim of {target} ({min(d, k)})"

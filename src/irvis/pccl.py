@@ -3,9 +3,9 @@
 Similarity logits between student and frozen-teacher patch features,
 binary pseudo-labels derived from the teacher's attention map, and the
 loss table ``LOSSES``: one term per loss kind, the one loss API, which
-scores both branches in one pass.  Pseudo-label construction is
-deliberately non-differentiable; teacher features must be detached by the
-caller.
+scores both branches in one pass.  The attention maps and the labels are
+plain arrays: the labels are fixed targets that take no gradient, and
+teacher features must be detached by the caller.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ def similarity(f_a: Tensor, f_b: Tensor, tau: float) -> Tensor:
     return ad.check_finite(ad.cosine_rows(f_a, f_b) * (1.0 / tau), "similarity")
 
 
-def pseudo_labels(attention: np.ndarray | Tensor, gamma: float) -> PseudoLabelMatrix:
+def pseudo_labels(attention: np.ndarray, gamma: float) -> PseudoLabelMatrix:
     """Binary labels per row: diagonal plus the minimal descending-attention
     prefix whose mass strictly exceeds gamma.  Leading axes are a batch.
 
     Sorting is stable, lower original index first on ties.
     """
-    a = attention.data if isinstance(attention, Tensor) else np.asarray(attention)
+    a = np.asarray(attention)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatchError(f"attention must be square, got {a.shape}")
     if not 0.0 < gamma < 1.0:
@@ -83,7 +83,7 @@ def _branched(s: Tensor, p: PseudoLabelMatrix) -> bool:
 def loss_iv(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
     """Cross-modal alignment: BCE of the similarity logits against pseudo-labels;
     logits with a leading branch axis give one loss per branch."""
-    return ad.bce_with_logits(s, Tensor(p.values), split=_branched(s, p))
+    return ad.bce_with_logits(s, p.values, split=_branched(s, p))
 
 
 # Visible-knowledge distillation: the same term, applied to the visible branch.

@@ -186,7 +186,7 @@ def teacher_targets(samples, teacher: dict[str, Tensor], enc_cfg: EncoderConfig,
 
     The teacher's weights take no gradient, so the pass records no tape.
     """
-    vis = np.stack([to_channels(s.visible.data, enc_cfg.channels) for s in samples])
+    vis = np.stack([to_channels(s.visible, enc_cfg.channels) for s in samples])
     out = encode(vis, teacher, enc_cfg)
     return out.features, pccl.pseudo_labels(out.attention_last, gamma)
 
@@ -197,7 +197,7 @@ def student_features(batch, params: dict[str, Tensor], enc_cfg: EncoderConfig,
     infrared images' then the visible images'.  They come from one
     (2B, C, H, W) stack ordered ir_0, vis_0, ir_1, ..., the order in which
     the images draw their dropout rows, and are then reordered on the tape."""
-    images = [to_channels(img.data, enc_cfg.channels)
+    images = [to_channels(img, enc_cfg.channels)
               for s in batch for img in (s.infrared, s.visible)]
     features = encode(np.stack(images), params, enc_cfg, **encode_kwargs).features
     pairs = ad.reshape(features, (len(batch), 2) + features.shape[1:])
@@ -319,7 +319,7 @@ def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
 def pooled_features(samples, params: dict[str, Tensor], enc_cfg: EncoderConfig,
                     adapters=None, modality: str = "visible") -> np.ndarray:
     """Mean-pooled patch features per sample, from one batched forward pass."""
-    images = [to_channels(s.visible.data if modality == "visible" else s.infrared.data,
+    images = [to_channels(s.visible if modality == "visible" else s.infrared,
                           enc_cfg.channels) for s in samples]
     if not images:
         raise DataError("no samples to pool features from")

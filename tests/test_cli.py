@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from irvis import tensorio, training
 from irvis.autodiff import Tensor
 from irvis.cli import build_configs, main, parse_config
-from irvis.data import (SCENE_CLASSES, make_pretrain_pairs, read_manifest, read_pgm,
-                        read_ppm)
+from irvis.data import (SCENE_CLASSES, SceneSpec, gen_scene, make_pretrain_pairs,
+                        read_manifest, read_pgm, read_ppm, write_pgm, write_ppm)
 from irvis.encoder import EncoderConfig, init_params
 from irvis.lora import LoraConfig, adapters_from_tensors, merge
 
@@ -63,7 +63,7 @@ class TestGenData:
             for read, path, img in ((read_ppm, e.visible_path, sample.visible),
                                     (read_pgm, e.infrared_path, sample.infrared)):
                 assert np.array_equal(read(tmp_path / path),
-                                      np.rint(img.data * 255.0) / 255.0), e.scene_id
+                                      np.rint(img * 255.0) / 255.0), e.scene_id
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         for d in ("a", "b"):
@@ -313,13 +313,26 @@ class TestConfigRanges:
         dict(night_fraction=-0.1), dict(night_fraction=1.5),
         dict(seed=-1), dict(model_seed=-1),
         dict(lora_enabled="treu"), dict(lora_enabled="on"), dict(lora_enabled=""),
+        # vectors, not matrices, and no target at all
+        dict(lora_enabled="true", lora_targets="norm1"),
+        dict(lora_enabled="true", lora_targets="norm2"),
+        dict(lora_enabled="true", lora_targets="norm"),
+        dict(lora_enabled="true", lora_targets=","),
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_out_of_range_exit_1(self, tmp_path, capsys, overrides):
         cfgfile = write_config(tmp_path / "c.cfg", **overrides)
         code, _, err = run(capsys, "pretrain", "--config", str(cfgfile),
                            "--out", str(tmp_path / "run"))
         assert code == 1
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["ablate", "forget"])
+    def test_vector_lora_target_exit_1(self, tmp_path, capsys, command):
+        cfgfile = write_config(tmp_path / "c.cfg", epochs=1, warmup_epochs=0, n_pairs=4,
+                               n_probe=8, lora_enabled="true", lora_targets="norm1")
+        code, _, err = run(capsys, command, "--config", str(cfgfile))
+        assert code == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: LoRA target 'blocks.0.norm1' is not a matrix"), err
 
     @pytest.mark.parametrize("raw, enabled", [
         ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False),
@@ -352,6 +365,28 @@ class TestMissingAndDegenerateInputs:
         assert code == 1 and err.startswith("error: "), err
         assert "Traceback" not in out + err
         return err
+
+    def test_any_value_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("a check that names no error type")
+
+        monkeypatch.setattr("irvis.cli.cmd_gen_data", broken)
+        err = self.assert_exit_1(capsys, "gen-data", "--out", str(tmp_path), "--pairs", "1")
+        assert err == "error: a check that names no error type\n"
+
+    @pytest.mark.parametrize("command", ["pretrain", "dump-matrices"])
+    def test_manifest_scene_of_another_size(self, tmp_path, capsys, command):
+        code, _, _ = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--pairs", "3")
+        assert code == 0
+        big = gen_scene(SceneSpec(height=20, width=20), seed=0)
+        write_ppm(tmp_path / "d" / "big.ppm", big.visible)
+        write_pgm(tmp_path / "d" / "big.pgm", big.infrared)
+        with open(tmp_path / "d" / "manifest.tsv", "a") as f:
+            f.write("big\tbig.ppm\tbig.pgm\tseq0\n")
+        cfgfile = write_config(tmp_path / "c.cfg", manifest=tmp_path / "d" / "manifest.tsv")
+        err = self.assert_exit_1(capsys, command, "--config", str(cfgfile),
+                                 "--out", str(tmp_path / "out"))
+        assert err == "error: big: a 20x20 image, but image_size is 16\n"
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         err = self.assert_exit_1(capsys, "merge", "--checkpoint",
@@ -600,6 +635,20 @@ class TestDumpMatrices:
         assert code == 1 and "Traceback" not in out + err
         assert f"{manifest}:2: " in err, err
         assert [p for p in sorted(tmp_path.rglob("*")) if p != box / "out"] == before
+
+    def test_repeated_scene_id_exit_1(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "gen-data", "--out", str(tmp_path / "data"), "--pairs", "3")
+        assert code == 0
+        manifest = tmp_path / "data" / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        lines[2] = "scene-00000" + lines[2][lines[2].index("\t"):]
+        manifest.write_text("".join(line + "\n" for line in lines))
+        cfgfile = write_config(tmp_path / "c.cfg", manifest=manifest)
+        code, out, err = run(capsys, "dump-matrices", "--config", str(cfgfile),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1 and "Traceback" not in out + err
+        assert err == f"error: {manifest}:3: scene id 'scene-00000' repeats line 1\n", err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     def test_overflowing_similarity_exit_2(self, tmp_path, capsys):
         # a positive, finite tau whose inverse overflows

@@ -24,35 +24,35 @@ def two_class_spec(**overrides):
 class TestGenScene:
     def test_empty_scene_is_background(self):
         out = gen_scene(SceneSpec(), seed=0)
-        assert np.array_equal(out.visible.data[0], np.full((16, 16), 0.35))
-        assert np.array_equal(out.infrared.data[0], np.full((16, 16), 0.15))
+        assert np.array_equal(out.visible[0], np.full((16, 16), 0.35))
+        assert np.array_equal(out.infrared[0], np.full((16, 16), 0.15))
 
     def test_deterministic_per_seed(self):
         spec = two_class_spec(noise_visible=0.05, noise_infrared=0.05)
         a, b = gen_scene(spec, seed=3), gen_scene(spec, seed=3)
-        assert np.array_equal(a.visible.data, b.visible.data)
-        assert np.array_equal(a.infrared.data, b.infrared.data)
+        assert np.array_equal(a.visible, b.visible)
+        assert np.array_equal(a.infrared, b.infrared)
         c = gen_scene(spec, seed=4)
-        assert not np.array_equal(a.visible.data, c.visible.data)
+        assert not np.array_equal(a.visible, c.visible)
 
     def test_object_pixels_take_class_color_and_heat(self):
         out = gen_scene(two_class_spec(), seed=0)
         # square centered at (4,4) with half-width 2 covers pixel (4,4)
-        assert np.array_equal(out.visible.data[:, 4, 4], [0.8, 0.15, 0.1])
-        assert out.infrared.data[0, 4, 4] == 0.9
-        assert out.infrared.data[0, 11, 11] == 0.75
+        assert np.array_equal(out.visible[:, 4, 4], [0.8, 0.15, 0.1])
+        assert out.infrared[0, 4, 4] == 0.9
+        assert out.infrared[0, 11, 11] == 0.75
 
     def test_illumination_scales_visible_only(self):
         spec = two_class_spec()
         day = gen_scene(spec, seed=0)
         night = gen_scene(replace(spec, illumination=0.5), seed=0)
-        assert np.allclose(night.visible.data, 0.5 * day.visible.data, atol=1e-15)
-        assert np.array_equal(night.infrared.data, day.infrared.data)
+        assert np.allclose(night.visible, 0.5 * day.visible, atol=1e-15)
+        assert np.array_equal(night.infrared, day.infrared)
 
     def test_values_clipped_to_unit_interval(self):
         spec = two_class_spec(noise_visible=0.8, noise_infrared=0.8)
         out = gen_scene(spec, seed=1)
-        for arr in (out.visible.data, out.infrared.data):
+        for arr in (out.visible, out.infrared):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
     def test_unknown_object_kind_rejected(self):
@@ -72,8 +72,8 @@ class TestGenScene:
         for _ in range(20):
             spec = random_scene_spec(rng)
             out = gen_scene(spec, seed=0)
-            assert out.visible.data.shape == (3, 16, 16)
-            assert out.infrared.data.shape == (1, 16, 16)
+            assert out.visible.shape == (3, 16, 16)
+            assert out.infrared.shape == (1, 16, 16)
             assert 1 <= len(spec.objects) <= 3
 
 
@@ -109,9 +109,8 @@ class TestGeneratorEqualsItsFormerCode:
             visible = visible + rng.normal(0.0, spec.noise_visible, visible.shape)
         if spec.noise_infrared > 0.0:
             infrared = infrared + rng.normal(0.0, spec.noise_infrared, infrared.shape)
-        return data.PairedSample(visible=data.Tensor(np.clip(visible, 0.0, 1.0)),
-                                 infrared=data.Tensor(np.clip(infrared, 0.0, 1.0)),
-                                 scene_id=scene_id)
+        return data.PairedSample(visible=np.clip(visible, 0.0, 1.0),
+                                 infrared=np.clip(infrared, 0.0, 1.0), scene_id=scene_id)
 
     @staticmethod
     def former_place(rng, cls, classes, min_size, height, width):
@@ -132,8 +131,8 @@ class TestGeneratorEqualsItsFormerCode:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.scene_id == w.scene_id
-            assert same_bytes(g.visible.data, w.visible.data), g.scene_id
-            assert same_bytes(g.infrared.data, w.infrared.data), g.scene_id
+            assert same_bytes(g.visible, w.visible), g.scene_id
+            assert same_bytes(g.infrared, w.infrared), g.scene_id
 
     @pytest.mark.parametrize("hw", [(16, 16), (12, 20)])
     @pytest.mark.parametrize("classes", [PROBE_CLASSES, SCENE_CLASSES],
@@ -272,6 +271,13 @@ class TestManifest:
         assert read_manifest(p) == [ManifestEntry("s0", "v0.ppm", "i0.pgm", "seq0"),
                                     ManifestEntry("s1", "v1.ppm", "i1.pgm", "seq0")]
 
+    def test_repeated_scene_id_names_both_lines(self, tmp_path):
+        p = tmp_path / "manifest.tsv"
+        p.write_text("s0\tv0.ppm\ti0.pgm\tseq0\n\ns1\tv1.ppm\ti1.pgm\tseq0\n"
+                     "s0\tv2.ppm\ti2.pgm\tseq0\n")
+        with pytest.raises(DataError, match=r"manifest.tsv:4: scene id 's0' repeats line 1$"):
+            read_manifest(p)
+
     def test_field_count_error_names_line(self, tmp_path):
         p = tmp_path / "manifest.tsv"
         p.write_text("s0\tv.ppm\ti.pgm\tseq0\nbroken line\n")
@@ -280,13 +286,15 @@ class TestManifest:
 
     def test_load_pairs_end_to_end(self, tmp_path):
         sample = gen_scene(two_class_spec(), seed=0)
-        write_ppm(tmp_path / "v.ppm", sample.visible.data)
-        write_pgm(tmp_path / "i.pgm", sample.infrared.data)
+        write_ppm(tmp_path / "v.ppm", sample.visible)
+        write_pgm(tmp_path / "i.pgm", sample.infrared)
         write_manifest(tmp_path / "manifest.tsv",
                        [ManifestEntry("scene-0", "v.ppm", "i.pgm", "seq0")])
         (loaded,) = list(load_pairs(tmp_path / "manifest.tsv"))
         assert loaded.scene_id == "scene-0"
-        assert np.abs(loaded.visible.data - sample.visible.data).max() <= 0.5 / 255.0 + 1e-12
+        for img in (sample.visible, sample.infrared, loaded.visible, loaded.infrared):
+            assert type(img) is np.ndarray
+        assert np.abs(loaded.visible - sample.visible).max() <= 0.5 / 255.0 + 1e-12
 
     def test_load_pairs_missing_file_names_scene(self, tmp_path):
         write_manifest(tmp_path / "manifest.tsv",

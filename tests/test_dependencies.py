@@ -47,3 +47,11 @@ def test_cli_import_loads_no_scipy():
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_data_layer_does_not_import_the_autodiff_engine():
+    # images are plain arrays, so reading and rendering them needs no Tensor
+    for node in ast.walk(ast.parse((PACKAGE / "data.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            assert "autodiff" not in {n.rpartition(".")[2] for n in names}, ast.unparse(node)

@@ -61,7 +61,7 @@ def test_param_count_hand_tally():
 def test_zero_image_finite_and_stochastic(toy_cfg, toy_params):
     out = encode(np.zeros((3, 16, 16)), toy_params, toy_cfg)
     assert np.all(np.isfinite(out.features.data))
-    assert np.abs(out.attention_last.data.sum(axis=1) - 1.0).max() <= 1e-9
+    assert np.abs(out.attention_last.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_deterministic_forward(toy_cfg, toy_params):
@@ -69,14 +69,15 @@ def test_deterministic_forward(toy_cfg, toy_params):
     a = encode(img, toy_params, toy_cfg)
     b = encode(img, toy_params, toy_cfg)
     assert np.array_equal(a.features.data, b.features.data)
-    assert np.array_equal(a.attention_last.data, b.attention_last.data)
+    assert np.array_equal(a.attention_last, b.attention_last)
+    assert type(a.attention_last) is np.ndarray
 
 
 def test_attention_row_stochastic_100_images(toy_cfg, toy_params):
     rng = np.random.default_rng(42)
     for _ in range(100):
         out = encode(rng.random((3, 16, 16)), toy_params, toy_cfg)
-        assert np.abs(out.attention_last.data.sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(out.attention_last.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_shape_mismatch_rejected(toy_cfg, toy_params):
@@ -111,8 +112,8 @@ def test_patch_permutation_equivariance(toy_cfg, toy_params):
     base = encode(img, params, toy_cfg)
     permuted = encode(img_p, params, toy_cfg)
     assert np.allclose(permuted.features.data, base.features.data[perm], atol=1e-9)
-    conjugated = base.attention_last.data[np.ix_(perm, perm)]
-    assert np.allclose(permuted.attention_last.data, conjugated, atol=1e-9)
+    conjugated = base.attention_last[np.ix_(perm, perm)]
+    assert np.allclose(permuted.attention_last, conjugated, atol=1e-9)
 
 
 def test_features_differentiable_wrt_params(toy_cfg, toy_params):
@@ -165,7 +166,7 @@ def assert_matches_reference(cfg, params):
         out = encode(img, params, cfg)
         features, attention = reference_forward(img, params, cfg)
         assert np.abs(out.features.data - features).max() <= 1e-12
-        assert np.abs(out.attention_last.data - attention).max() <= 1e-12
+        assert np.abs(out.attention_last - attention).max() <= 1e-12
 
 
 def test_fused_heads_match_per_head_reference(toy_cfg, toy_params):
@@ -185,10 +186,10 @@ def test_batched_encode_matches_stacked_single_images(toy_cfg, toy_params):
     assert np.array_equal(patchify(imgs, toy_cfg),
                           np.stack([patchify(img, toy_cfg) for img in imgs]))
     for img, features, attention in zip(imgs, batched.features.data,
-                                         batched.attention_last.data):
+                                         batched.attention_last):
         single = encode(img, toy_params, toy_cfg)
         assert np.abs(single.features.data - features).max() <= 1e-12
-        assert np.abs(single.attention_last.data - attention).max() <= 1e-12
+        assert np.abs(single.attention_last - attention).max() <= 1e-12
 
 
 def test_batched_input_rank_checked(toy_cfg, toy_params):

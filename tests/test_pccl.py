@@ -163,21 +163,21 @@ class TestBceLosses:
         rng = np.random.default_rng(7)
         p = labels_from((rng.random((5, 5)) > 0.5) | np.eye(5, dtype=bool))
         s = Tensor(np.zeros((5, 5)))
-        assert abs(loss_iv(s, p).item() - np.log1p(1.0)) <= 1e-15
-        assert abs(loss_vv(s, p).item() - np.log1p(1.0)) <= 1e-15
+        assert abs(float(loss_iv(s, p).data) - np.log1p(1.0)) <= 1e-15
+        assert abs(float(loss_vv(s, p).data) - np.log1p(1.0)) <= 1e-15
 
     def test_saturated_match_near_zero(self):
         rng = np.random.default_rng(8)
         mask = (rng.random((5, 5)) > 0.5) | np.eye(5, dtype=bool)
         p = labels_from(mask)
         s = Tensor(np.where(mask, 40.0, -40.0))
-        assert loss_iv(s, p).item() < 1e-15
+        assert float(loss_iv(s, p).data) < 1e-15
 
     def test_vs_naive_oracle(self):
         rng = np.random.default_rng(9)
         z = rng.normal(size=(6, 6)) * 4
         mask = (rng.random((6, 6)) > 0.5) | np.eye(6, dtype=bool)
-        got = loss_iv(Tensor(z), labels_from(mask)).item()
+        got = float(loss_iv(Tensor(z), labels_from(mask)).data)
         sig = 1.0 / (1.0 + np.exp(-z.astype(np.longdouble)))
         t = mask.astype(np.longdouble)
         naive = float((-(t * np.log(sig) + (1 - t) * np.log(1 - sig))).mean())
@@ -192,10 +192,10 @@ class TestBceLosses:
 class TestCombinedLoss:
     def test_beta_zero(self):
         l_iv, l_vv = Tensor(0.3), Tensor(0.5)
-        assert loss_pccl(l_iv, l_vv, 1.0, 0.0).item() == 0.3
+        assert float(loss_pccl(l_iv, l_vv, 1.0, 0.0).data) == 0.3
 
     def test_arithmetic(self):
-        assert abs(loss_pccl(Tensor(0.3), Tensor(0.5), 1.0, 1.0).item() - 0.8) < 1e-15
+        assert abs(float(loss_pccl(Tensor(0.3), Tensor(0.5), 1.0, 1.0).data) - 0.8) < 1e-15
 
     def test_negative_coefficient(self):
         with pytest.raises(ValueError):
@@ -241,42 +241,42 @@ def two_branch_nce(z_iv, z_vv):
 class TestAblationLosses:
     def test_mse_zero_when_equal(self):
         f = Tensor(np.random.default_rng(11).normal(size=(4, 6)))
-        assert two_branch_mse(f, f, f).item() == 0.0
+        assert float(two_branch_mse(f, f, f).data) == 0.0
 
     def test_mse_unit_offset(self):
         f = Tensor(np.random.default_rng(12).normal(size=(4, 6)))
         shifted = Tensor(f.data + 1.0)
-        assert abs(two_branch_mse(shifted, f, f).item() - 1.0) < 1e-12
+        assert abs(float(two_branch_mse(shifted, f, f).data) - 1.0) < 1e-12
 
     def test_mse_vs_naive(self):
         rng = np.random.default_rng(13)
         fi, fv, fvf = (rng.normal(size=(4, 6)) for _ in range(3))
-        got = two_branch_mse(Tensor(fi), Tensor(fv), Tensor(fvf)).item()
+        got = float(two_branch_mse(Tensor(fi), Tensor(fv), Tensor(fvf)).data)
         naive = ((fi - fvf) ** 2).mean() + ((fv - fvf) ** 2).mean()
         assert abs(got - naive) <= 1e-12 * max(1.0, naive)
 
     def test_nce_uniform_is_2_log_n(self):
         for n in (3, 8, 16):
             s = Tensor(np.zeros((n, n)))
-            assert abs(two_branch_nce(s, s).item() - 2.0 * np.log(n)) <= 1e-10
+            assert abs(float(two_branch_nce(s, s).data) - 2.0 * np.log(n)) <= 1e-10
 
     def test_nce_saturated_diag(self):
         n = 6
         s = Tensor(np.where(np.eye(n, dtype=bool), 40.0, -40.0))
-        assert two_branch_nce(s, s).item() < 1e-15
+        assert float(two_branch_nce(s, s).data) < 1e-15
 
     def test_nce_term_is_diag_cross_entropy_of_similarity(self):
         rng = np.random.default_rng(20)
         f_s, f_t = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(5, 8)))
         # one branch of a batch of one image
-        got = LOSSES["nce"](Tensor(f_s.data[None, None]), Tensor(f_t.data[None]),
-                            None, 0.04)[0].item()
-        assert got == ad.masked_softmax_nll(similarity(f_s, f_t, 0.04), np.eye(5)).item()
+        got = float(LOSSES["nce"](Tensor(f_s.data[None, None]), Tensor(f_t.data[None]),
+                                  None, 0.04)[0].data)
+        assert got == float(ad.masked_softmax_nll(similarity(f_s, f_t, 0.04), np.eye(5)).data)
 
     def test_nce_vs_naive(self):
         rng = np.random.default_rng(14)
         a, b = rng.normal(size=(5, 5)) * 3, rng.normal(size=(5, 5)) * 3
-        got = two_branch_nce(Tensor(a), Tensor(b)).item()
+        got = float(two_branch_nce(Tensor(a), Tensor(b)).data)
         naive = 0.0
         for z in (a, b):
             for i in range(5):
@@ -289,19 +289,19 @@ class TestSoftmaxVariant:
     def test_all_ones_labels(self):
         rng = np.random.default_rng(15)
         s = Tensor(rng.normal(size=(4, 4)))
-        assert abs(loss_variant_softmax(s, labels_from(np.ones((4, 4)))).item()) < 1e-12
+        assert abs(float(loss_variant_softmax(s, labels_from(np.ones((4, 4)))).data)) < 1e-12
 
     def test_identity_labels_uniform_rows(self):
         n = 8
         s = Tensor(np.zeros((n, n)))
-        got = loss_variant_softmax(s, labels_from(np.eye(n))).item()
+        got = float(loss_variant_softmax(s, labels_from(np.eye(n))).data)
         assert abs(got - np.log(n)) <= 1e-12
 
     def test_vs_naive(self):
         rng = np.random.default_rng(16)
         z = rng.normal(size=(5, 5)) * 3
         mask = (rng.random((5, 5)) > 0.5) | np.eye(5, dtype=bool)
-        got = loss_variant_softmax(Tensor(z), labels_from(mask)).item()
+        got = float(loss_variant_softmax(Tensor(z), labels_from(mask)).data)
         naive = 0.0
         for i in range(5):
             p = np.exp(z[i].astype(np.longdouble))
@@ -323,7 +323,7 @@ def test_all_losses_nonnegative_and_grad_clean():
               two_branch_mse(f_i, f_v, f_vf), two_branch_nce(s_iv, s_vv),
               loss_variant_softmax(s_iv, p)]
     for loss in losses:
-        assert loss.item() >= 0.0 and np.isfinite(loss.item())
+        assert float(loss.data) >= 0.0 and np.isfinite(float(loss.data))
 
 
 def test_gradients_do_not_reach_teacher_features():
@@ -371,5 +371,5 @@ def test_two_branch_term_equals_two_per_branch_evaluations(kind):
     want = [PER_BRANCH[kind](f, f_t, p, 0.04) for f in per]
     loss_pccl(want[0], want[1], alpha, beta).backward()
     assert losses.shape == (2,)
-    assert losses.data.tobytes() == np.array([w.item() for w in want]).tobytes()
+    assert losses.data.tobytes() == np.array([float(w.data) for w in want]).tobytes()
     assert f_s.grad.tobytes() == np.stack([f.grad for f in per]).tobytes()

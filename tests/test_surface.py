@@ -29,7 +29,6 @@ KEPT = {
     "attention": "a tape op of the per-op chain the tests compare ``block`` against",
     "unmerge": "acceptance 3 pins the merge/unmerge round trip",
     "sparsity_report": "the planned run trace writes it at the end of a run",
-    "Tensor.item": "the tests read scalar losses with it",
 }
 
 SCOPES = (ast.Module, ast.FunctionDef, ast.ClassDef, ast.Lambda,

@@ -287,8 +287,8 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
     term = pccl.LOSSES[cfg.loss_kind]
     l_iv = l_vv = 0.0
     for sample in batch:
-        vis = to_channels(sample.visible.data, enc_cfg.channels)
-        ir = to_channels(sample.infrared.data, enc_cfg.channels)
+        vis = to_channels(sample.visible, enc_cfg.channels)
+        ir = to_channels(sample.infrared, enc_cfg.channels)
         t = encode(vis, teacher, enc_cfg)
         p = pccl.pseudo_labels(t.attention_last, cfg.gamma)
         # a branch axis of one and a batch of one
@@ -691,7 +691,7 @@ class TestForgettingGrid:
                                     width=toy_cfg.image_size)
         probes, labels = make_labeled_scenes(8, seed=1002, height=toy_cfg.image_size,
                                              width=toy_cfg.image_size)
-        before = [(s.visible.data.copy(), s.infrared.data.copy()) for s in pairs + probes]
+        before = [(s.visible.copy(), s.infrared.copy()) for s in pairs + probes]
         teacher = frozen_teacher(toy_cfg)
         for lora in (LoraConfig(rank=4, dropout=0.1), None):
             cfg = TrainConfig(epochs=2, warmup_epochs=1, base_lr=3e-3, batch_size=4,
@@ -700,7 +700,7 @@ class TestForgettingGrid:
             run_training(pairs, teacher, state, toy_cfg, cfg)
             training.probe_accuracies(state, probes, labels, toy_cfg)
         for s, (vis, ir) in zip(pairs + probes, before, strict=True):
-            assert same_bytes(s.visible.data, vis) and same_bytes(s.infrared.data, ir)
+            assert same_bytes(s.visible, vis) and same_bytes(s.infrared, ir)
 
 
 def test_pooled_features_shape(toy_cfg, toy_params):
@@ -725,7 +725,7 @@ def test_pooled_features_equal_per_image_means_without_a_tape(toy_cfg, monkeypat
 
     monkeypatch.setattr(training, "encode", recording_encode)
     for modality in ("visible", "infrared"):
-        per_image = [encode(to_channels(getattr(s, modality).data, toy_cfg.channels),
+        per_image = [encode(to_channels(getattr(s, modality), toy_cfg.channels),
                             state.params, toy_cfg, adapters=state.adapters
                             ).features.data.mean(axis=0)
                      for s in samples]
