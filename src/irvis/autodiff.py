@@ -8,9 +8,10 @@ node, ``block``, built from the same forward and backward array kernels as
 the per-op nodes ``layernorm``, ``linear`` (which also carries a LoRA
 adapter's low-rank branch), ``attention`` and ``gelu``, so the two give the
 same bytes.  A node records as parents only the operands that take a
-gradient, and ``_make`` alone picks them.  The reducing ops (``tmean``,
-``bce_with_logits``, ``masked_softmax_nll``) can keep the first axis, one
-loss per entry.
+gradient, and ``_make`` alone picks them; an operand that never takes one, a
+loss's targets or ``cosine_rows``' ``b``, is a plain array.  The reducing ops
+can keep the first axis, one loss per entry: ``tmean`` when asked, the losses
+when their input has one axis more than their targets or mask.
 
 Gradient buffers are owned.  A backward hands ``_accumulate`` an array that
 nothing else holds: the first write to a tensor's ``.grad`` keeps that array,
@@ -711,19 +712,19 @@ def block(x: Tensor, norm1, qkv, proj, norm2, fc1, fc2, heads: int,
 # -- row-structured ops used by the contrastive machinery --------------
 
 
-def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs cosine similarity between rows of ``a`` and rows of ``b``;
-    leading axes are a batch: ``(..., N, D)`` and ``(..., M, D)`` give ``(..., N, M)``.
-    ``a`` may carry one more leading axis than a batched ``b``: each of its
-    entries is then compared with the same ``b``."""
-    if (a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-1]
+def cosine_rows(a: Tensor, b: np.ndarray) -> Tensor:
+    """All-pairs cosine similarity between rows of ``a`` and rows of the fixed
+    array ``b``; leading axes are a batch: ``(..., N, D)`` and ``(..., M, D)``
+    give ``(..., N, M)``.  ``a`` may carry one more leading axis than a batched
+    ``b``: each of its entries is then compared with the same ``b``."""
+    if (a.data.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-1]
             or (a.shape[:-2] != b.shape[:-2]
-                and (b.data.ndim < 3 or a.shape[1:-2] != b.shape[:-2]))):
+                and (b.ndim < 3 or a.shape[1:-2] != b.shape[:-2]))):
         raise ShapeMismatchError(
             f"cosine_rows shape mismatch: {a.shape} vs {b.shape}"
         )
     na = np.linalg.norm(a.data, axis=-1, keepdims=True)
-    nb = np.linalg.norm(b.data, axis=-1, keepdims=True)
+    nb = np.linalg.norm(b, axis=-1, keepdims=True)
     if not (na.all() and nb.all()):  # the search runs only when a norm is zero
         for name, norms in (("a", na), ("b", nb)):
             zero = np.argwhere(norms[..., 0] == 0.0)
@@ -734,25 +735,20 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
                     f"cosine_rows: zero-norm row {row}{at} in argument {name}"
                 )
     an = a.data / na
-    bn = b.data / nb
+    bn = b / nb
     out = an @ np.swapaxes(bn, -1, -2)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate((g @ bn - (g * out).sum(axis=-1, keepdims=True) * an) / na)
-        if b.requires_grad:
-            col = np.swapaxes((g * out).sum(axis=-2, keepdims=True), -1, -2)
-            b._accumulate(_unbroadcast((np.swapaxes(g, -1, -2) @ an - col * bn) / nb,
-                                       b.shape))
+        a._accumulate((g @ bn - (g * out).sum(axis=-1, keepdims=True) * an) / na)
 
-    return _make(out, (a, b), backward, "cosine_rows")
+    return _make(out, (a,), backward, "cosine_rows")
 
 
-# The reducing ops below average a whole array to a scalar, or with ``split``
-# give one mean per entry of its first axis, a vector.  Each entry's mean is
-# taken over its own contiguous block, and its gradient scaled by its own
-# incoming value, exactly as the op without ``split`` treats an array of one
-# entry; so splitting changes no byte of any entry's loss or gradient.
+# The reducing ops below average a whole array to a scalar, or split it into one
+# mean per entry of its first axis: ``tmean`` when asked, the losses when their
+# input has one axis more than the fixed targets or mask, which each entry shares.
+# Each entry's mean and gradient are what the unsplit op gives an array of one
+# entry, so splitting changes no byte of any entry's loss or gradient.
 
 
 def _means(per: np.ndarray, split: bool) -> np.ndarray:
@@ -771,6 +767,15 @@ def _entry_shape(x: np.ndarray, split: bool) -> tuple[int, ...]:
     return x.shape[1:] if split else x.shape
 
 
+def _shares(x: np.ndarray, fixed: np.ndarray, op: str) -> bool:
+    """Whether ``x`` splits over ``fixed``, having one more leading axis;
+    ``ShapeMismatchError`` unless its entries, or ``x`` itself, have ``fixed``'s shape."""
+    split = x.ndim == fixed.ndim + 1
+    if _entry_shape(x, split) != fixed.shape:
+        raise ShapeMismatchError(f"{op} shape mismatch: {x.shape} vs {fixed.shape}")
+    return split
+
+
 def tmean(a: Tensor, split: bool = False) -> Tensor:
     shape = _entry_shape(a.data, split)
     n = math.prod(shape)
@@ -783,15 +788,11 @@ def tmean(a: Tensor, split: bool = False) -> Tensor:
     return _make(_means(a.data, split), (a,), backward, "mean")
 
 
-def bce_with_logits(logits: Tensor, targets: np.ndarray, split: bool = False) -> Tensor:
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy in the fused, overflow-safe logits form,
-    against fixed 0/1 ``targets``.  With ``split``, every entry of the first
-    axis of ``logits`` takes the same ``targets`` and gets its own mean."""
+    against fixed 0/1 ``targets``, split when ``logits`` has one axis more."""
     z = logits.data
-    if _entry_shape(z, split) != targets.shape:
-        raise ShapeMismatchError(
-            f"bce_with_logits shape mismatch: {z.shape} vs {targets.shape}"
-        )
+    split = _shares(z, targets, "bce_with_logits")
     if not np.all((targets == 0.0) | (targets == 1.0)):
         raise ValueError("bce_with_logits targets must be binary")
     per = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
@@ -804,17 +805,15 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, split: bool = False) ->
     return _make(_means(per, split), (logits,), backward, "bce_with_logits")
 
 
-def masked_softmax_nll(x: Tensor, mask: np.ndarray, split: bool = False) -> Tensor:
+def masked_softmax_nll(x: Tensor, mask: np.ndarray) -> Tensor:
     """Softmax cross-entropy on the positives where ``mask`` is nonzero: per row
     lse(z) - lse(z over the mask), z = x - rowmax, mean over rows; leading axes
-    are a batch, averaged over too.  In log space, positives far below the
-    row's maximum give a finite loss.  An identity mask is InfoNCE.  With
-    ``split``, every entry of the first axis of ``x`` takes the same ``mask``
-    and gets its own mean."""
-    if x.data.ndim < 2 + split or _entry_shape(x.data, split) != mask.shape:
-        raise ShapeMismatchError(
-            f"masked_softmax_nll shape mismatch: {x.shape} vs {mask.shape}"
-        )
+    are a batch, averaged over too, or split when ``x`` has one axis more than
+    ``mask``.  In log space, positives far below the row's maximum give a finite
+    loss.  An identity mask is InfoNCE."""
+    split = _shares(x.data, mask, "masked_softmax_nll")
+    if mask.ndim < 2:
+        raise ShapeMismatchError(f"masked_softmax_nll needs rows, got mask {mask.shape}")
     pos = mask != 0
     if not pos.any(axis=-1).all():
         raise DegenerateInputError("masked_softmax_nll: a row has no selected position")

@@ -3,13 +3,14 @@
 Similarity logits between student and frozen-teacher patch features,
 binary pseudo-labels derived from the teacher's attention map, and the
 loss table ``LOSSES``: one term per loss kind, the one loss API, which
-scores both branches in one pass.  The attention maps and the labels are
-plain arrays: the labels are fixed targets that take no gradient, and
-teacher features must be detached by the caller.
+scores both branches in one pass.  Everything from the frozen teacher, its
+features, attention maps and labels, is a plain array: none of it takes a
+gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,12 @@ class PseudoLabelMatrix:
     per_row_m: np.ndarray  # minimal prefix length per row: (N,) or (B, N)
 
 
-def similarity(f_a: Tensor, f_b: Tensor, tau: float) -> Tensor:
+def similarity(f_a: Tensor, f_b: np.ndarray, tau: float) -> Tensor:
     """Logits cosine / tau, (N, N) or (B, N, N), of the rows of ``f_a`` against
-    ``f_b``; student features with a leading branch axis, (2, B, N, D), give
-    (2, B, N, N) against the same teacher features (B, N, D)."""
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    the fixed ``f_b``; student features with a leading branch axis, (2, B, N, D),
+    give (2, B, N, N) against the same teacher features (B, N, D)."""
+    if not 0.0 < tau < math.inf:  # written so that NaN fails it too
+        raise ValueError(f"temperature must be positive and finite, got {tau}")
     return ad.check_finite(ad.cosine_rows(f_a, f_b) * (1.0 / tau), "similarity")
 
 
@@ -70,20 +71,10 @@ def pseudo_labels(attention: np.ndarray, gamma: float) -> PseudoLabelMatrix:
     return PseudoLabelMatrix(values=labels, per_row_m=per_row_m)
 
 
-def _branched(s: Tensor, p: PseudoLabelMatrix) -> bool:
-    """Whether the logits ``s`` carry a leading branch axis over the labels'
-    shape; ``ShapeMismatchError`` unless they have that shape, with or without it."""
-    if s.shape == p.values.shape:
-        return False
-    if s.shape[1:] == p.values.shape:
-        return True
-    raise ShapeMismatchError(f"similarity {s.shape} vs labels {p.values.shape}")
-
-
 def loss_iv(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
     """Cross-modal alignment: BCE of the similarity logits against pseudo-labels;
     logits with a leading branch axis give one loss per branch."""
-    return ad.bce_with_logits(s, p.values, split=_branched(s, p))
+    return ad.bce_with_logits(s, p.values)
 
 
 # Visible-knowledge distillation: the same term, applied to the visible branch.
@@ -92,15 +83,16 @@ loss_vv = loss_iv
 
 def loss_pccl(l_iv: Tensor, l_vv: Tensor, alpha: float = 1.0,
               beta: float = 1.0) -> Tensor:
-    if alpha < 0.0 or beta < 0.0:
-        raise ValueError(f"loss coefficients must be nonnegative, got {alpha}, {beta}")
+    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):  # NaN fails too
+        raise ValueError(f"loss coefficients must be nonnegative and finite, "
+                         f"got {alpha}, {beta}")
     return l_iv * alpha + l_vv * beta
 
 
 def loss_variant_softmax(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
     """Per row, -log of the softmax mass on label-positive positions; logits
     with a leading branch axis give one loss per branch."""
-    return ad.masked_softmax_nll(s, p.values, split=_branched(s, p))
+    return ad.masked_softmax_nll(s, p.values)
 
 
 # -- the loss table: (f_student, f_teacher, labels, tau) -> [L_IV, L_VV] --
@@ -114,16 +106,15 @@ def loss_variant_softmax(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
 # kinds, ``similarity`` also ``nce``, and ``mse`` calls none of them.
 
 
-def _term_mse(f_s: Tensor, f_t: Tensor, labels=None, tau=None) -> Tensor:
+def _term_mse(f_s: Tensor, f_t: np.ndarray, labels=None, tau=None) -> Tensor:
     d = f_s - f_t
     return ad.tmean(ad.mul(d, d), split=True)
 
 
-def _term_nce(f_s: Tensor, f_t: Tensor, labels=None, tau=None) -> Tensor:
+def _term_nce(f_s: Tensor, f_t: np.ndarray, labels=None, tau=None) -> Tensor:
     """InfoNCE: the softmax loss whose one positive is the matching patch."""
     s = similarity(f_s, f_t, tau)
-    return ad.masked_softmax_nll(s, np.broadcast_to(np.eye(*s.shape[-2:]), s.shape[1:]),
-                                 split=True)
+    return ad.masked_softmax_nll(s, np.broadcast_to(np.eye(*s.shape[-2:]), s.shape[1:]))
 
 
 LOSSES = {

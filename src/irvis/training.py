@@ -64,8 +64,8 @@ class TrainConfig:
             raise ConfigError(f"betas must be a pair of values in [0, 1), got {self.betas!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not (self.alpha >= 0.0 and self.beta >= 0.0):
-            raise ConfigError(f"alpha and beta must be nonnegative, got "
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ConfigError(f"alpha and beta must be nonnegative and finite, got "
                               f"{self.alpha} and {self.beta}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss_kind {self.loss_kind!r}")
@@ -181,14 +181,14 @@ def to_channels(img: np.ndarray, channels: int) -> np.ndarray:
 
 def teacher_targets(samples, teacher: dict[str, Tensor], enc_cfg: EncoderConfig,
                     gamma: float):
-    """(f_vf, labels): the frozen teacher's visible features and pseudo-labels
-    for ``samples``, in sample order, from one batched pass.
+    """(f_vf, labels): the frozen teacher's visible features, an array, and
+    pseudo-labels for ``samples``, in sample order, from one batched pass.
 
     The teacher's weights take no gradient, so the pass records no tape.
     """
     vis = np.stack([to_channels(s.visible, enc_cfg.channels) for s in samples])
     out = encode(vis, teacher, enc_cfg)
-    return out.features, pccl.pseudo_labels(out.attention_last, gamma)
+    return out.features.data, pccl.pseudo_labels(out.attention_last, gamma)
 
 
 def student_features(batch, params: dict[str, Tensor], enc_cfg: EncoderConfig,
@@ -297,14 +297,14 @@ def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
     steps_per_epoch = -(-len(samples) // cfg.batch_size)
     chunks = [teacher_targets(samples[i:i + cfg.batch_size], teacher, enc_cfg, cfg.gamma)
               for i in range(0, len(samples), cfg.batch_size)]
-    f_vf = np.concatenate([f.data for f, _ in chunks])
+    f_vf = np.concatenate([f for f, _ in chunks])
     values = np.concatenate([p.values for _, p in chunks])
     per_row_m = np.concatenate([p.per_row_m for _, p in chunks])
     del chunks  # the copies replace them; keeping both doubles the targets' memory
     for epoch in range(cfg.epochs):
         for idx in datamod.batch(range(len(samples)), cfg.batch_size,
                                  seed=cfg.seed + epoch):
-            targets = (Tensor(f_vf[idx]),
+            targets = (f_vf[idx],
                        pccl.PseudoLabelMatrix(values=values[idx], per_row_m=per_row_m[idx]))
             metrics = train_step(state, [samples[i] for i in idx], targets, enc_cfg, cfg,
                                  lr_at(state.step, cfg, steps_per_epoch))

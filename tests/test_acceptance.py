@@ -167,7 +167,7 @@ def test_05_analytic_pins(capsys):
         assert abs(float(ad.bce_with_logits(z, t).data) - np.log(2.0)) <= 1e-12
 
         e = Tensor(np.eye(6))
-        s = pccl.similarity(e, e, 0.04)
+        s = pccl.similarity(e, e.data, 0.04)
         diag = np.diag(s.data)
         assert np.array_equal(diag, np.full(6, 1.0 / 0.04))
         assert np.allclose(diag, 25.0, atol=1e-12)

@@ -308,6 +308,7 @@ class TestConfigRanges:
         dict(lora_enabled="true", lora_alpha="nan"),
         dict(lora_enabled="true", lora_alpha="inf"),
         dict(base_lr="inf"), dict(tau="inf"), dict(weight_decay=-1),
+        dict(alpha="inf"), dict(beta="inf"),
         dict(weight_decay="nan"), dict(beta2=2.0), dict(beta1="nan"),
         dict(night_fraction="nan"), dict(night_fraction="inf"),
         dict(night_fraction=-0.1), dict(night_fraction=1.5),

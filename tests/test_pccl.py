@@ -20,8 +20,7 @@ def labels_from(values):
 
 class TestSimilarity:
     def test_orthonormal_diag_at_default_tau(self):
-        e = Tensor(np.eye(4))
-        s = similarity(e, e, 0.04).data
+        s = similarity(Tensor(np.eye(4)), np.eye(4), 0.04).data
         assert np.array_equal(np.diag(s), np.full(4, 1.0 / 0.04))
         off = s - np.diag(np.diag(s))
         assert np.all(off == 0.0)
@@ -29,7 +28,7 @@ class TestSimilarity:
 
     def test_tau_halving_doubles_exactly(self):
         rng = np.random.default_rng(0)
-        a, b = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(5, 8)))
+        a, b = Tensor(rng.normal(size=(5, 8))), rng.normal(size=(5, 8))
         # power-of-two temperatures keep the scaling bit-exact
         s1 = similarity(a, b, 1.0 / 16.0).data
         s2 = similarity(a, b, 1.0 / 32.0).data
@@ -38,16 +37,17 @@ class TestSimilarity:
     def test_vs_double_loop_oracle(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
-        s = similarity(Tensor(a), Tensor(b), 0.04).data
+        s = similarity(Tensor(a), b, 0.04).data
         for i in range(5):
             for j in range(5):
                 cos = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
                 assert abs(s[i, j] - cos / 0.04) <= 1e-12 / 0.04
 
     def test_bad_tau_and_zero_rows(self):
-        a = Tensor(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="positive"):
-            similarity(a, a, 0.0)
+        a = np.ones((2, 3))
+        for tau in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                similarity(Tensor(a), a, tau)
         z = np.ones((2, 3))
         z[0] = 0.0
         with pytest.raises(DegenerateInputError):
@@ -184,7 +184,7 @@ class TestBceLosses:
         assert abs(got - naive) <= 1e-10 * naive
 
     def test_shape_mismatch(self):
-        s = similarity(Tensor(np.eye(4)), Tensor(np.eye(4)), 0.04)
+        s = similarity(Tensor(np.eye(4)), np.eye(4), 0.04)
         with pytest.raises(ShapeMismatchError):
             loss_iv(s, labels_from(np.eye(5)))
 
@@ -198,12 +198,15 @@ class TestCombinedLoss:
         assert abs(float(loss_pccl(Tensor(0.3), Tensor(0.5), 1.0, 1.0).data) - 0.8) < 1e-15
 
     def test_negative_coefficient(self):
-        with pytest.raises(ValueError):
-            loss_pccl(Tensor(0.1), Tensor(0.1), -1.0, 1.0)
+        # and every other coefficient outside [0, inf), NaN included
+        for alpha, beta in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan),
+                            (np.inf, 1.0), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                loss_pccl(Tensor(0.1), Tensor(0.1), alpha, beta)
 
     def test_gradient_is_weighted_sum(self):
         rng = np.random.default_rng(10)
-        f_vf = Tensor(rng.normal(size=(4, 6)))
+        f_vf = rng.normal(size=(4, 6))
         mask = (rng.random((4, 4)) > 0.5) | np.eye(4, dtype=bool)
         p = labels_from(mask)
         alpha, beta = 0.7, 1.3
@@ -234,24 +237,24 @@ def two_branch_nce(z_iv, z_vv):
     """The NCE ablation on given logits: the term ``LOSSES["nce"]`` applies to
     both branches' similarities at once, the softmax loss on the diagonal
     positives, one per branch, summed over both branches."""
-    losses = ad.masked_softmax_nll(branches(z_iv, z_vv), np.eye(z_iv.shape[-1]), split=True)
+    losses = ad.masked_softmax_nll(branches(z_iv, z_vv), np.eye(z_iv.shape[-1]))
     return losses[0] + losses[1]
 
 
 class TestAblationLosses:
     def test_mse_zero_when_equal(self):
         f = Tensor(np.random.default_rng(11).normal(size=(4, 6)))
-        assert float(two_branch_mse(f, f, f).data) == 0.0
+        assert float(two_branch_mse(f, f, f.data).data) == 0.0
 
     def test_mse_unit_offset(self):
         f = Tensor(np.random.default_rng(12).normal(size=(4, 6)))
         shifted = Tensor(f.data + 1.0)
-        assert abs(float(two_branch_mse(shifted, f, f).data) - 1.0) < 1e-12
+        assert abs(float(two_branch_mse(shifted, f, f.data).data) - 1.0) < 1e-12
 
     def test_mse_vs_naive(self):
         rng = np.random.default_rng(13)
         fi, fv, fvf = (rng.normal(size=(4, 6)) for _ in range(3))
-        got = float(two_branch_mse(Tensor(fi), Tensor(fv), Tensor(fvf)).data)
+        got = float(two_branch_mse(Tensor(fi), Tensor(fv), fvf).data)
         naive = ((fi - fvf) ** 2).mean() + ((fv - fvf) ** 2).mean()
         assert abs(got - naive) <= 1e-12 * max(1.0, naive)
 
@@ -267,10 +270,9 @@ class TestAblationLosses:
 
     def test_nce_term_is_diag_cross_entropy_of_similarity(self):
         rng = np.random.default_rng(20)
-        f_s, f_t = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(5, 8)))
+        f_s, f_t = Tensor(rng.normal(size=(5, 8))), rng.normal(size=(5, 8))
         # one branch of a batch of one image
-        got = float(LOSSES["nce"](Tensor(f_s.data[None, None]), Tensor(f_t.data[None]),
-                                  None, 0.04)[0].data)
+        got = float(LOSSES["nce"](Tensor(f_s.data[None, None]), f_t[None], None, 0.04)[0].data)
         assert got == float(ad.masked_softmax_nll(similarity(f_s, f_t, 0.04), np.eye(5)).data)
 
     def test_nce_vs_naive(self):
@@ -314,7 +316,7 @@ def test_all_losses_nonnegative_and_grad_clean():
     rng = np.random.default_rng(18)
     f_i = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
     f_v = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-    f_vf = Tensor(rng.normal(size=(6, 8)))
+    f_vf = rng.normal(size=(6, 8))
     attn = random_stochastic(rng, 6)
     p = pseudo_labels(attn, 0.6)
     s_iv = similarity(f_i, f_vf, 0.04)
@@ -327,13 +329,22 @@ def test_all_losses_nonnegative_and_grad_clean():
 
 
 def test_gradients_do_not_reach_teacher_features():
+    """The teacher's side of a similarity is a plain array, so the tape cannot
+    reach it; a ``Tensor`` there raises instead of silently getting no gradient."""
     rng = np.random.default_rng(19)
     f_i = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    f_vf = Tensor(rng.normal(size=(4, 6)))  # teacher side: detached by contract
+    f_vf = rng.normal(size=(4, 6))
     p = pseudo_labels(random_stochastic(rng, 4), 0.6)
-    loss_iv(similarity(f_i, f_vf, 0.04), p).backward()
+    s = similarity(f_i, f_vf, 0.04)
+    leaves = [n for n in ad._topo(s) if n._op is None]
+    assert len(leaves) == 1 and leaves[0] is f_i  # the student's features alone
+    loss_iv(s, p).backward()
     assert f_i.grad is not None
-    assert f_vf.grad is None
+    for teacher in (Tensor(f_vf), Tensor(f_vf, requires_grad=True)):
+        with pytest.raises(AttributeError):  # a Tensor is not an array: it has no ndim
+            ad.cosine_rows(f_i, teacher)
+        with pytest.raises(AttributeError):
+            similarity(f_i, teacher, 0.04)
 
 
 def _mse_per_branch(f, f_t, p, tau):
@@ -362,7 +373,7 @@ def test_two_branch_term_equals_two_per_branch_evaluations(kind):
     # (2, B, N, D) student features against (B, N, D) teacher features
     rng = np.random.default_rng(23)
     f_s = Tensor(rng.normal(size=(2, 3, 6, 8)), requires_grad=True)
-    f_t = Tensor(rng.normal(size=(3, 6, 8)))
+    f_t = rng.normal(size=(3, 6, 8))
     p = pseudo_labels(np.stack([random_stochastic(rng, 6) for _ in range(3)]), 0.6)
     alpha, beta = 0.7, 1.3
     losses = LOSSES[kind](f_s, f_t, p, 0.04)

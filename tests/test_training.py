@@ -57,6 +57,7 @@ class TestSchedule:
             TrainConfig(base_lr=0.0)
         for bad in (dict(tau=0.0), dict(tau=float("nan")), dict(gamma=0.0),
                     dict(gamma=1.0), dict(alpha=-1.0), dict(beta=-0.5),
+                    dict(alpha=float("inf")), dict(beta=float("inf")),
                     dict(warmup_epochs=-1), dict(epochs=-1, warmup_epochs=-1)):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
@@ -292,7 +293,7 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
         t = encode(vis, teacher, enc_cfg)
         p = pccl.pseudo_labels(t.attention_last, cfg.gamma)
         # a branch axis of one and a batch of one
-        f_t = one(t.features)
+        f_t = t.features.data[None]
         labels = pccl.PseudoLabelMatrix(values=p.values[None], per_row_m=p.per_row_m[None])
         kw = dict(adapters=state.adapters, rng=rng)
         f_i = encode(ir, state.params, enc_cfg, **kw).features
@@ -379,6 +380,14 @@ class TestBatchedStep:
         want = trainable_map(ran)
         for name, t in trainable_map(state).items():
             assert np.array_equal(t.data, want[name].data), name
+
+    def test_teacher_targets_are_plain_arrays(self, toy_cfg):
+        # nothing on the teacher's side takes a gradient, so none of it is a Tensor
+        teacher = frozen_teacher(toy_cfg)
+        f_vf, labels = teacher_targets(make_pretrain_pairs(3, seed=0), teacher, toy_cfg, 0.6)
+        assert type(f_vf) is np.ndarray
+        assert f_vf.shape == (3, toy_cfg.num_patches, toy_cfg.dim)
+        assert type(labels.values) is np.ndarray
 
 
 def per_tensor_adamw(moments):
