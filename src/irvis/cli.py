@@ -29,9 +29,8 @@ from .lora import (LoraConfig, adapter_tensors, adapters_from_tensors, forward_a
 from .pccl import similarity
 from .pccl import pseudo_labels  # noqa: F401  (benchmark wraps cli.pseudo_labels)
 from .training import (GRID_ROWS, TrainConfig, forgetting_experiment, frozen_teacher,
-                       make_labeled_scenes, make_pretrain_pairs, probe_accuracies,
-                       run_training, student_features, student_state,
-                       teacher_targets, trainable_map)
+                       make_labeled_scenes, make_pretrain_pairs, run_rows, run_training,
+                       student_features, student_state, teacher_targets, trainable_map)
 from .training import linear_probe  # noqa: F401  (benchmark wraps cli.linear_probe)
 from .training import pooled_features  # noqa: F401  (benchmark wraps cli.pooled_features)
 from .training import train_step  # noqa: F401  (benchmark wraps cli.train_step)
@@ -232,23 +231,17 @@ def cmd_pretrain(args) -> int:
 
 def cmd_ablate(args) -> int:
     v = parse_config(args.config)
-    enc, base_cfg = build_configs(v)
-    if base_cfg.epochs == 0:  # checked before any scene or teacher is built
+    enc, cfg = build_configs(v)
+    if cfg.epochs == 0:  # checked before any scene or teacher is built
         raise ConfigError("ablate compares final losses, so it needs epochs >= 1")
     samples = _load_samples(v, enc)
-    probe_samples, probe_labels = make_labeled_scenes(
-        v["n_probe"], seed=1000 + v["seed"],
-        height=enc.image_size, width=enc.image_size)
-    teacher = frozen_teacher(enc)
-    rows = []
-    for label, kind in (("L_MSE", "mse"), ("L_NCE", "nce"), ("L_PCCL", "pccl")):
-        cfg = replace(base_cfg, loss_kind=kind)
-        state = student_state(teacher, cfg.lora, seed=cfg.seed)
-        run_training(samples, teacher, state, enc, cfg)
-        rows.append((label, state.log[-1]["loss"],
-                     *probe_accuracies(state, probe_samples, probe_labels, enc)))
+    probes = make_labeled_scenes(v["n_probe"], seed=1000 + v["seed"],
+                                 height=enc.image_size, width=enc.image_size)
+    rows = [(label, replace(cfg, loss_kind=kind))
+            for label, kind in (("L_MSE", "mse"), ("L_NCE", "nce"), ("L_PCCL", "pccl"))]
+    report = run_rows(rows, frozen_teacher(enc), enc, [(0, probes, samples)])
     print(f"{'loss':<8} {'final':>12} {'visible_probe':>14} {'infrared_probe':>15}")
-    for label, final, vp, ip in rows:
+    for (label, _), (_, final, vp, ip) in zip(rows, report, strict=True):
         print(f"{label:<8} {final:>12.6f} {vp:>14.4f} {ip:>15.4f}")
     return 0
 

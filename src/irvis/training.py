@@ -1,7 +1,7 @@
 """Dual-branch training loop: frozen teacher, trainable student fed both
-modalities, AdamW with linear warmup + cosine decay, and the
-catastrophic-forgetting probe grid.
-"""
+modalities, AdamW with linear warmup + cosine decay, and one experiment
+runner, ``run_rows``, that trains and probes the rows of ``irvis ablate``
+and of the catastrophic-forgetting grid."""
 
 from __future__ import annotations
 
@@ -313,7 +313,7 @@ def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
     return state
 
 
-# -- probes and the forgetting grid -----------------------------------
+# -- probes and the experiment runner --------------------------------
 
 
 def pooled_features(samples, params: dict[str, Tensor], enc_cfg: EncoderConfig,
@@ -356,13 +356,33 @@ def linear_probe(features: np.ndarray, labels) -> float:
     return float((pred == truth).mean())
 
 
-def probe_accuracies(state: TrainState, samples, labels,
-                     enc_cfg: EncoderConfig) -> tuple[float, float]:
-    """(visible, infrared): ``linear_probe`` accuracy on the student's pooled
-    features of each modality of the labeled ``samples``."""
-    return tuple(linear_probe(pooled_features(samples, state.params, enc_cfg,
-                                              state.adapters, modality=modality), labels)
-                 for modality in ("visible", "infrared"))
+def run_rows(rows, teacher: dict[str, Tensor], enc_cfg: EncoderConfig, sets) -> list[tuple]:
+    """Train and probe each ``(name, cfg)`` row on every ``(offset, probes, pairs)``
+    set, seed-major.  A row trains a fresh ``student_state`` on ``pairs`` under
+    ``cfg``, at seed ``cfg.seed + offset``; a row whose ``cfg`` is None is the
+    untrained teacher.  Each row reports (trainable size, final loss, visible
+    probe, infrared probe): a probe is ``linear_probe``'s accuracy on the
+    labeled ``probes``, and the last three are medians over the sets, the loss
+    NaN for an untrained row.  Each set is built only when reached; one of
+    fewer than 2 probe scenes stops the run before its rows train."""
+    scores = {name: [] for name, _ in rows}
+    trainable = dict.fromkeys(scores, 0)
+    for offset, (probes, labels), pairs in sets:
+        if len(labels) < 2:
+            raise ConfigError(f"a probe set needs at least 2 scenes, got {len(labels)}")
+        for name, cfg in rows:
+            state = init_state(teacher)
+            if cfg is not None:
+                cfg = replace(cfg, seed=cfg.seed + offset)
+                state = run_training(pairs, teacher, student_state(teacher, cfg.lora, cfg.seed),
+                                     enc_cfg, cfg)
+                trainable[name] = sum(t.size for t in trainable_map(state).values())
+            scores[name].append([state.log[-1]["loss"] if state.log else math.nan] + [
+                linear_probe(pooled_features(probes, state.params, enc_cfg, state.adapters,
+                                             modality=modality), labels)
+                for modality in ("visible", "infrared")])
+    return [(trainable[name], *(float(np.median(column)) for column in zip(*scores[name])))
+            for name, _ in rows]
 
 
 GRID_ROWS = (
@@ -381,28 +401,14 @@ def forgetting_experiment(enc_cfg: EncoderConfig, cfg: TrainConfig,
     of pairs and probe scenes, and report median probe accuracies."""
     if not seeds:
         raise ConfigError("the forgetting grid needs at least one seed")
-    teacher = frozen_teacher(enc_cfg)
     size = dict(height=enc_cfg.image_size, width=enc_cfg.image_size)
-    scores = {row_name: [] for row_name, _ in GRID_ROWS}
-    trainable = {row_name: 0 for row_name, _ in GRID_ROWS}
-    for seed in seeds:
-        # probes first: an image too small for both names the probes' larger minimum
-        probes = make_labeled_scenes(n_probe, seed=1000 + seed, **size)
-        pairs = make_pretrain_pairs(n_pairs, seed=cfg.seed + seed, **size)
-        for row_name, row in GRID_ROWS:
-            lora = (cfg.lora or LoraConfig()) if row["use_lora"] else None
-            run_cfg = replace(cfg, seed=cfg.seed + seed,
-                              beta=cfg.beta if row["use_vv"] else 0.0, lora=lora)
-            state = student_state(teacher, lora, seed=run_cfg.seed)
-            if row["train"]:
-                run_training(pairs, teacher, state, enc_cfg, run_cfg)
-                trainable[row_name] = sum(t.size for t in trainable_map(state).values())
-            scores[row_name].append(probe_accuracies(state, *probes, enc_cfg))
-    return [{
-        "row": row_name,
-        "uses_vv": row["use_vv"],
-        "uses_lora": row["use_lora"],
-        "trainable_params": trainable[row_name],
-        "visible_probe": float(np.median([vis for vis, _ in scores[row_name]])),
-        "infrared_probe": float(np.median([ir for _, ir in scores[row_name]])),
-    } for row_name, row in GRID_ROWS]
+    # probes first: an image too small for both names the probes' larger minimum
+    sets = ((seed, make_labeled_scenes(n_probe, seed=1000 + seed, **size),
+             make_pretrain_pairs(n_pairs, seed=cfg.seed + seed, **size)) for seed in seeds)
+    rows = [(name, replace(cfg, beta=cfg.beta if row["use_vv"] else 0.0,
+                           lora=(cfg.lora or LoraConfig()) if row["use_lora"] else None)
+             if row["train"] else None) for name, row in GRID_ROWS]
+    report = run_rows(rows, frozen_teacher(enc_cfg), enc_cfg, sets)
+    return [{"row": name, "uses_vv": row["use_vv"], "uses_lora": row["use_lora"],
+             "trainable_params": n, "visible_probe": vis, "infrared_probe": ir}
+            for (name, row), (n, _, vis, ir) in zip(GRID_ROWS, report, strict=True)]

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from irvis import tensorio, training
 from irvis.autodiff import Tensor
-from irvis.cli import build_configs, main, parse_config
-from irvis.data import (SCENE_CLASSES, SceneSpec, gen_scene, make_pretrain_pairs,
-                        read_manifest, read_pgm, read_ppm, write_pgm, write_ppm)
+from irvis.cli import build_configs, build_parser, main, parse_config
+from irvis.data import (SCENE_CLASSES, SceneSpec, gen_scene, make_labeled_scenes,
+                        make_pretrain_pairs, read_manifest, read_pgm, read_ppm, write_pgm,
+                        write_ppm)
 from irvis.encoder import EncoderConfig, init_params
 from irvis.lora import LoraConfig, adapters_from_tensors, merge
+from irvis.training import TrainConfig
 
 
 def write_config(path, **overrides):
@@ -295,6 +299,31 @@ class TestDefaults:
         assert (values["epochs"], values["tau"]) == (3, 0.1)
 
 
+README_RECIPES = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    ).split("\n## Recipes\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadmeRecipes:
+    """Each config that README's "Recipes" writes parses, and the command it
+    feeds exists with the options it is given.  Nothing is trained."""
+
+    RECIPES = re.findall(r"cat > (\S+) <<'CFG'\n(.*?)\nCFG\n(.*?)```", README_RECIPES, re.S)
+
+    def test_every_config_block_is_found(self):
+        assert self.RECIPES and len(self.RECIPES) == README_RECIPES.count("cat > ")
+
+    @pytest.mark.parametrize("name, body, rest", RECIPES, ids=[r[0] for r in RECIPES])
+    def test_config_parses_and_its_command_exists(self, tmp_path, monkeypatch, name, body,
+                                                 rest):
+        monkeypatch.delenv("UNIV_SEED", raising=False)
+        command = next(line for line in rest.replace("\\\n", " ").splitlines()
+                       if line.startswith("irvis ") and f"--config {name}" in line)
+        args = build_parser().parse_args(shlex.split(command)[1:])
+        assert args.config == name
+        (tmp_path / name).write_text(body + "\n")
+        build_configs(parse_config(tmp_path / name))
+
+
 class TestConfigRanges:
     @pytest.mark.parametrize("overrides", [
         dict(tau=0), dict(gamma=1.5), dict(alpha=-1),
@@ -334,6 +363,19 @@ class TestConfigRanges:
         code, _, err = run(capsys, command, "--config", str(cfgfile))
         assert code == 1 and err.count("\n") == 1, err
         assert err.startswith("error: LoRA target 'blocks.0.norm1' is not a matrix"), err
+
+    @pytest.mark.parametrize("command", ["ablate", "forget"])
+    @pytest.mark.parametrize("n_probe", [1, 0, -1])
+    def test_too_few_probes_exit_1_before_any_training(self, tmp_path, capsys, monkeypatch,
+                                                       command, n_probe):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a row")
+
+        monkeypatch.setattr("irvis.training.run_training", no_training)
+        cfgfile = write_config(tmp_path / "c.cfg", n_probe=n_probe)
+        code, _, err = run(capsys, command, "--config", str(cfgfile))
+        assert code == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: a probe set needs at least 2 scenes"), err
 
     @pytest.mark.parametrize("raw, enabled", [
         ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False),
@@ -471,6 +513,31 @@ class TestAblate:
             _, final, vp, ip = line.split()
             assert np.isfinite(float(final))
             assert 0.0 <= float(vp) <= 1.0 and 0.0 <= float(ip) <= 1.0
+
+    def test_equals_a_hand_rolled_loop(self, tmp_path, capsys):
+        # seed 3: the pairs' seed differs from the probes' (1003), and each row
+        # draws its own LoRA dropout masks
+        cfgfile = write_config(tmp_path / "c.cfg", seed=3, lora_enabled="true",
+                               lora_dropout=0.1)
+        code, stdout, _ = run(capsys, "ablate", "--config", str(cfgfile))
+        assert code == 0
+        enc = EncoderConfig(seed=7)
+        size = dict(height=enc.image_size, width=enc.image_size)
+        pairs = make_pretrain_pairs(6, seed=3, **size)
+        probes, labels = make_labeled_scenes(8, seed=1003, **size)
+        teacher = training.frozen_teacher(enc)
+        table = [f"{'loss':<8} {'final':>12} {'visible_probe':>14} {'infrared_probe':>15}"]
+        for label, kind in (("L_MSE", "mse"), ("L_NCE", "nce"), ("L_PCCL", "pccl")):
+            cfg = TrainConfig(epochs=2, warmup_epochs=1, base_lr=0.001, batch_size=4,
+                              lora=LoraConfig(dropout=0.1), loss_kind=kind, seed=3)
+            state = training.student_state(teacher, cfg.lora, seed=cfg.seed)
+            training.run_training(pairs, teacher, state, enc, cfg)
+            vis, ir = (training.linear_probe(
+                training.pooled_features(probes, state.params, enc, state.adapters,
+                                         modality=modality), labels)
+                for modality in ("visible", "infrared"))
+            table.append(f"{label:<8} {state.log[-1]['loss']:>12.6f} {vis:>14.4f} {ir:>15.4f}")
+        assert [l for l in stdout.splitlines() if not l.startswith("config: ")] == table
 
     def test_epochs_zero_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):

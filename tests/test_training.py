@@ -675,7 +675,10 @@ class TestForgettingGrid:
                 probes = make_labeled_scenes(n_probe, seed=1000 + seed,
                                              height=enc_cfg.image_size,
                                              width=enc_cfg.image_size)
-                vis, ir = training.probe_accuracies(state, *probes, enc_cfg)
+                vis, ir = (linear_probe(pooled_features(probes[0], state.params, enc_cfg,
+                                                        state.adapters, modality=modality),
+                                        probes[1])
+                           for modality in ("visible", "infrared"))
                 vis_scores.append(vis)
                 ir_scores.append(ir)
             report.append({
@@ -707,7 +710,9 @@ class TestForgettingGrid:
                               lora=lora, seed=2)
             state = student_state(teacher, lora, seed=cfg.seed)
             run_training(pairs, teacher, state, toy_cfg, cfg)
-            training.probe_accuracies(state, probes, labels, toy_cfg)
+            for modality in ("visible", "infrared"):
+                linear_probe(pooled_features(probes, state.params, toy_cfg, state.adapters,
+                                             modality=modality), labels)
         for s, (vis, ir) in zip(pairs + probes, before, strict=True):
             assert same_bytes(s.visible, vis) and same_bytes(s.infrared, ir)
 
