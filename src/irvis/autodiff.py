@@ -325,7 +325,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "mul")
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a: Tensor, c) -> Tensor:
+    """``a`` times ``c``, a float or a fixed array that broadcasts to ``a``'s shape."""
     data = a.data * c
 
     def backward(g):

@@ -311,7 +311,7 @@ def cmd_dump_matrices(args) -> int:
         for j, sample in enumerate(chunk):
             tensorio.write_tensor(out / f"{sample.scene_id}.m_iv.tnsr", s_iv[j])
             tensorio.write_tensor(out / f"{sample.scene_id}.m_vv.tnsr", s_vv[j])
-            tensorio.write_tensor(out / f"{sample.scene_id}.m_p.tnsr", labels.values[j])
+            tensorio.write_tensor(out / f"{sample.scene_id}.m_p.tnsr", labels[j])
     print(f"dumped matrices to {out}")
     return 0
 

@@ -11,7 +11,6 @@ gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +24,6 @@ DEFAULT_GAMMA = 0.6
 ROW_SUM_TOL = 1e-6
 
 
-@dataclass
-class PseudoLabelMatrix:
-    values: np.ndarray  # binary (N, N) or (B, N, N)
-    per_row_m: np.ndarray  # minimal prefix length per row: (N,) or (B, N)
-
-
 def similarity(f_a: Tensor, f_b: np.ndarray, tau: float) -> Tensor:
     """Logits cosine / tau, (N, N) or (B, N, N), of the rows of ``f_a`` against
     the fixed ``f_b``; student features with a leading branch axis, (2, B, N, D),
@@ -40,9 +33,10 @@ def similarity(f_a: Tensor, f_b: np.ndarray, tau: float) -> Tensor:
     return ad.check_finite(ad.cosine_rows(f_a, f_b) * (1.0 / tau), "similarity")
 
 
-def pseudo_labels(attention: np.ndarray, gamma: float) -> PseudoLabelMatrix:
-    """Binary labels per row: diagonal plus the minimal descending-attention
-    prefix whose mass strictly exceeds gamma.  Leading axes are a batch.
+def pseudo_labels(attention: np.ndarray, gamma: float) -> np.ndarray:
+    """Binary labels per row, an array of the attention's shape: diagonal plus
+    the minimal descending-attention prefix whose mass strictly exceeds gamma.
+    Leading axes are a batch.
 
     Sorting is stable, lower original index first on ties.
     """
@@ -64,35 +58,35 @@ def pseudo_labels(attention: np.ndarray, gamma: float) -> PseudoLabelMatrix:
     order = np.argsort(-a, axis=-1, kind="stable")
     csum = np.cumsum(np.take_along_axis(a, order, axis=-1), axis=-1)
     # rows are nonnegative, so csum > gamma is False then True along each row
-    per_row_m = np.minimum((csum <= gamma).sum(axis=-1) + 1, n)
+    m = np.minimum((csum <= gamma).sum(axis=-1) + 1, n)  # each row's prefix length
     labels = np.zeros(a.shape)
-    np.put_along_axis(labels, order, np.arange(n) < per_row_m[..., None], axis=-1)
+    np.put_along_axis(labels, order, np.arange(n) < m[..., None], axis=-1)
     labels[..., np.arange(n), np.arange(n)] = 1.0
-    return PseudoLabelMatrix(values=labels, per_row_m=per_row_m)
+    return labels
 
 
-def loss_iv(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
+def loss_iv(s: Tensor, labels: np.ndarray) -> Tensor:
     """Cross-modal alignment: BCE of the similarity logits against pseudo-labels;
     logits with a leading branch axis give one loss per branch."""
-    return ad.bce_with_logits(s, p.values)
+    return ad.bce_with_logits(s, labels)
 
 
 # Visible-knowledge distillation: the same term, applied to the visible branch.
 loss_vv = loss_iv
 
 
-def loss_pccl(l_iv: Tensor, l_vv: Tensor, alpha: float = 1.0,
-              beta: float = 1.0) -> Tensor:
+def loss_pccl(losses: Tensor, alpha: float = 1.0, beta: float = 1.0) -> Tensor:
+    """alpha * L_IV + beta * L_VV of the (2,) branch losses [L_IV, L_VV]."""
     if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):  # NaN fails too
         raise ValueError(f"loss coefficients must be nonnegative and finite, "
                          f"got {alpha}, {beta}")
-    return l_iv * alpha + l_vv * beta
+    return ad.tsum(ad.scale(losses, np.array((alpha, beta))))
 
 
-def loss_variant_softmax(s: Tensor, p: PseudoLabelMatrix) -> Tensor:
+def loss_variant_softmax(s: Tensor, labels: np.ndarray) -> Tensor:
     """Per row, -log of the softmax mass on label-positive positions; logits
     with a leading branch axis give one loss per branch."""
-    return ad.masked_softmax_nll(s, p.values)
+    return ad.masked_softmax_nll(s, labels)
 
 
 # -- the loss table: (f_student, f_teacher, labels, tau) -> [L_IV, L_VV] --
@@ -118,9 +112,9 @@ def _term_nce(f_s: Tensor, f_t: np.ndarray, labels=None, tau=None) -> Tensor:
 
 
 LOSSES = {
-    "pccl": lambda f_s, f_t, p, tau: loss_iv(similarity(f_s, f_t, tau), p),
-    "pccl_softmax_variant":
-        lambda f_s, f_t, p, tau: loss_variant_softmax(similarity(f_s, f_t, tau), p),
+    "pccl": lambda f_s, f_t, labels, tau: loss_iv(similarity(f_s, f_t, tau), labels),
+    "pccl_softmax_variant": lambda f_s, f_t, labels, tau:
+        loss_variant_softmax(similarity(f_s, f_t, tau), labels),
     "mse": _term_mse,
     "nce": _term_nce,
 }

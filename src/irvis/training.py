@@ -181,8 +181,8 @@ def to_channels(img: np.ndarray, channels: int) -> np.ndarray:
 
 def teacher_targets(samples, teacher: dict[str, Tensor], enc_cfg: EncoderConfig,
                     gamma: float):
-    """(f_vf, labels): the frozen teacher's visible features, an array, and
-    pseudo-labels for ``samples``, in sample order, from one batched pass.
+    """(f_vf, labels), two arrays: the frozen teacher's visible features and
+    the 0/1 pseudo-labels for ``samples``, in sample order, from one batched pass.
 
     The teacher's weights take no gradient, so the pass records no tape.
     """
@@ -254,8 +254,7 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
         f_s = student_features(batch, state.params, enc_cfg,
                                adapters=state.adapters, rng=rng)
         losses = pccl.LOSSES[cfg.loss_kind](f_s, f_vf, labels, cfg.tau)
-        l_iv, l_vv = losses[0], losses[1]
-        loss = check_finite(pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta), "the loss")
+        loss = check_finite(pccl.loss_pccl(losses, cfg.alpha, cfg.beta), "the loss")
         if loss.requires_grad and (cfg.alpha or cfg.beta):  # alpha = beta = 0: no signal
             loss.backward()
             _adamw_update(state, cfg, lr, loss)
@@ -272,8 +271,8 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
         "step": state.step,
         "lr": lr,
         "loss": float(loss.data),
-        "l_iv": float(l_iv.data),
-        "l_vv": float(l_vv.data),
+        "l_iv": float(losses.data[0]),
+        "l_vv": float(losses.data[1]),
     }
     state.step += 1
     state.log.append(metrics)
@@ -297,17 +296,13 @@ def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
     steps_per_epoch = -(-len(samples) // cfg.batch_size)
     chunks = [teacher_targets(samples[i:i + cfg.batch_size], teacher, enc_cfg, cfg.gamma)
               for i in range(0, len(samples), cfg.batch_size)]
-    f_vf = np.concatenate([f for f, _ in chunks])
-    values = np.concatenate([p.values for _, p in chunks])
-    per_row_m = np.concatenate([p.per_row_m for _, p in chunks])
+    f_vf, labels = (np.concatenate(part) for part in zip(*chunks))
     del chunks  # the copies replace them; keeping both doubles the targets' memory
     for epoch in range(cfg.epochs):
         for idx in datamod.batch(range(len(samples)), cfg.batch_size,
                                  seed=cfg.seed + epoch):
-            targets = (f_vf[idx],
-                       pccl.PseudoLabelMatrix(values=values[idx], per_row_m=per_row_m[idx]))
-            metrics = train_step(state, [samples[i] for i in idx], targets, enc_cfg, cfg,
-                                 lr_at(state.step, cfg, steps_per_epoch))
+            metrics = train_step(state, [samples[i] for i in idx], (f_vf[idx], labels[idx]),
+                                 enc_cfg, cfg, lr_at(state.step, cfg, steps_per_epoch))
             if on_step is not None:
                 on_step(metrics)
     return state
@@ -363,13 +358,16 @@ def run_rows(rows, teacher: dict[str, Tensor], enc_cfg: EncoderConfig, sets) -> 
     untrained teacher.  Each row reports (trainable size, final loss, visible
     probe, infrared probe): a probe is ``linear_probe``'s accuracy on the
     labeled ``probes``, and the last three are medians over the sets, the loss
-    NaN for an untrained row.  Each set is built only when reached; one of
-    fewer than 2 probe scenes stops the run before its rows train."""
+    NaN for an untrained row.  Each set is built only when reached; one whose
+    even or odd probe scenes are all of one class stops the run before its
+    rows train."""
     scores = {name: [] for name, _ in rows}
     trainable = dict.fromkeys(scores, 0)
     for offset, (probes, labels), pairs in sets:
-        if len(labels) < 2:
-            raise ConfigError(f"a probe set needs at least 2 scenes, got {len(labels)}")
+        # the probe trains on the even scenes and scores the odd ones
+        if any(len(set(labels[half::2])) < 2 for half in (0, 1)):
+            raise ConfigError(f"a probe set needs at least 2 scenes of different classes among "
+                              f"its even scenes and among its odd ones, got {len(labels)}")
         for name, cfg in rows:
             state = init_state(teacher)
             if cfg is not None:

@@ -55,7 +55,7 @@ def test_01_pseudo_labels_match_exhaustive_oracle(capsys):
             n = int(rng.integers(2, 17))
             gamma = 0.3 if trial % 2 == 0 else 0.6
             a = random_stochastic(rng, n)
-            got = pccl.pseudo_labels(a, gamma).values
+            got = pccl.pseudo_labels(a, gamma)
             assert np.array_equal(got, exhaustive_pseudo_labels(a, gamma)), trial
 
 
@@ -91,7 +91,7 @@ def test_02_gradient_suite(capsys, toy_cfg):
                 # scores both branches of the batch's student features
                 losses = pccl.LOSSES[kind](student_features(batch, p, toy_cfg),
                                            f_vf, labels, 0.04)
-                return pccl.loss_pccl(losses[0], losses[1], 1.0, 1.0)
+                return pccl.loss_pccl(losses, 1.0, 1.0)
             return f
 
         for kind in pccl.LOSSES:

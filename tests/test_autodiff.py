@@ -825,6 +825,12 @@ def _mean_split_case(rng):
             Tensor(rng.normal(size=(2, 3, 4, 4))))
 
 
+def _scale_array_sum_case(rng):
+    # loss_pccl's form: a (2,) vector weighted by a fixed array, then summed
+    w = rng.normal(size=2)
+    return lambda t: ad.tsum(ad.scale(t, w)), Tensor(rng.normal(size=2))
+
+
 def _transpose_axes_case(rng):
     return (weighted_sum(lambda t: ad.transpose(t, (1, 2, 0)), rng.normal(size=(3, 4, 2))),
             Tensor(rng.normal(size=(2, 3, 4))))
@@ -901,6 +907,7 @@ DIFF_OPS = {
     "mul_size1_axis": _mul_size1_axis_case,
     "mean": _mean_case,
     "mean_split": _mean_split_case,
+    "scale_array_sum": _scale_array_sum_case,
     "take": _take_case,
     "transpose_axes": _transpose_axes_case,
     "reshape": _reshape_case,

@@ -365,7 +365,7 @@ class TestConfigRanges:
         assert err.startswith("error: LoRA target 'blocks.0.norm1' is not a matrix"), err
 
     @pytest.mark.parametrize("command", ["ablate", "forget"])
-    @pytest.mark.parametrize("n_probe", [1, 0, -1])
+    @pytest.mark.parametrize("n_probe", [3, 2, 1, 0, -1])
     def test_too_few_probes_exit_1_before_any_training(self, tmp_path, capsys, monkeypatch,
                                                        command, n_probe):
         def no_training(*args, **kwargs):
@@ -376,6 +376,14 @@ class TestConfigRanges:
         code, _, err = run(capsys, command, "--config", str(cfgfile))
         assert code == 1 and err.count("\n") == 1, err
         assert err.startswith("error: a probe set needs at least 2 scenes"), err
+
+    @pytest.mark.parametrize("command", ["ablate", "forget"])
+    def test_four_probes_run(self, tmp_path, capsys, command):
+        # the fewest scenes whose even and odd halves each hold two classes
+        cfgfile = write_config(tmp_path / "c.cfg", epochs=1, warmup_epochs=0, n_pairs=4,
+                               n_probe=4)
+        code, _, err = run(capsys, command, "--config", str(cfgfile))
+        assert code == 0 and err == "", err
 
     @pytest.mark.parametrize("raw, enabled", [
         ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False),

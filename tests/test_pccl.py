@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from irvis import autodiff as ad
 from irvis.autodiff import Tensor, grad_check
 from irvis.errors import DegenerateInputError, ShapeMismatchError
-from irvis.pccl import (LOSSES, PseudoLabelMatrix, loss_iv, loss_pccl,
-                        loss_variant_softmax, loss_vv, pseudo_labels, similarity)
-from conftest import exhaustive_pseudo_labels, random_stochastic
+from irvis.pccl import (LOSSES, loss_iv, loss_pccl, loss_variant_softmax, loss_vv,
+                        pseudo_labels, similarity)
+from conftest import exhaustive_pseudo_labels, random_stochastic, same_bytes
 
 
 def labels_from(values):
-    values = np.asarray(values, dtype=float)
-    return PseudoLabelMatrix(values=values, per_row_m=values.sum(axis=1).astype(int))
+    return np.asarray(values, dtype=float)
 
 
 class TestSimilarity:
@@ -58,27 +57,29 @@ class TestPseudoLabels:
     def test_uniform_rows(self):
         a = np.full((4, 4), 0.25)
         p = pseudo_labels(a, 0.6)
-        # prefix sums 0.25/0.50/0.75 -> m=3, stable tie-break picks cols 0..2
-        assert np.all(p.per_row_m == 3)
+        # prefix sums 0.25/0.50/0.75 -> m=3, stable tie-break picks cols 0..2;
+        # row 3's diagonal falls outside that prefix, so it holds m + 1 positives
+        assert np.array_equal(p.sum(axis=-1), [3, 3, 3, 4])
         for i in range(4):
             expect = {0, 1, 2} | {i}
-            assert set(np.flatnonzero(p.values[i])) == expect
+            assert set(np.flatnonzero(p[i])) == expect
 
     def test_dominant_entry(self):
         a = np.tile([0.7, 0.2, 0.05, 0.05], (4, 1))
         p = pseudo_labels(a, 0.6)
-        assert np.array_equal(p.values[3], [1, 0, 0, 1])
-        assert p.per_row_m[3] == 1
+        # m = 1: the dominant column alone, and the diagonal beside it
+        assert np.array_equal(p[3], [1, 0, 0, 1])
+        assert np.array_equal(p[0], [1, 0, 0, 0])
 
     def test_diagonal_always_set(self):
         rng = np.random.default_rng(2)
         p = pseudo_labels(random_stochastic(rng, 9), 0.3)
-        assert np.all(np.diag(p.values) == 1.0)
+        assert np.all(np.diag(p) == 1.0)
 
     def test_binary_values(self):
         rng = np.random.default_rng(3)
         p = pseudo_labels(random_stochastic(rng, 7), 0.6)
-        assert set(np.unique(p.values)) <= {0.0, 1.0}
+        assert set(np.unique(p)) <= {0.0, 1.0}
 
     @pytest.mark.parametrize("gamma", [0.3, 0.6])
     def test_matches_exhaustive_oracle_200(self, gamma):
@@ -86,15 +87,15 @@ class TestPseudoLabels:
         for _ in range(200):
             n = int(rng.integers(2, 17))
             a = random_stochastic(rng, n)
-            assert np.array_equal(pseudo_labels(a, gamma).values,
+            assert np.array_equal(pseudo_labels(a, gamma),
                                   exhaustive_pseudo_labels(a, gamma))
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             a = random_stochastic(rng, 8)
-            lo = pseudo_labels(a, 0.3).values
-            hi = pseudo_labels(a, 0.6).values
+            lo = pseudo_labels(a, 0.3)
+            hi = pseudo_labels(a, 0.6)
             assert np.all(lo <= hi)
 
     def test_permutation_equivariance_via_oracle(self):
@@ -102,19 +103,18 @@ class TestPseudoLabels:
         a = random_stochastic(rng, 10)
         perm = rng.permutation(10)
         conj = a[np.ix_(perm, perm)]
-        assert np.array_equal(pseudo_labels(conj, 0.6).values,
+        assert np.array_equal(pseudo_labels(conj, 0.6),
                               exhaustive_pseudo_labels(conj, 0.6))
 
     def test_batched_equals_per_matrix(self):
         rng = np.random.default_rng(13)
         a = np.stack([random_stochastic(rng, 9) for _ in range(4)])
         batched = pseudo_labels(a, 0.6)
-        assert batched.values.shape == (4, 9, 9) and batched.per_row_m.shape == (4, 9)
+        assert batched.shape == (4, 9, 9)
         for i, matrix in enumerate(a):
             single = pseudo_labels(matrix, 0.6)
-            assert np.array_equal(batched.values[i], single.values)
-            assert np.array_equal(batched.values[i], exhaustive_pseudo_labels(matrix, 0.6))
-            assert np.array_equal(batched.per_row_m[i], single.per_row_m)
+            assert same_bytes(batched[i], single)
+            assert np.array_equal(batched[i], exhaustive_pseudo_labels(matrix, 0.6))
 
     def test_input_validation(self):
         with pytest.raises(DegenerateInputError, match="row 0"):
@@ -151,11 +151,16 @@ class TestPseudoLabels:
         p = pseudo_labels(a, gamma)
         order = np.argsort(-a, axis=1, kind="stable")
         for i in range(n):
-            m = p.per_row_m[i]
+            # the minimal m from the attention row: the shortest descending
+            # prefix whose mass exceeds gamma, or the whole row
+            csum = np.cumsum(a[i, order[i]])
+            m = next((k + 1 for k in range(n) if csum[k] > gamma), n)
             top = a[i, order[i, :m]]
             assert top.sum() > gamma or m == n
             if m > 1:
                 assert top[:-1].sum() <= gamma
+            # the row's positives are exactly that prefix and the diagonal
+            assert set(np.flatnonzero(p[i])) == set(order[i, :m]) | {i}
 
 
 class TestBceLosses:
@@ -191,18 +196,28 @@ class TestBceLosses:
 
 class TestCombinedLoss:
     def test_beta_zero(self):
-        l_iv, l_vv = Tensor(0.3), Tensor(0.5)
-        assert float(loss_pccl(l_iv, l_vv, 1.0, 0.0).data) == 0.3
+        assert float(loss_pccl(Tensor([0.3, 0.5]), 1.0, 0.0).data) == 0.3
 
     def test_arithmetic(self):
-        assert abs(float(loss_pccl(Tensor(0.3), Tensor(0.5), 1.0, 1.0).data) - 0.8) < 1e-15
+        assert abs(float(loss_pccl(Tensor([0.3, 0.5]), 1.0, 1.0).data) - 0.8) < 1e-15
+
+    def test_weights_the_branch_vector_in_one_pass(self):
+        # the value is l0 * alpha + l1 * beta and the gradient [alpha, beta],
+        # byte for byte, as when the two branch losses were weighted apart
+        losses = Tensor(np.random.default_rng(21).normal(size=2) ** 2, requires_grad=True)
+        alpha, beta = 0.7, 1.3
+        loss = loss_pccl(losses, alpha, beta)
+        loss.backward()
+        l0, l1 = losses.data
+        assert same_bytes(loss.data, np.array(l0 * alpha + l1 * beta))
+        assert same_bytes(losses.grad, np.array([alpha, beta]))
 
     def test_negative_coefficient(self):
         # and every other coefficient outside [0, inf), NaN included
         for alpha, beta in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan),
                             (np.inf, 1.0), (1.0, np.inf)):
             with pytest.raises(ValueError, match="nonnegative and finite"):
-                loss_pccl(Tensor(0.1), Tensor(0.1), alpha, beta)
+                loss_pccl(Tensor([0.1, 0.1]), alpha, beta)
 
     def test_gradient_is_weighted_sum(self):
         rng = np.random.default_rng(10)
@@ -212,11 +227,10 @@ class TestCombinedLoss:
         alpha, beta = 0.7, 1.3
 
         def combined(t):
-            s_iv = similarity(t, f_vf, 0.5)
-            s_vv = similarity(t, f_vf, 0.25)
-            return loss_pccl(loss_iv(s_iv, p), loss_vv(s_vv, p), alpha, beta)
+            # both branches of a batch of one on the first axis: a loss per branch
+            return loss_pccl(loss_iv(similarity(t, f_vf[None], 0.5), p[None]), alpha, beta)
 
-        x = Tensor(rng.normal(size=(4, 6)))
+        x = Tensor(rng.normal(size=(2, 1, 4, 6)))
         assert grad_check(combined, x) < 1e-5
 
 
@@ -377,10 +391,10 @@ def test_two_branch_term_equals_two_per_branch_evaluations(kind):
     p = pseudo_labels(np.stack([random_stochastic(rng, 6) for _ in range(3)]), 0.6)
     alpha, beta = 0.7, 1.3
     losses = LOSSES[kind](f_s, f_t, p, 0.04)
-    loss_pccl(losses[0], losses[1], alpha, beta).backward()
+    loss_pccl(losses, alpha, beta).backward()
     per = [Tensor(f_s.data[b].copy(), requires_grad=True) for b in range(2)]
     want = [PER_BRANCH[kind](f, f_t, p, 0.04) for f in per]
-    loss_pccl(want[0], want[1], alpha, beta).backward()
+    (want[0] * alpha + want[1] * beta).backward()  # the branches weighted apart
     assert losses.shape == (2,)
     assert losses.data.tobytes() == np.array([float(w.data) for w in want]).tobytes()
     assert f_s.grad.tobytes() == np.stack([f.grad for f in per]).tobytes()

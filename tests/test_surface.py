@@ -24,7 +24,6 @@ PACKAGE = ROOT / "src" / "irvis"
 
 KEPT = {
     "grad_check": "the finite-difference oracle every gradient test compares against",
-    "tsum": "an op of the unfused reference chains the tests compare fused ops against",
     "gelu": "a tape op of the per-op chain the tests compare ``block`` against",
     "attention": "a tape op of the per-op chain the tests compare ``block`` against",
     "unmerge": "acceptance 3 pins the merge/unmerge round trip",

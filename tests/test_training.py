@@ -291,17 +291,16 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
         vis = to_channels(sample.visible, enc_cfg.channels)
         ir = to_channels(sample.infrared, enc_cfg.channels)
         t = encode(vis, teacher, enc_cfg)
-        p = pccl.pseudo_labels(t.attention_last, cfg.gamma)
         # a branch axis of one and a batch of one
         f_t = t.features.data[None]
-        labels = pccl.PseudoLabelMatrix(values=p.values[None], per_row_m=p.per_row_m[None])
+        labels = pccl.pseudo_labels(t.attention_last, cfg.gamma)[None]
         kw = dict(adapters=state.adapters, rng=rng)
         f_i = encode(ir, state.params, enc_cfg, **kw).features
         f_v = encode(vis, state.params, enc_cfg, **kw).features
         l_iv = l_iv + term(one(one(f_i)), f_t, labels, cfg.tau)[0]
         l_vv = l_vv + term(one(one(f_v)), f_t, labels, cfg.tau)[0]
     l_iv, l_vv = l_iv * (1.0 / len(batch)), l_vv * (1.0 / len(batch))
-    loss = pccl.loss_pccl(l_iv, l_vv, cfg.alpha, cfg.beta)
+    loss = l_iv * cfg.alpha + l_vv * cfg.beta
     loss.backward()
     _adamw_update(state, cfg, lr_at(state.step, cfg, 1), loss)
     state.step += 1
@@ -387,7 +386,8 @@ class TestBatchedStep:
         f_vf, labels = teacher_targets(make_pretrain_pairs(3, seed=0), teacher, toy_cfg, 0.6)
         assert type(f_vf) is np.ndarray
         assert f_vf.shape == (3, toy_cfg.num_patches, toy_cfg.dim)
-        assert type(labels.values) is np.ndarray
+        assert type(labels) is np.ndarray
+        assert labels.shape == (3, toy_cfg.num_patches, toy_cfg.num_patches)
 
 
 def per_tensor_adamw(moments):
@@ -457,28 +457,33 @@ class TestFlatAdamW:
             for k, a in frozen.items():
                 assert state.params[k].data is a, (step, k)
 
-    def test_default_lora_step_records_34_tape_nodes(self, monkeypatch):
+    def test_default_lora_step_records_31_tape_nodes(self, monkeypatch):
         # 5 for the patch stage (the adapted linear and its adapter's A and B,
         # pos_embed and its add), 9 per block (one block node and its 4
-        # adapters' A and B) and 11 for the final norm, the branch split and
-        # the loss: frozen weights, the patches and the teacher's features
+        # adapters' A and B) and 8 for the final norm, the branch-first reorder
+        # and the loss: frozen weights, the patches and the teacher's features
         # take no gradient, so they are not recorded
         enc = EncoderConfig()
         teacher = frozen_teacher(enc)
         cfg = TrainConfig(lora=LoraConfig())
         state = student_state(teacher, cfg.lora)
-        counts = []
+        counts, ops = [], []
         backward = ad.Tensor.backward
 
         def counting(self):
-            counts.append(len(ad._topo(self)))
+            nodes = ad._topo(self)
+            counts.append(len(nodes))
+            ops.append(sorted(n._op for n in nodes if n._op is not None))
             backward(self)
 
         monkeypatch.setattr(ad.Tensor, "backward", counting)
         batch = make_pretrain_pairs(4, seed=0)
         train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
                    enc, cfg, 1e-3)
-        assert counts == [34]
+        assert counts == [31]
+        assert ops == [sorted(["linear", "add", "block", "block", "layernorm", "reshape",
+                               "transpose", "cosine_rows", "scale", "scale",
+                               "bce_with_logits", "sum"])]
 
 
 class TestStepBuffers:
@@ -538,8 +543,8 @@ class TestStepBuffers:
         batch = make_pretrain_pairs(4, seed=0)
         train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
                    enc, cfg, 1e-3)
-        # 19 trainable leaves and the 15 op nodes above them, and nothing else
-        assert seen == [(34, 34)]
+        # 19 trainable leaves and the 12 op nodes above them, and nothing else
+        assert seen == [(31, 31)]
 
     def test_whole_block_masks_equal_the_rule_per_segment(self):
         shapes = [(6, 16, 48)] + [(6, 16, k) for _ in range(2) for k in (32, 32, 32, 128)]
@@ -599,7 +604,7 @@ class TestEndToEndGradients:
             # scores both branches of the batch's student features
             losses = pccl.LOSSES[loss_kind](training.student_features(batch, p, toy_cfg),
                                             f_vf, labels, 0.04)
-            return pccl.loss_pccl(losses[0], losses[1], 1.0, 1.0)
+            return pccl.loss_pccl(losses, 1.0, 1.0)
 
         err = grad_check(full_loss, student[name], sample=12, seed=2)
         assert err < 1e-4, loss_kind
