@@ -91,6 +91,7 @@ def parse_config(path) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file: {exc}") from exc
     values = {key: default for key, (_, default) in _SCHEMA.items()}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -101,6 +102,9 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         parser = _SCHEMA[key][0]
         try:
             values[key] = parser(raw)
@@ -267,8 +271,7 @@ def cmd_forget(args) -> int:
 def cmd_merge(args) -> int:
     params = tensorio.read_checkpoint(args.checkpoint)
     named, meta = tensorio.read_adapter_checkpoint(args.adapters)
-    adapters = adapters_from_tensors(named, int(meta["rank"]), meta["alpha"],
-                                     meta["dropout"])
+    adapters = adapters_from_tensors(named, int(meta["rank"]), meta["alpha"])
     rng = np.random.default_rng(0)
     merged = dict(params)
     worst = 0.0

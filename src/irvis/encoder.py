@@ -7,13 +7,14 @@ N x N over patch tokens.  Each block is one ``autodiff.block`` node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, require_integers
+from .errors import ConfigError, ShapeMismatchError, require_integers
 
 INIT_STD = 0.02
 
@@ -118,24 +119,46 @@ def patchify(img: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     return x.reshape(lead + (n * n, cfg.patch_dim))
 
 
-def _layer(params: dict[str, Tensor], name: str, adapters, rng, shape) -> tuple:
-    """(weight, bias, lora) of layer ``name`` for an input of ``shape``, as
-    ``linear`` takes them; an adapter's dropout mask is drawn here."""
-    lora = adapters[name].branch(shape, rng) if adapters and name in adapters else None
-    return params[f"{name}.weight"], params[f"{name}.bias"], lora
-
-
 def encode(img: np.ndarray, params: dict[str, Tensor], cfg: EncoderConfig, *,
-           adapters=None, rng=None) -> EncoderOutput:
-    """Forward pass; pure in (img, params), deterministic unless ``rng``, a
-    training step's pre-drawn mask block (``LoraAdapter.branch``), is passed,
-    which makes the adapters' dropout live.
+           adapters=None, masks=None) -> EncoderOutput:
+    """Forward pass; pure in (img, params), deterministic unless ``masks`` is
+    passed, which makes the adapters' dropout live.
 
     ``img`` is one (C, H, W) image or a (B, C, H, W) batch; a batch gives
     features (B, N, dim) and the last block's maps (B, heads, N, N).
+
+    ``masks`` is a training step's block of dropout masks, one row per image.
+    Each adapted layer takes the next columns, as many as its input holds per
+    image, in the order the layers run: ``patch_embed``, then each block's
+    ``qkv``, ``proj``, ``fc1`` and ``fc2``.  A generator fills an array in C
+    order, so if the block was drawn in one call, row ``i`` holds, segment by
+    segment, what image ``i`` would have drawn in a pass of its own.
+    ``ShapeMismatchError`` unless the block has a row per image and the
+    layers use every column.
     """
     patches = Tensor(patchify(img, cfg))
-    x = ad.linear(patches, *_layer(params, "patch_embed", adapters, rng, patches.shape))
+    adapters = adapters or {}
+    if masks is not None:
+        rows = math.prod(patches.shape[:-2])
+        cols = cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
+        if masks.shape != (rows, cols):
+            raise ShapeMismatchError(f"dropout masks {masks.shape} do not fit {rows} "
+                                     f"images and adapted layers of {cols} columns")
+    col = 0
+
+    def layer(name, shape):
+        """(weight, bias, lora) of layer ``name`` on an input of ``shape``, as
+        ``linear`` takes them; an adapter's mask is the block's next columns."""
+        nonlocal col
+        mask = None
+        if masks is not None and name in adapters:
+            width = math.prod(shape[-2:])
+            mask = masks[:, col:col + width].reshape(shape)
+            col += width
+        lora = adapters[name].branch(mask) if name in adapters else None
+        return params[f"{name}.weight"], params[f"{name}.bias"], lora
+
+    x = ad.linear(patches, *layer("patch_embed", patches.shape))
     x = x + params["pos_embed"]
     dh = cfg.dim // cfg.heads
     for i in range(cfg.depth):
@@ -143,8 +166,7 @@ def encode(img: np.ndarray, params: dict[str, Tensor], cfg: EncoderConfig, *,
         hidden = x.shape[:-1] + (params[f"{pre}.fc2.weight"].shape[0],)
         norm1, norm2 = ((params[f"{pre}.{n}.weight"], params[f"{pre}.{n}.bias"])
                         for n in ("norm1", "norm2"))
-        # the masks are drawn in the layers' order: qkv, proj, fc1, fc2
-        qkv, proj, fc1, fc2 = (_layer(params, f"{pre}.{name}", adapters, rng, shape)
+        qkv, proj, fc1, fc2 = (layer(f"{pre}.{name}", shape)
                                for name, shape in (("qkv", x.shape), ("proj", x.shape),
                                                    ("fc1", x.shape), ("fc2", hidden)))
         x, attn = ad.block(x, norm1, qkv, proj, norm2, fc1, fc2, cfg.heads, dh)

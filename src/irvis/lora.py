@@ -53,27 +53,22 @@ class LoraAdapter:
     B: Tensor  # (d, r), zero at init
     A: Tensor  # (r, k), Gaussian at init; its rows are the rank
     alpha: float
-    dropout_p: float = 0.0
 
     @property
     def scaling(self) -> float:
         return self.alpha / self.A.shape[0]
 
-    def branch(self, shape, rng=None) -> tuple:
-        """``(A, B, scale, mask)``: the operands of this adapter's branch on
-        an input of ``shape`` for ``ad.linear``.  Dropout is live iff ``rng``
-        is passed: the mask is ``rng.dropout_mask(shape, p)``, cut from the
-        uniforms a training step draws ahead for all its adapters."""
-        mask = None
-        if rng is not None and self.dropout_p > 0.0:
-            mask = rng.dropout_mask(shape, self.dropout_p)
+    def branch(self, mask: np.ndarray | None = None) -> tuple:
+        """``(A, B, scale, mask)``: the operands of this adapter's branch for
+        ``ad.linear``.  Dropout is live iff ``mask``, an array of the input's
+        shape, is passed."""
         return self.A, self.B, self.scaling, mask
 
-    def delta(self, x: Tensor, rng=None) -> Tensor:
-        """Adapter branch (alpha/r) * drop(x) A^T B^T: the adapted layer on a
-        zero base weight and bias."""
+    def delta(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Adapter branch (alpha/r) * (x * mask) A^T B^T: the adapted layer on
+        a zero base weight and bias."""
         w = Tensor(np.zeros((self.A.shape[1], self.B.shape[0])))
-        return ad.linear(x, w, Tensor(np.zeros(w.shape[1])), self.branch(x.shape, rng))
+        return ad.linear(x, w, Tensor(np.zeros(w.shape[1])), self.branch(mask))
 
     def update_matrix(self) -> np.ndarray:
         """(k, d) matrix added to W by merging."""
@@ -84,7 +79,7 @@ def forward_adapted(x: Tensor, w: Tensor, adapter: LoraAdapter) -> Tensor:
     """Two-path forward x W + adapter branch, without dropout (a zero bias);
     gradients reach B and A only."""
     zero = Tensor(np.zeros(adapter.B.shape[0]))
-    return ad.check_finite(ad.linear(x, w, zero, adapter.branch(x.shape)), "adapted forward")
+    return ad.check_finite(ad.linear(x, w, zero, adapter.branch()), "adapted forward")
 
 
 def merge(w: Tensor, adapter: LoraAdapter) -> Tensor:
@@ -136,7 +131,6 @@ def attach(params: dict[str, Tensor], cfg: LoraConfig,
             B=Tensor(np.zeros((d, cfg.rank)), requires_grad=True),
             A=Tensor(trunc_normal(rng, (cfg.rank, k)), requires_grad=True),
             alpha=cfg.alpha,
-            dropout_p=cfg.dropout,
         )
     missing = [pat for pat, ok in matched.items() if not ok]
     if missing:
@@ -154,8 +148,8 @@ def adapter_tensors(adapters: dict[str, LoraAdapter]) -> dict[str, Tensor]:
     return out
 
 
-def adapters_from_tensors(named: dict[str, np.ndarray], rank: int, alpha: float,
-                          dropout: float) -> dict[str, LoraAdapter]:
+def adapters_from_tensors(named: dict[str, np.ndarray], rank: int,
+                          alpha: float) -> dict[str, LoraAdapter]:
     """The inverse of ``adapter_tensors``.  ``DataError`` unless each
     ``<target>`` has a ``lora_A`` (rank, k) and a ``lora_B`` (d, rank), and
     no other name is present."""
@@ -165,8 +159,7 @@ def adapters_from_tensors(named: dict[str, np.ndarray], rank: int, alpha: float,
         if (a is None or b is None or a.ndim != 2 or b.ndim != 2
                 or (a.shape[0], b.shape[1]) != (rank, rank)):
             raise DataError(f"adapter {target!r} lacks rank-{rank} lora_A and lora_B")
-        adapters[target] = LoraAdapter(B=Tensor(b), A=Tensor(a), alpha=alpha,
-                                       dropout_p=dropout)
+        adapters[target] = LoraAdapter(B=Tensor(b), A=Tensor(a), alpha=alpha)
     extra = sorted(set(named) - set(adapter_tensors(adapters)))
     if extra:
         raise DataError(f"unexpected adapter tensors {extra}")

@@ -204,55 +204,29 @@ def student_features(batch, params: dict[str, Tensor], enc_cfg: EncoderConfig,
     return ad.transpose(pairs, (1, 0, 2, 3))
 
 
-class _RowDraws:
-    """Dropout masks cut from one pre-drawn ``(rows, cols)`` uniform block.
-
-    ``dropout_mask(shape, p)`` takes the next column segment, as a view
-    reshaped to ``shape``, whose first axis is the rows.  The masks are made
-    when the draws are built, by one ``lora.dropout_mask`` pass over the
-    whole block for each dropout probability in ``probs``; the rule is
-    elementwise, so each segment equals the mask of its own draws, byte for
-    byte.  Nothing reads the uniforms after that, so the last mask is
-    written over them: with one probability, the block is the mask.
-
-    A generator fills an array in C order, so row ``r`` of the block holds,
-    segment by segment, the values that the ``r``-th of ``rows`` sequential
-    forward passes would have drawn.  A batched forward pass that takes its
-    dropout masks from here therefore drops exactly what one pass per row did.
-    """
-
-    def __init__(self, block: np.ndarray, probs):
-        *first, last = dict.fromkeys(probs)
-        self.masks = {p: dropout_mask(block, p) for p in first}
-        self.masks[last] = dropout_mask(block, last, out=block)
-        self.col = 0
-
-    def dropout_mask(self, shape, p: float) -> np.ndarray:
-        width = math.prod(shape[1:])
-        segment = self.masks[p][:, self.col:self.col + width]
-        self.col += width
-        return segment.reshape(shape)
-
-
 def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
                cfg: TrainConfig, lr: float) -> dict:
     """One optimization step at learning rate ``lr`` on a batch of aligned
     pairs; mutates ``state``.  A step that raises leaves no gradient behind.
 
-    ``targets`` is ``teacher_targets`` of the batch.  Adapters with dropout
-    draw their masks from ``default_rng(cfg.seed + state.step)``.
+    ``targets`` is ``teacher_targets`` of the batch.  The adapters' dropout
+    masks, at ``cfg.lora.dropout``, come from one draw of
+    ``default_rng(cfg.seed + state.step)``: a row per student image, in
+    ``student_features``' order, and a column per adapted input value.
+    ``ConfigError`` if the state has adapters but ``cfg.lora`` is None.
     """
     f_vf, labels = targets
-    dropped = [a for a in (state.adapters or {}).values() if a.dropout_p > 0.0]
-    rng = None
-    if dropped:
-        # one draw for the batch: a row per student image, a segment per adapter
-        width = enc_cfg.num_patches * sum(a.A.shape[1] for a in dropped)
-        rng = _RowDraws(np.random.default_rng(cfg.seed + state.step)
-                        .random((2 * len(batch), width)), [a.dropout_p for a in dropped])
+    masks = None
+    if state.adapters:
+        if cfg.lora is None:
+            raise ConfigError("the state has LoRA adapters but the config has no lora")
+        if cfg.lora.dropout > 0.0:
+            width = enc_cfg.num_patches * sum(a.A.shape[1] for a in state.adapters.values())
+            masks = np.random.default_rng(cfg.seed + state.step).random((2 * len(batch), width))
+            dropout_mask(masks, cfg.lora.dropout, out=masks)
     try:
         f_s = student_features(batch, state.params, enc_cfg,
-                               adapters=state.adapters, rng=rng)
+                               adapters=state.adapters, masks=masks)
         losses = pccl.LOSSES[cfg.loss_kind](f_s, f_vf, labels, cfg.tau)
         loss = check_finite(pccl.loss_pccl(losses, cfg.alpha, cfg.beta), "the loss")
         if loss.requires_grad and (cfg.alpha or cfg.beta):  # alpha = beta = 0: no signal

@@ -17,6 +17,7 @@ from irvis.data import (SCENE_CLASSES, SceneSpec, gen_scene, make_labeled_scenes
                         make_pretrain_pairs, read_manifest, read_pgm, read_ppm, write_pgm,
                         write_ppm)
 from irvis.encoder import EncoderConfig, init_params
+from irvis.errors import ConfigError
 from irvis.lora import LoraConfig, adapters_from_tensors, merge
 from irvis.training import TrainConfig
 
@@ -214,8 +215,7 @@ class TestPretrain:
                          "--adapters", str(out / "best_adapters.ckpt"), "--out", str(merged))
         assert code == 0
         rebuilt = tensorio.read_checkpoint(merged)
-        adapters = adapters_from_tensors({n: want[n] for n in named}, 4, meta["alpha"],
-                                         meta["dropout"])
+        adapters = adapters_from_tensors({n: want[n] for n in named}, 4, meta["alpha"])
         for target, adapter in adapters.items():
             w = f"{target}.weight"
             assert np.array_equal(rebuilt[w], merge(Tensor(base[w]), adapter).data), w
@@ -298,6 +298,12 @@ class TestDefaults:
         assert values == parse_config(tmp_path / "plain.cfg")
         assert (values["epochs"], values["tau"]) == (3, 0.1)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # the same value twice still repeats: a config sets each key once
+        (tmp_path / "c.cfg").write_text("epochs=3\n# again\nepochs=3\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:3: config key 'epochs' repeats line 1$"):
+            parse_config(tmp_path / "c.cfg")
+
 
 README_RECIPES = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     ).split("\n## Recipes\n", 1)[1].split("\n## ", 1)[0]
@@ -355,6 +361,15 @@ class TestConfigRanges:
                            "--out", str(tmp_path / "run"))
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_repeated_key_exit_1(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("seed=1\nseed=2\n")
+        code, out, err = run(capsys, "pretrain", "--config", str(cfgfile),
+                             "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfgfile}:2: config key 'seed' repeats line 1\n", err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["ablate", "forget"])
     def test_vector_lora_target_exit_1(self, tmp_path, capsys, command):
@@ -650,7 +665,7 @@ class TestMerge:
         params = tensorio.read_checkpoint(out / "final.ckpt")
         named, _ = tensorio.read_adapter_checkpoint(out / "adapters.ckpt")
         want = dict(params)
-        for target, adapter in adapters_from_tensors(named, 4, 32.123456789, 0.0).items():
+        for target, adapter in adapters_from_tensors(named, 4, 32.123456789).items():
             want[f"{target}.weight"] = merge(Tensor(params[f"{target}.weight"]),
                                              adapter).data
         assert merged.read_bytes() == tensorio.checkpoint_bytes(want)

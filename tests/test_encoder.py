@@ -6,8 +6,7 @@ from irvis import autodiff as ad
 from irvis.autodiff import LN_EPS, Tensor
 from irvis.encoder import EncoderConfig, EncoderOutput, encode, init_params, patchify
 from irvis.errors import ConfigError, ShapeMismatchError
-from irvis.lora import LoraConfig, adapter_tensors, attach
-from irvis.training import _RowDraws
+from irvis.lora import LoraConfig, adapter_tensors, attach, dropout_mask
 
 
 def test_config_validation():
@@ -203,11 +202,18 @@ def test_parameters_of_another_width_rejected(toy_cfg):
         encode(np.zeros((3, 16, 16)), wide, toy_cfg)
 
 
-def chain_encode(img, params, cfg, *, adapters=None, rng=None):
-    """``encode`` as a chain of per-op tape nodes, ten per block, drawing the
+def chain_encode(img, params, cfg, *, adapters=None, masks=None):
+    """``encode`` as a chain of per-op tape nodes, ten per block, cutting the
     adapters' masks in the same order."""
+    col = 0
+
     def lin(x, name):
-        lora = adapters[name].branch(x.shape, rng) if adapters and name in adapters else None
+        nonlocal col
+        lora = None
+        if adapters and name in adapters:
+            width = np.prod(x.shape[1:])
+            lora = adapters[name].branch(masks[:, col:col + width].reshape(x.shape))
+            col += width
         return ad.linear(x, params[f"{name}.weight"], params[f"{name}.bias"], lora)
 
     def norm(x, name):
@@ -234,14 +240,14 @@ def test_block_nodes_equal_the_per_op_chain(lora):
     runs = []
     for encode_fn in (encode, chain_encode):
         params = init_params(cfg)
-        adapters, draws = None, None
+        adapters, masks = None, None
         if lora:
             adapters = attach(params, LoraConfig(rank=4, dropout=0.1), seed=5)
             for a in adapters.values():  # B starts at zero, which would zero A's gradient
                 a.B.data = np.random.default_rng(7).normal(size=a.B.shape)
             width = cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
-            draws = _RowDraws(np.random.default_rng(8).random((4, width)), [0.1])
-        out = encode_fn(imgs, params, cfg, adapters=adapters, rng=draws)
+            masks = dropout_mask(np.random.default_rng(8).random((4, width)), 0.1)
+        out = encode_fn(imgs, params, cfg, adapters=adapters, masks=masks)
         ad.tsum(ad.mul(out.features, Tensor(weights))).backward()
         tensors = dict(params, **(adapter_tensors(adapters) if lora else {}))
         runs.append((out.features.data, out.attention_heads,
@@ -254,3 +260,15 @@ def test_block_nodes_equal_the_per_op_chain(lora):
     assert len(grads) == (19 if lora else len(params))
     for name, grad in grads.items():
         assert grad.tobytes() == want_grads[name].tobytes(), name
+
+
+@pytest.mark.parametrize("rows, extra", [(3, 0), (5, 0), (4, -1), (4, 1)],
+                         ids=["fewer-rows", "more-rows", "too-few-columns", "too-many-columns"])
+def test_mask_block_must_fit_the_images_and_layers(toy_cfg, rows, extra):
+    params = init_params(toy_cfg)
+    adapters = attach(params, LoraConfig(rank=4), seed=0)
+    width = toy_cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
+    imgs = np.random.default_rng(0).random((4, 3, 16, 16))
+    encode(imgs, params, toy_cfg, adapters=adapters, masks=np.ones((4, width)))
+    with pytest.raises(ShapeMismatchError, match="dropout masks"):
+        encode(imgs, params, toy_cfg, adapters=adapters, masks=np.ones((rows, width + extra)))

@@ -6,22 +6,20 @@ from irvis.autodiff import Tensor
 from irvis.encoder import EncoderConfig, encode, init_params
 from irvis.errors import ConfigError, DataError, ShapeMismatchError
 from irvis.lora import (LoraAdapter, LoraConfig, adapter_tensors, adapters_from_tensors,
-                        attach, forward_adapted, merge, sparsity_report, unmerge)
-from irvis.training import _RowDraws
+                        attach, dropout_mask, forward_adapted, merge, sparsity_report,
+                        unmerge)
 
 
-def make_adapter(rng, k=16, d=24, rank=4, alpha=8.0, zero_b=False, dropout=0.0):
+def make_adapter(rng, k=16, d=24, rank=4, alpha=8.0, zero_b=False):
     b = np.zeros((d, rank)) if zero_b else rng.normal(size=(d, rank))
     return LoraAdapter(B=Tensor(b, requires_grad=True),
                        A=Tensor(rng.normal(size=(rank, k)), requires_grad=True),
-                       alpha=alpha, dropout_p=dropout)
+                       alpha=alpha)
 
 
-def drawn_block(seed, shape, p):
-    """A step's pre-drawn masks at dropout ``p`` for inputs of ``shape``: one
-    row per leading entry, made from the same uniforms in C order as
-    ``default_rng(seed).random(shape)``."""
-    return _RowDraws(np.random.default_rng(seed).random((shape[0], np.prod(shape[1:]))), [p])
+def drawn_mask(seed, shape, p):
+    """The dropout mask at ``p`` of ``default_rng(seed).random(shape)``."""
+    return dropout_mask(np.random.default_rng(seed).random(shape), p)
 
 
 class TestForward:
@@ -36,19 +34,19 @@ class TestForward:
         rng = np.random.default_rng(1)
         w = Tensor(rng.normal(size=(16, 24)))
         x = Tensor(rng.normal(size=(5, 16)))
-        adapter = make_adapter(rng, dropout=0.5)
+        adapter = make_adapter(rng)
         a = forward_adapted(x, w, adapter)
         b = forward_adapted(x, w, adapter)
         assert np.array_equal(a.data, b.data)
 
     def test_training_mask_scaled_by_keep_probability(self):
-        # the block's draws, taken in C order; kept inputs are scaled by 1/(1-p)
+        # kept inputs are scaled by 1/(1-p)
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
-        adapter = make_adapter(rng, dropout=0.25)
+        adapter = make_adapter(rng)
         w = Tensor(rng.normal(size=(16, 24)))
         out = ad.linear(x, w, Tensor(np.zeros(24)),
-                        adapter.branch(x.shape, rng=drawn_block(3, x.shape, 0.25)))
+                        adapter.branch(drawn_mask(3, x.shape, 0.25)))
         mask = (np.random.default_rng(3).random(x.shape) >= 0.25) / (1.0 - 0.25)
         a, b = adapter.A.data, adapter.B.data
         want = x.data @ w.data + (x.data * mask) @ a.T @ b.T * adapter.scaling
@@ -62,12 +60,12 @@ class TestForward:
     @pytest.mark.parametrize("drawn", [False, True])
     def test_delta_is_linear_on_a_zero_weight_and_bias(self, drawn):
         rng = np.random.default_rng(14)
-        adapter = make_adapter(rng, dropout=0.25)
+        adapter = make_adapter(rng)
         x = Tensor(rng.normal(size=(2, 5, 16)), requires_grad=True)
-        draws = (lambda: drawn_block(4, x.shape, 0.25)) if drawn else (lambda: None)
-        got = adapter.delta(x, draws())
+        mask = drawn_mask(4, x.shape, 0.25) if drawn else None
+        got = adapter.delta(x, mask)
         want = ad.linear(x, Tensor(np.zeros((16, 24))), Tensor(np.zeros(24)),
-                         adapter.branch(x.shape, draws()))
+                         adapter.branch(mask))
         assert np.array_equal(got.data, want.data)
         grads = []
         for out in (got, want):
@@ -169,7 +167,7 @@ class TestAttach:
         assert np.array_equal(first, second)
         width = toy_cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
         dropped = encode(img, params, toy_cfg, adapters=adapters,
-                         rng=drawn_block(2, (2, width), 0.5)).features.data
+                         masks=drawn_mask(2, (2, width), 0.5)).features.data
         assert not np.array_equal(first, dropped)
 
     def test_adapter_param_arithmetic(self, toy_cfg):
@@ -232,18 +230,18 @@ class TestRebuild:
         named = self.named(toy_cfg)
         del named["blocks.1.fc1.lora_B"]
         with pytest.raises(DataError, match="'blocks.1.fc1' lacks rank-4"):
-            adapters_from_tensors(named, 4, 32.0, 0.1)
+            adapters_from_tensors(named, 4, 32.0)
 
     @pytest.mark.parametrize("rank", [3, 5])
     def test_header_rank_differs_from_a(self, toy_cfg, rank):
         with pytest.raises(DataError, match=f"lacks rank-{rank}"):
-            adapters_from_tensors(self.named(toy_cfg), rank, 32.0, 0.1)
+            adapters_from_tensors(self.named(toy_cfg), rank, 32.0)
 
     def test_unexpected_name(self, toy_cfg):
         named = self.named(toy_cfg)
         named["blocks.0.qkv.lora_C"] = np.zeros((4, 32))
         with pytest.raises(DataError, match="unexpected adapter tensors"):
-            adapters_from_tensors(named, 4, 32.0, 0.1)
+            adapters_from_tensors(named, 4, 32.0)
 
 
 class TestSparsityReport:

@@ -9,9 +9,9 @@ import irvis.training as training
 from irvis import data as datamod
 from irvis import pccl, tensorio
 from irvis.autodiff import grad_check
-from irvis.encoder import EncoderConfig, encode
+from irvis.encoder import EncoderConfig, encode, init_params
 from irvis.errors import ConfigError, DataError, NumericError
-from irvis.lora import LoraAdapter, LoraConfig, dropout_mask
+from irvis.lora import LoraAdapter, LoraConfig, attach, dropout_mask
 from irvis.training import (LOSS_KINDS, TrainConfig, _adamw_update,
                             forgetting_experiment,
                             frozen_teacher, linear_probe, lr_at,
@@ -263,17 +263,6 @@ class TestTrainStep:
         assert last < 0.5 * first
 
 
-class SequentialDraws:
-    """Dropout masks drawn one at a time from a generator, each of its input's
-    shape: the per-pass rule that the step's pre-drawn block replaces."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def dropout_mask(self, shape, p):
-        return dropout_mask(self.rng.random(shape), p)
-
-
 def one(a):
     """``a`` with a leading axis of one, on the tape."""
     return ad.reshape(a, (1,) + a.shape)
@@ -281,11 +270,20 @@ def one(a):
 
 def reference_train_step(state, batch, teacher, enc_cfg, cfg):
     """The step as one forward pass per image: per pair the teacher, then the
-    infrared and the visible student pass, each drawing its own dropout masks
-    from the step's generator; the loss averages the per-pair losses, each
-    branch of each pair scored by its own loss-table call."""
-    rng = SequentialDraws(np.random.default_rng(cfg.seed + state.step))
+    infrared and the visible student pass, each drawing its own row of
+    dropout draws from the step's generator; the loss averages the per-pair
+    losses, each branch of each pair scored by its own loss-table call."""
+    rng = np.random.default_rng(cfg.seed + state.step)
     term = pccl.LOSSES[cfg.loss_kind]
+
+    def student(img):
+        masks = None
+        if cfg.lora is not None and cfg.lora.dropout > 0.0:
+            width = enc_cfg.num_patches * sum(a.A.shape[1] for a in state.adapters.values())
+            masks = dropout_mask(rng.random((1, width)), cfg.lora.dropout)
+        return encode(img, state.params, enc_cfg, adapters=state.adapters,
+                      masks=masks).features
+
     l_iv = l_vv = 0.0
     for sample in batch:
         vis = to_channels(sample.visible, enc_cfg.channels)
@@ -294,9 +292,7 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
         # a branch axis of one and a batch of one
         f_t = t.features.data[None]
         labels = pccl.pseudo_labels(t.attention_last, cfg.gamma)[None]
-        kw = dict(adapters=state.adapters, rng=rng)
-        f_i = encode(ir, state.params, enc_cfg, **kw).features
-        f_v = encode(vis, state.params, enc_cfg, **kw).features
+        f_i, f_v = student(ir), student(vis)
         l_iv = l_iv + term(one(one(f_i)), f_t, labels, cfg.tau)[0]
         l_vv = l_vv + term(one(one(f_v)), f_t, labels, cfg.tau)[0]
     l_iv, l_vv = l_iv * (1.0 / len(batch)), l_vv * (1.0 / len(batch))
@@ -546,31 +542,55 @@ class TestStepBuffers:
         # 19 trainable leaves and the 12 op nodes above them, and nothing else
         assert seen == [(31, 31)]
 
-    def test_whole_block_masks_equal_the_rule_per_segment(self):
+    def test_whole_block_masks_equal_the_rule_per_segment(self, monkeypatch):
+        # the nine adapted layers' inputs, in the order the encoder runs them
         shapes = [(6, 16, 48)] + [(6, 16, k) for _ in range(2) for k in (32, 32, 32, 128)]
-        probs = [0.1, 0.3, 0.1, 1 / 3, 0.1, 0.7, 0.999, 0.1, 0.5]
-        adapters = [LoraAdapter(B=None, A=ad.Tensor(np.zeros((1, s[-1]))), alpha=1.0,
-                                dropout_p=p) for s, p in zip(shapes, probs, strict=True)]
-        rng = np.random.default_rng(6)
-        block = rng.random((6, sum(math.prod(s[1:]) for s in shapes)))
-        uniforms = block.copy()  # the draws write their last mask over the block
-        draws = training._RowDraws(block, probs)
+        cfg = EncoderConfig()
+        params = init_params(cfg)
+        adapters = attach(params, LoraConfig(dropout=0.3), seed=0)
+        seen, branch = [], LoraAdapter.branch
+        monkeypatch.setattr(LoraAdapter, "branch",
+                            lambda self, mask=None: seen.append(mask) or branch(self, mask))
+        uniforms = np.random.default_rng(6).random((6, sum(math.prod(s[1:]) for s in shapes)))
+        encode(np.random.default_rng(7).random((6, 3, 16, 16)), params, cfg,
+               adapters=adapters, masks=dropout_mask(uniforms, 0.3))
         col = 0
-        for shape, a in zip(shapes, adapters, strict=True):
-            mask = a.branch(shape, draws)[3]
+        for shape, mask in zip(shapes, seen, strict=True):
             width = math.prod(shape[1:])
-            u = uniforms[:, col:col + width].reshape(shape)
+            u = uniforms[:, col:col + width]
             col += width
-            assert same_bytes(mask, (u >= a.dropout_p) / (1.0 - a.dropout_p)), shape
+            assert same_bytes(mask, dropout_mask(u, 0.3).reshape(shape)), shape
 
-    def test_one_probability_writes_its_mask_over_the_draws(self):
-        block = np.random.default_rng(9).random((4, 3 * 16 * 8))
-        uniforms = block.copy()
-        draws = training._RowDraws(block, [0.1, 0.1, 0.1])
-        masks = [draws.dropout_mask((4, 16, 8), 0.1) for _ in range(3)]
+    def test_one_probability_writes_its_mask_over_the_draws(self, toy_cfg, monkeypatch):
+        teacher = frozen_teacher(toy_cfg)
+        lora = LoraConfig(rank=4, dropout=0.1)
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, lora=lora, seed=2)
+        state = student_state(teacher, lora, seed=2)
+        batch = make_pretrain_pairs(2, seed=0)
+        targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
+        blocks, masks = [], []
+        encode_fn, branch = training.encode, LoraAdapter.branch
+        monkeypatch.setattr(training, "encode",
+                            lambda *a, **kw: blocks.append(kw["masks"]) or encode_fn(*a, **kw))
+        monkeypatch.setattr(LoraAdapter, "branch",
+                            lambda self, mask=None: masks.append(mask) or branch(self, mask))
+        train_step(state, batch, targets, toy_cfg, cfg, 1e-3)
+        [block] = blocks
+        width = toy_cfg.num_patches * sum(a.A.shape[1] for a in state.adapters.values())
+        uniforms = np.random.default_rng(cfg.seed).random((4, width))
+        assert same_bytes(block, dropout_mask(uniforms, 0.1))
+        assert len(masks) == 9
         assert all(np.shares_memory(mask, block) for mask in masks)
-        assert same_bytes(np.concatenate([m.reshape(4, -1) for m in masks], axis=1),
-                          dropout_mask(uniforms, 0.1))
+
+    def test_adapters_need_a_lora_config(self, toy_cfg):
+        teacher = frozen_teacher(toy_cfg)
+        state = student_state(teacher, LoraConfig(rank=4), seed=0)
+        batch = make_pretrain_pairs(2, seed=0)
+        cfg = TrainConfig(epochs=1, warmup_epochs=0)
+        with pytest.raises(ConfigError, match="no lora"):
+            train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
+                       toy_cfg, cfg, 1e-3)
+        assert state.step == 0 and not state.log
 
     def test_a_layer_keeps_its_input_only_for_its_weight_gradient(self):
         rng = np.random.default_rng(10)
