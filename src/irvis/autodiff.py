@@ -3,15 +3,20 @@
 Tensors record the op graph as they are built (parents, a backward
 closure and the op's name per node); ``Tensor.backward`` replays the tape in
 reverse topological order, accumulating into ``.grad`` with ``+=`` so shared
-parameters sum contributions from every branch.  A transformer block is one
-node, ``block``, built from the same forward and backward array kernels as
-the per-op nodes ``layernorm``, ``linear`` (which also carries a LoRA
-adapter's low-rank branch), ``attention`` and ``gelu``, so the two give the
-same bytes.  A node records as parents only the operands that take a
-gradient, and ``_make`` alone picks them; an operand that never takes one, a
-loss's targets or ``cosine_rows``' ``b``, is a plain array.  The reducing ops
-can keep the first axis, one loss per entry: ``tmean`` when asked, the losses
-when their input has one axis more than their targets or mask.
+parameters sum contributions from every branch.  An op goes on the tape only
+by being called, as ``add(a, b)`` or ``matmul(a, b)``: ``Tensor`` spells no
+op as an operator.  A transformer block is one node, ``block``, built from
+the same forward and backward array kernels as the per-op nodes
+``layernorm`` and ``linear`` (which also carries a LoRA adapter's low-rank
+branch), so the two give the same bytes.  The per-op ``attention`` and
+``gelu`` nodes of the chain it is checked against run in no program path;
+they live beside the tests, in ``tests/tape_reference.py``, built on
+``_make`` and the kernels here.  A node records as parents only the
+operands that take a gradient, and ``_make`` alone picks them; an operand
+that never takes one, a loss's targets or ``cosine_rows``' ``b``, is a plain
+array.  The reducing ops can keep the first axis, one loss per entry:
+``tmean`` when asked, the losses when their input has one axis more than
+their targets or mask.
 
 Gradient buffers are owned.  A backward hands ``_accumulate`` an array that
 nothing else holds: the first write to a tensor's ``.grad`` keeps that array,
@@ -193,32 +198,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operators ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __mul__(self, c: float):
-        return scale(self, float(c))  # elementwise products are ``mul``
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __getitem__(self, key):
-        return take(self, key)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _topo(root: Tensor) -> list[Tensor]:
@@ -357,7 +338,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
-# transpose and reshape: the unfused reference chains in the tests are built from them
 def transpose(a: Tensor, axes=None) -> Tensor:
     """Permute axes by ``axes``, a permutation of ``range(ndim)``; by default reverse them."""
     inverse = None if axes is None else np.argsort(axes)
@@ -379,18 +359,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), backward, "reshape")
 
 
-def take(a: Tensor, key) -> Tensor:
-    data = np.array(a.data[key])
-
-    def backward(g):
-        # a fancy key may repeat an index: each use adds its gradient
-        full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
-        a._accumulate(full)
-
-    return _make(data, (a,), backward, "take")
-
-
 def tsum(a: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(np.full_like(a.data, float(g)))
@@ -401,8 +369,8 @@ def tsum(a: Tensor) -> Tensor:
 # -- array kernels -------------------------------------------------------
 # One forward and one backward per op, on plain arrays.  A forward returns
 # its output and what its backward reads; a backward returns the gradients
-# that ``need`` flags, and None for the rest.  The tape ops below wrap them
-# one by one, and ``block`` chains them into one node.
+# that ``need`` flags, and None for the rest.  ``layernorm`` and ``linear``
+# below wrap theirs one by one, and ``block`` chains them all into one node.
 
 
 def _gelu_fwd(x: np.ndarray):
@@ -606,15 +574,6 @@ def _back_linear(g, layer, cache, need_x: bool):
     return gx
 
 
-def gelu(a: Tensor) -> Tensor:
-    data, cdf = _gelu_fwd(a.data)
-
-    def backward(g):
-        a._accumulate(_gelu_bwd(g, a.data, cdf))
-
-    return _make(data, (a,), backward, "gelu")
-
-
 def layernorm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     data, xhat, inv = _layernorm_fwd(x.data, weight.data, bias.data)
@@ -646,22 +605,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, lora=None) -> Tensor:
     return _make(data, (x,) + _layer_tensors(*layer), backward, "linear")
 
 
-def attention(qkv: Tensor, heads: int, dh: int) -> tuple[Tensor, np.ndarray]:
-    """Multi-head softmax self-attention over packed ``[q | k | v]`` columns.
-
-    ``qkv`` is (..., N, 3 * heads * dh), each third split into ``heads`` blocks
-    of ``dh`` columns.  Returns the heads' outputs merged back to
-    (..., N, heads * dh), and the row-stochastic attention maps
-    (..., heads, N, N) as a plain array, off the tape.
-    """
-    data, p = _attention_fwd(qkv.data, heads, dh)
-
-    def backward(g):
-        qkv._accumulate(_attention_bwd(g, qkv.data, p, heads, dh))
-
-    return _make(data, (qkv,), backward, "attention"), p
-
-
 def block(x: Tensor, norm1, qkv, proj, norm2, fc1, fc2, heads: int,
           dh: int) -> tuple[Tensor, np.ndarray]:
     """One pre-norm transformer block as one tape node, for ``x`` (..., N, D):
@@ -671,9 +614,10 @@ def block(x: Tensor, norm1, qkv, proj, norm2, fc1, fc2, heads: int,
     ``norm1`` and ``norm2`` are a LayerNorm's (weight, bias); ``qkv``,
     ``proj``, ``fc1`` and ``fc2`` are a layer's (weight, bias, lora) as
     ``linear`` takes them, dropout masks included.  Attention runs ``heads``
-    heads of width ``dh``, as ``attention`` does.  Returns the output and the
+    heads of width ``dh`` over ``qkv``'s packed ``[q | k | v]`` output
+    columns, each third split into ``heads`` blocks of ``dh``.  Returns the output and the
     per-head attention maps (..., heads, N, N), off the tape.  It runs the
-    kernels of the tape ops it replaces, and sums each gradient in their
+    kernels of the per-op chain it replaces, and sums each gradient in their
     order, so its outputs and gradients are theirs, byte for byte.  Every
     weight, bias, LayerNorm parameter and adapter that takes a gradient gets one.
     """

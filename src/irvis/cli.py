@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from . import tensorio
-from .autodiff import Tensor, check_finite
+from .autodiff import Tensor, check_finite, matmul
 from .encoder import EncoderConfig
 from .encoder import encode  # noqa: F401  (benchmark wraps cli.encode)
 from .encoder import init_params  # noqa: F401  (benchmark wraps cli.init_params)
@@ -285,7 +285,7 @@ def cmd_merge(args) -> int:
         for _ in range(10):
             x = Tensor(rng.normal(size=(4, w.shape[0])))
             two_path = forward_adapted(x, w, adapter)
-            single = check_finite(x @ w_star, "merged forward")
+            single = check_finite(matmul(x, w_star), "merged forward")
             worst = max(worst, float(np.abs(two_path.data - single.data).max()))
     tensorio.write_checkpoint(args.out, merged)
     print(f"merged {len(adapters)} adapters; max two-path vs merged diff {worst:.3e}")

@@ -190,22 +190,24 @@ def make_labeled_scenes(n: int, seed: int, *, height: int = 16, width: int = 16)
 # -- PPM (P6) / PGM (P5) codecs, 8-bit --------------------------------
 
 
-def write_ppm(path, img: np.ndarray) -> None:
-    """(3, H, W) floats in [0,1] to binary P6."""
+def _write_pnm(path, magic: str, img: np.ndarray) -> None:
+    """(C, H, W) floats in [0,1] to a binary ``magic`` file, a pixel's C
+    samples side by side."""
     _, h, w = img.shape
     u8 = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
         f.write(u8.transpose(1, 2, 0).tobytes())
+
+
+def write_ppm(path, img: np.ndarray) -> None:
+    """(3, H, W) floats in [0,1] to binary P6."""
+    _write_pnm(path, "P6", img)
 
 
 def write_pgm(path, img: np.ndarray) -> None:
     """(1, H, W) floats in [0,1] to binary P5."""
-    _, h, w = img.shape
-    u8 = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(u8[0].tobytes())
+    _write_pnm(path, "P5", img)
 
 
 def _read_pnm_header(f, magic: bytes, path) -> tuple[int, int]:

@@ -159,7 +159,7 @@ def encode(img: np.ndarray, params: dict[str, Tensor], cfg: EncoderConfig, *,
         return params[f"{name}.weight"], params[f"{name}.bias"], lora
 
     x = ad.linear(patches, *layer("patch_embed", patches.shape))
-    x = x + params["pos_embed"]
+    x = ad.add(x, params["pos_embed"])
     dh = cfg.dim // cfg.heads
     for i in range(cfg.depth):
         pre = f"blocks.{i}"

@@ -82,23 +82,23 @@ def forward_adapted(x: Tensor, w: Tensor, adapter: LoraAdapter) -> Tensor:
     return ad.check_finite(ad.linear(x, w, zero, adapter.branch()), "adapted forward")
 
 
-def merge(w: Tensor, adapter: LoraAdapter) -> Tensor:
-    """W + (alpha/r) (B A)^T as a new tensor; W itself is untouched."""
+def _apply_update(op, w: Tensor, adapter: LoraAdapter, what: str) -> Tensor:
+    """``op(W, update)`` as a new tensor; ``what`` names the call and W in
+    the shape error."""
     upd = adapter.update_matrix()
     if upd.shape != w.shape:
-        raise ShapeMismatchError(
-            f"merge shape mismatch: W {w.shape} vs update {upd.shape}"
-        )
-    return Tensor(w.data + upd)
+        raise ShapeMismatchError(f"{what} {w.shape} vs update {upd.shape}")
+    return Tensor(op(w.data, upd))
+
+
+def merge(w: Tensor, adapter: LoraAdapter) -> Tensor:
+    """W + (alpha/r) (B A)^T as a new tensor; W itself is untouched."""
+    return _apply_update(np.add, w, adapter, "merge shape mismatch: W")
 
 
 def unmerge(w_star: Tensor, adapter: LoraAdapter) -> Tensor:
-    upd = adapter.update_matrix()
-    if upd.shape != w_star.shape:
-        raise ShapeMismatchError(
-            f"unmerge shape mismatch: W* {w_star.shape} vs update {upd.shape}"
-        )
-    return Tensor(w_star.data - upd)
+    """W* - (alpha/r) (B A)^T as a new tensor, the inverse of ``merge``."""
+    return _apply_update(np.subtract, w_star, adapter, "unmerge shape mismatch: W*")
 
 
 def attach(params: dict[str, Tensor], cfg: LoraConfig,

@@ -30,7 +30,7 @@ def similarity(f_a: Tensor, f_b: np.ndarray, tau: float) -> Tensor:
     give (2, B, N, N) against the same teacher features (B, N, D)."""
     if not 0.0 < tau < math.inf:  # written so that NaN fails it too
         raise ValueError(f"temperature must be positive and finite, got {tau}")
-    return ad.check_finite(ad.cosine_rows(f_a, f_b) * (1.0 / tau), "similarity")
+    return ad.check_finite(ad.scale(ad.cosine_rows(f_a, f_b), 1.0 / tau), "similarity")
 
 
 def pseudo_labels(attention: np.ndarray, gamma: float) -> np.ndarray:
@@ -101,7 +101,7 @@ def loss_variant_softmax(s: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def _term_mse(f_s: Tensor, f_t: np.ndarray, labels=None, tau=None) -> Tensor:
-    d = f_s - f_t
+    d = ad.add(f_s, Tensor(-f_t))
     return ad.tmean(ad.mul(d, d), split=True)
 
 

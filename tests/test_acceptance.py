@@ -122,7 +122,7 @@ def test_03_adapter_identity_merge_roundtrip(capsys, toy_cfg):
         for _ in range(100):
             x = Tensor(rng.normal(size=(5, w.shape[0])))
             two = forward_adapted(x, w, adapter)
-            worst = max(worst, np.abs(two.data - (x @ w_star).data).max())
+            worst = max(worst, np.abs(two.data - ad.matmul(x, w_star).data).max())
         assert worst < 1e-10
         back = unmerge(w_star, adapter)
         assert np.abs(back.data - w.data).max() < 1e-12
@@ -175,7 +175,7 @@ def test_05_analytic_pins(capsys):
         for n in (4, 16):
             sm = Tensor(np.zeros((n, n)))
             diag = np.eye(n)  # NCE: the softmax loss on the diagonal positives
-            nce = ad.masked_softmax_nll(sm, diag) + ad.masked_softmax_nll(sm, diag)
+            nce = ad.add(ad.masked_softmax_nll(sm, diag), ad.masked_softmax_nll(sm, diag))
             assert abs(float(nce.data) - 2 * np.log(n)) <= 1e-10
 
         cfg = TrainConfig(epochs=8, warmup_epochs=2, base_lr=1.5e-4)

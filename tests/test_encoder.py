@@ -7,6 +7,7 @@ from irvis.autodiff import LN_EPS, Tensor
 from irvis.encoder import EncoderConfig, EncoderOutput, encode, init_params, patchify
 from irvis.errors import ConfigError, ShapeMismatchError
 from irvis.lora import LoraConfig, adapter_tensors, attach, dropout_mask
+import tape_reference
 
 
 def test_config_validation():
@@ -219,13 +220,14 @@ def chain_encode(img, params, cfg, *, adapters=None, masks=None):
     def norm(x, name):
         return ad.layernorm(x, params[f"{name}.weight"], params[f"{name}.bias"])
 
-    x = lin(Tensor(patchify(img, cfg)), "patch_embed") + params["pos_embed"]
+    x = ad.add(lin(Tensor(patchify(img, cfg)), "patch_embed"), params["pos_embed"])
     for i in range(cfg.depth):
         pre = f"blocks.{i}"
-        merged, attn = ad.attention(lin(norm(x, f"{pre}.norm1"), f"{pre}.qkv"),
-                                    cfg.heads, cfg.dim // cfg.heads)
-        x = x + lin(merged, f"{pre}.proj")
-        x = x + lin(ad.gelu(lin(norm(x, f"{pre}.norm2"), f"{pre}.fc1")), f"{pre}.fc2")
+        merged, attn = tape_reference.attention(lin(norm(x, f"{pre}.norm1"), f"{pre}.qkv"),
+                                                cfg.heads, cfg.dim // cfg.heads)
+        x = ad.add(x, lin(merged, f"{pre}.proj"))
+        hidden = tape_reference.gelu(lin(norm(x, f"{pre}.norm2"), f"{pre}.fc1"))
+        x = ad.add(x, lin(hidden, f"{pre}.fc2"))
     return EncoderOutput(features=norm(x, "norm"), attention_heads=attn)
 
 

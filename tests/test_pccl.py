@@ -243,16 +243,14 @@ def branches(*tensors):
 def two_branch_mse(f_i, f_v, f_vf):
     """The MSE ablation as training applies it: one ``LOSSES`` call scores
     both branches, and their losses are summed."""
-    losses = LOSSES["mse"](branches(f_i, f_v), f_vf, None, None)
-    return losses[0] + losses[1]
+    return ad.tsum(LOSSES["mse"](branches(f_i, f_v), f_vf, None, None))
 
 
 def two_branch_nce(z_iv, z_vv):
     """The NCE ablation on given logits: the term ``LOSSES["nce"]`` applies to
     both branches' similarities at once, the softmax loss on the diagonal
     positives, one per branch, summed over both branches."""
-    losses = ad.masked_softmax_nll(branches(z_iv, z_vv), np.eye(z_iv.shape[-1]))
-    return losses[0] + losses[1]
+    return ad.tsum(ad.masked_softmax_nll(branches(z_iv, z_vv), np.eye(z_iv.shape[-1])))
 
 
 class TestAblationLosses:
@@ -286,7 +284,7 @@ class TestAblationLosses:
         rng = np.random.default_rng(20)
         f_s, f_t = Tensor(rng.normal(size=(5, 8))), rng.normal(size=(5, 8))
         # one branch of a batch of one image
-        got = float(LOSSES["nce"](Tensor(f_s.data[None, None]), f_t[None], None, 0.04)[0].data)
+        got = float(LOSSES["nce"](Tensor(f_s.data[None, None]), f_t[None], None, 0.04).data[0])
         assert got == float(ad.masked_softmax_nll(similarity(f_s, f_t, 0.04), np.eye(5)).data)
 
     def test_nce_vs_naive(self):
@@ -362,7 +360,7 @@ def test_gradients_do_not_reach_teacher_features():
 
 
 def _mse_per_branch(f, f_t, p, tau):
-    d = f - f_t
+    d = ad.add(f, Tensor(-f_t))
     return ad.tmean(ad.mul(d, d))
 
 
@@ -394,7 +392,8 @@ def test_two_branch_term_equals_two_per_branch_evaluations(kind):
     loss_pccl(losses, alpha, beta).backward()
     per = [Tensor(f_s.data[b].copy(), requires_grad=True) for b in range(2)]
     want = [PER_BRANCH[kind](f, f_t, p, 0.04) for f in per]
-    (want[0] * alpha + want[1] * beta).backward()  # the branches weighted apart
+    # the branches weighted apart
+    ad.add(ad.scale(want[0], alpha), ad.scale(want[1], beta)).backward()
     assert losses.shape == (2,)
     assert losses.data.tobytes() == np.array([float(w.data) for w in want]).tobytes()
     assert f_s.grad.tobytes() == np.stack([f.grad for f in per]).tobytes()

@@ -19,13 +19,19 @@ from pathlib import Path
 
 import pytest
 
+import irvis.autodiff as ad
+from irvis import tensorio
+from irvis.cli import main
+from irvis.encoder import init_params
+from irvis.lora import LoraConfig, adapter_tensors, attach
+from irvis.training import (LOSS_KINDS, TrainConfig, frozen_teacher, lr_at, make_pretrain_pairs,
+                            student_state, teacher_targets, train_step)
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "irvis"
 
 KEPT = {
     "grad_check": "the finite-difference oracle every gradient test compares against",
-    "gelu": "a tape op of the per-op chain the tests compare ``block`` against",
-    "attention": "a tape op of the per-op chain the tests compare ``block`` against",
     "unmerge": "acceptance 3 pins the merge/unmerge round trip",
     "sparsity_report": "the planned run trace writes it at the end of a run",
 }
@@ -303,3 +309,49 @@ def test_span_sites_and_outside_callers_count():
 def test_only_a_load_that_resolves_to_the_definition_is_a_caller(case):
     package, flagged = RESOLVER_CASES[case]
     assert sorted(unused_names(package)) == sorted(flagged)
+
+
+def test_every_tape_op_runs_in_a_program_path(toy_cfg, tmp_path, monkeypatch):
+    """Each op name a ``_make`` call in the package passes is made while the
+    program runs: a ``train_step`` per loss kind, with LoRA and as a full
+    fine-tune, each after its teacher pass, and ``irvis merge``'s two-path
+    check.  An op only the tests run belongs beside them, and the package
+    imports nothing from the tests."""
+    ran = set()
+    make = ad._make
+
+    def recording(data, operands, backward, op):
+        ran.add(op)
+        return make(data, operands, backward, op)
+
+    monkeypatch.setattr(ad, "_make", recording)
+    teacher = frozen_teacher(toy_cfg)
+    batch = make_pretrain_pairs(2, seed=0)
+    for loss_kind in LOSS_KINDS:
+        for lora in (LoraConfig(), None):
+            cfg = TrainConfig(epochs=1, warmup_epochs=0, loss_kind=loss_kind, lora=lora)
+            targets = teacher_targets(batch, teacher, toy_cfg, cfg.gamma)
+            train_step(student_state(teacher, lora), batch, targets, toy_cfg, cfg,
+                       lr_at(0, cfg, 1))
+    params = init_params(toy_cfg)
+    adapters = {name: t.data for name, t in adapter_tensors(
+        attach(params, LoraConfig(rank=2))).items()}
+    tensorio.write_checkpoint(tmp_path / "base.ckpt", {n: t.data for n, t in params.items()})
+    tensorio.write_adapter_checkpoint(tmp_path / "adapters.ckpt", adapters,
+                                      rank=2, alpha=32.0, dropout=0.1)
+    assert main(["merge", "--checkpoint", str(tmp_path / "base.ckpt"), "--adapters",
+                 str(tmp_path / "adapters.ckpt"), "--out", str(tmp_path / "merged.ckpt")]) == 0
+
+    made, imported = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(parse(path)):
+            if (isinstance(node, ast.Call) and "_make" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None))):
+                made.add(node.args[-1].value)
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    assert made - ran == set(), "ops that no program path runs"
+    test_modules = {"tests"} | {p.stem for p in Path(__file__).parent.glob("*.py")}
+    assert imported & test_modules == set(), "the package imports from the tests"

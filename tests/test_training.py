@@ -143,7 +143,7 @@ class TestTrainStep:
     def test_non_finite_gradient_of_finite_loss_stops_step(self, toy_cfg, monkeypatch):
         def term(f_s, f_t, labels, tau):
             # every value stays finite; the gradient is 1e300 * 1e300 = inf
-            return ad.tmean(f_s, split=True) * 1e-300 * 1e300 * 1e300
+            return ad.scale(ad.scale(ad.scale(ad.tmean(f_s, split=True), 1e-300), 1e300), 1e300)
 
         monkeypatch.setitem(pccl.LOSSES, "mse", term)
         teacher = frozen_teacher(toy_cfg)
@@ -284,7 +284,7 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
         return encode(img, state.params, enc_cfg, adapters=state.adapters,
                       masks=masks).features
 
-    l_iv = l_vv = 0.0
+    l_iv = l_vv = ad.Tensor(0.0)
     for sample in batch:
         vis = to_channels(sample.visible, enc_cfg.channels)
         ir = to_channels(sample.infrared, enc_cfg.channels)
@@ -293,10 +293,11 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
         f_t = t.features.data[None]
         labels = pccl.pseudo_labels(t.attention_last, cfg.gamma)[None]
         f_i, f_v = student(ir), student(vis)
-        l_iv = l_iv + term(one(one(f_i)), f_t, labels, cfg.tau)[0]
-        l_vv = l_vv + term(one(one(f_v)), f_t, labels, cfg.tau)[0]
-    l_iv, l_vv = l_iv * (1.0 / len(batch)), l_vv * (1.0 / len(batch))
-    loss = l_iv * cfg.alpha + l_vv * cfg.beta
+        # each term is a (1,) vector, one branch, summed to its one entry
+        l_iv = ad.add(l_iv, ad.tsum(term(one(one(f_i)), f_t, labels, cfg.tau)))
+        l_vv = ad.add(l_vv, ad.tsum(term(one(one(f_v)), f_t, labels, cfg.tau)))
+    l_iv, l_vv = ad.scale(l_iv, 1.0 / len(batch)), ad.scale(l_vv, 1.0 / len(batch))
+    loss = ad.add(ad.scale(l_iv, cfg.alpha), ad.scale(l_vv, cfg.beta))
     loss.backward()
     _adamw_update(state, cfg, lr_at(state.step, cfg, 1), loss)
     state.step += 1
