@@ -4,17 +4,21 @@ Tensors record the op graph as they are built (parents, a backward
 closure and the op's name per node); ``Tensor.backward`` replays the tape in
 reverse topological order, accumulating into ``.grad`` with ``+=`` so shared
 parameters sum contributions from every branch.  An op goes on the tape only
-by being called, as ``add(a, b)`` or ``matmul(a, b)``: ``Tensor`` spells no
-op as an operator.  A transformer block is one node, ``block``, built from
+by being called, as ``add(a, b)`` or ``mul(a, b)``: ``Tensor`` spells no op
+as an operator.  A transformer block is one node, ``block``, built from
 the same forward and backward array kernels as the per-op nodes
 ``layernorm`` and ``linear`` (which also carries a LoRA adapter's low-rank
 branch), so the two give the same bytes.  The per-op ``attention`` and
 ``gelu`` nodes of the chain it is checked against run in no program path;
 they live beside the tests, in ``tests/tape_reference.py``, built on
 ``_make`` and the kernels here.  A node records as parents only the
-operands that take a gradient, and ``_make`` alone picks them; an operand
-that never takes one, a loss's targets or ``cosine_rows``' ``b``, is a plain
-array.  The reducing ops can keep the first axis, one loss per entry:
+operands that take a gradient, and ``_make`` alone picks them, through
+``_needs``: the one test for it, a ``Tensor`` that requires a gradient.  An
+operand that never takes one is a plain array: an image's patches, a loss's
+targets, ``cosine_rows``' ``b``, the teacher's features, a constant factor.
+``add``, ``mul``, ``linear``, ``layernorm`` and ``block`` read each operand
+through ``_data``, so any of them takes such a constant where it takes a
+``Tensor``.  The reducing ops can keep the first axis, one loss per entry:
 ``tmean`` when asked, the losses when their input has one axis more than
 their targets or mask.
 
@@ -32,10 +36,12 @@ input tensor only when that takes one.  In a LoRA step, whose base weights
 are frozen, a block keeps none of its four layers' inputs; each adapter
 branch keeps its own masked input.  A full fine-tune keeps them.
 
-Ops do not scan their outputs for NaN/Inf.  Finiteness is checked where
-values enter autodiff (``Tensor`` construction) and where they leave it:
-callers pass results through ``check_finite``, which on a failure walks the
-tape already in memory and names the first op whose output is non-finite.
+Ops do not scan their inputs or outputs for NaN/Inf.  Finiteness is checked
+where values enter the program and where they leave autodiff.  The file
+readers in ``tensorio`` refuse non-finite values, and a ``Tensor`` refuses
+them when it is built, as a model weight or ``grad_check``'s probe.  Callers
+pass results through ``check_finite``, which on a failure walks the tape
+already in memory and names the first op whose output is non-finite.
 
 ``gelu`` needs ``erf``, which numpy lacks; ``erf`` here is a float64 kernel
 built from numpy alone, in two ranges.  For |x| < 0.84375 it is fdlibm's
@@ -255,14 +261,26 @@ def check_grads_finite(loss: Tensor, tensors) -> None:
     raise NumericError("non-finite gradient")
 
 
+def _needs(t) -> bool:
+    """Whether operand ``t`` takes a gradient: a ``Tensor`` that requires one,
+    never an array, a float or None."""
+    return isinstance(t, Tensor) and t.requires_grad
+
+
+def _data(t):
+    """The value of operand ``t``: a ``Tensor``'s array, or ``t`` itself, a
+    constant."""
+    return t.data if isinstance(t, Tensor) else t
+
+
 def _make(data: np.ndarray, operands: tuple, backward, op: str) -> Tensor:
     """The tensor ``op`` made.  Its parents are those of its ``operands`` that
-    take a gradient (None marks an absent one); with none, it is off the tape."""
+    take a gradient; with none, it is off the tape."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._op = op
-    out._parents = tuple(t for t in operands if t is not None and t.requires_grad)
+    out._parents = tuple(filter(_needs, operands))
     out.requires_grad = bool(out._parents)
     out._backward = backward if out.requires_grad else None
     return out
@@ -281,61 +299,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise and structural ops ------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+def add(a, b) -> Tensor:
+    """``a + b``; either may be a constant array."""
+    data = _data(a) + _data(b)
 
     def backward(g):
         # each parent gets its own buffer: a copy where no axis was summed away
         for t in (a, b):
-            if t.requires_grad:
+            if _needs(t):
                 gt = _unbroadcast(g, t.shape)
                 t._accumulate(g.copy() if gt is g else gt)
 
     return _make(data, (a, b), backward, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+def mul(a, b) -> Tensor:
+    """``a * b``; either may be a constant, an array or a float."""
+    a_data, b_data = _data(a), _data(b)
+    data = a_data * b_data
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if _needs(a):
+            a._accumulate(_unbroadcast(g * b_data, a.shape))
+        if _needs(b):
+            b._accumulate(_unbroadcast(g * a_data, b.shape))
 
     return _make(data, (a, b), backward, "mul")
-
-
-def scale(a: Tensor, c) -> Tensor:
-    """``a`` times ``c``, a float or a fixed array that broadcasts to ``a``'s shape."""
-    data = a.data * c
-
-    def backward(g):
-        a._accumulate(g * c)
-
-    return _make(data, (a,), backward, "scale")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading axes broadcast as in ``np.matmul``."""
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(
-            f"matmul shape mismatch: {a.shape} x {b.shape}"
-        )
-    try:
-        data = a.data @ b.data
-    except ValueError:  # leading axes that do not broadcast
-        raise ShapeMismatchError(
-            f"matmul shape mismatch: {a.shape} x {b.shape}"
-        ) from None
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return _make(data, (a, b), backward, "matmul")
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -529,10 +518,6 @@ def _attention_bwd(g, qkv, p, heads: int, dh: int) -> np.ndarray:
 # -- fused encoder ops --------------------------------------------------
 
 
-def _needs(tensors) -> tuple[bool, ...]:
-    return tuple(t is not None and t.requires_grad for t in tensors)
-
-
 def _hand(tensors, grads) -> None:
     """Accumulate each gradient a backward computed into its tensor."""
     for t, g in zip(tensors, grads):
@@ -550,44 +535,49 @@ def _run_linear(x: np.ndarray, layer):
     ``_back_linear`` reads.  Which of the layer's tensors take a gradient is
     fixed here, and the cache holds ``x`` only if ``w`` does, the one
     gradient that reads it."""
-    w, b, lora = layer
-    A, B, _, mask = lora if lora is not None else (None, None, None, None)
-    k, d = w.shape if w.data.ndim == 2 else (None, None)
+    tensors = _layer_tensors(*layer)
+    w, b, A, B = map(_data, tensors)
+    lora = layer[2]
+    mask = None if lora is None else lora[3]
+    k, d = w.shape if w.ndim == 2 else (None, None)
     if (d is None or x.ndim < 2 or x.shape[-1] != k
             or b.shape != (d,)
-            or (lora is not None and (A.data.ndim != 2 or A.shape[1] != k
+            or (lora is not None and (A.ndim != 2 or A.shape[1] != k
                                       or B.shape != (d, A.shape[0])
                                       or (mask is not None and mask.shape != x.shape)))):
         ab = "" if lora is None else f" + lora A {A.shape}, B {B.shape}"
         raise ShapeMismatchError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}{ab}")
-    arrays = None if lora is None else (A.data, B.data, *lora[2:])
-    out, xm, h = _linear_fwd(x, w.data, b.data, arrays)
-    need = _needs(_layer_tensors(*layer))
+    arrays = None if lora is None else (A, B, *lora[2:])
+    out, xm, h = _linear_fwd(x, w, b, arrays)
+    need = tuple(map(_needs, tensors))
     return out, (x if need[0] else None, arrays, xm, h, need)
 
 
 def _back_linear(g, layer, cache, need_x: bool):
     """Hand a layer's weights their gradients; return its input's, if needed."""
     x, arrays, xm, h, need = cache
-    gx, *grads = _linear_bwd(g, x, layer[0].data, arrays, xm, h, (need_x,) + need)
+    gx, *grads = _linear_bwd(g, x, _data(layer[0]), arrays, xm, h, (need_x,) + need)
     _hand(_layer_tensors(*layer), grads)
     return gx
 
 
-def layernorm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    data, xhat, inv = _layernorm_fwd(x.data, weight.data, bias.data)
+def layernorm(x, weight, bias) -> Tensor:
+    """Normalize over the last axis, then scale and shift; any operand may be
+    a constant array."""
+    data, xhat, inv = _layernorm_fwd(*map(_data, (x, weight, bias)))
     tensors = (x, weight, bias)
 
     def backward(g):
-        _hand(tensors, _layernorm_bwd(g, xhat, inv, weight.data, _needs(tensors)))
+        _hand(tensors, _layernorm_bwd(g, xhat, inv, _data(weight),
+                                      tuple(map(_needs, tensors))))
 
     return _make(data, tensors, backward, "layernorm")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, lora=None) -> Tensor:
+def linear(x, w, b, lora=None) -> Tensor:
     """``x @ w + b + scale * (x * mask) @ A.T @ B.T`` for ``x`` (..., k),
-    ``w`` (k, d), ``b`` (d,), ``A`` (r, k) and ``B`` (d, r).
+    ``w`` (k, d), ``b`` (d,), ``A`` (r, k) and ``B`` (d, r); any of the five
+    may be a constant array.
 
     ``lora`` is ``(A, B, scale, mask)``, the low-rank adapter branch, or
     ``None`` for no branch; ``mask`` (x's shape) is the dropout mask, already
@@ -595,8 +585,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, lora=None) -> Tensor:
     terms are summed in that order.
     """
     layer = (w, b, lora)
-    data, cache = _run_linear(x.data, layer)
-    if not x.requires_grad:
+    data, cache = _run_linear(_data(x), layer)
+    if not _needs(x):
         x = None  # no gradient to hand it, so the backward does not keep it
 
     def backward(g):
@@ -605,7 +595,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, lora=None) -> Tensor:
     return _make(data, (x,) + _layer_tensors(*layer), backward, "linear")
 
 
-def block(x: Tensor, norm1, qkv, proj, norm2, fc1, fc2, heads: int,
+def block(x, norm1, qkv, proj, norm2, fc1, fc2, heads: int,
           dh: int) -> tuple[Tensor, np.ndarray]:
     """One pre-norm transformer block as one tape node, for ``x`` (..., N, D):
     ``x1 = x + proj(attention(qkv(layernorm(x))))``, then
@@ -619,15 +609,17 @@ def block(x: Tensor, norm1, qkv, proj, norm2, fc1, fc2, heads: int,
     per-head attention maps (..., heads, N, N), off the tape.  It runs the
     kernels of the per-op chain it replaces, and sums each gradient in their
     order, so its outputs and gradients are theirs, byte for byte.  Every
-    weight, bias, LayerNorm parameter and adapter that takes a gradient gets one.
+    weight, bias, LayerNorm parameter and adapter that takes a gradient gets
+    one; ``x`` and any weight may be a constant array.
     """
-    h1, *ln1 = _layernorm_fwd(x.data, norm1[0].data, norm1[1].data)
+    x_data, n1w, n1b, n2w, n2b = map(_data, (x, *norm1, *norm2))
+    h1, *ln1 = _layernorm_fwd(x_data, n1w, n1b)
     q, c_qkv = _run_linear(h1, qkv)
     merged, p = _attention_fwd(q, heads, dh)
     # each residual sum goes into its branch's own new array (a + b is b + a)
     x1, c_proj = _run_linear(merged, proj)
-    x1 += x.data
-    h2, *ln2 = _layernorm_fwd(x1, norm2[0].data, norm2[1].data)
+    x1 += x_data
+    h2, *ln2 = _layernorm_fwd(x1, n2w, n2b)
     f1, c_fc1 = _run_linear(h2, fc1)
     g1, cdf = _gelu_fwd(f1)
     data, c_fc2 = _run_linear(g1, fc2)
@@ -638,12 +630,12 @@ def block(x: Tensor, norm1, qkv, proj, norm2, fc1, fc2, heads: int,
         # incoming one plus its LayerNorm's, as two accumulations added them
         gg1 = _back_linear(g, fc2, c_fc2, True)
         gh2 = _back_linear(_gelu_bwd(gg1, f1, cdf), fc1, c_fc1, True)
-        gx1, *grads = _layernorm_bwd(gh2, *ln2, norm2[0].data, (True,) + _needs(norm2))
+        gx1, *grads = _layernorm_bwd(gh2, *ln2, n2w, (True, *map(_needs, norm2)))
         _hand(norm2, grads)
         gx1 += g
         gq = _attention_bwd(_back_linear(gx1, proj, c_proj, True), q, p, heads, dh)
         gh1 = _back_linear(gq, qkv, c_qkv, True)
-        gx, *grads = _layernorm_bwd(gh1, *ln1, norm1[0].data, _needs((x, *norm1)))
+        gx, *grads = _layernorm_bwd(gh1, *ln1, n1w, tuple(map(_needs, (x, *norm1))))
         _hand(norm1, grads)
         if gx is not None:
             gx += gx1

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from . import tensorio
-from .autodiff import Tensor, check_finite, matmul
+from .autodiff import Tensor
 from .encoder import EncoderConfig
 from .encoder import encode  # noqa: F401  (benchmark wraps cli.encode)
 from .encoder import init_params  # noqa: F401  (benchmark wraps cli.init_params)
@@ -279,14 +279,15 @@ def cmd_merge(args) -> int:
         wname = f"{target}.weight"
         if wname not in params:
             raise ConfigError(f"adapter target {target!r} not found in checkpoint")
-        w = Tensor(params[wname])
-        w_star = merge(w, adapter)
-        merged[wname] = w_star.data
+        w = params[wname]
+        w_star = merged[wname] = merge(w, adapter)
         for _ in range(10):
-            x = Tensor(rng.normal(size=(4, w.shape[0])))
+            x = rng.normal(size=(4, w.shape[0]))
             two_path = forward_adapted(x, w, adapter)
-            single = check_finite(matmul(x, w_star), "merged forward")
-            worst = max(worst, float(np.abs(two_path.data - single.data).max()))
+            single = x @ w_star
+            if not np.isfinite(single).all():
+                raise NumericError("non-finite values in merged forward")
+            worst = max(worst, float(np.abs(two_path.data - single).max()))
     tensorio.write_checkpoint(args.out, merged)
     print(f"merged {len(adapters)} adapters; max two-path vs merged diff {worst:.3e}")
     return 0
@@ -295,8 +296,6 @@ def cmd_merge(args) -> int:
 def cmd_dump_matrices(args) -> int:
     v = parse_config(args.config)
     enc, cfg = build_configs(v)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     teacher = frozen_teacher(enc)
     student = teacher  # untrained: the student is a copy of the teacher
     if args.checkpoint:
@@ -307,6 +306,8 @@ def cmd_dump_matrices(args) -> int:
                             f"match the configured model")
         student = {k: Tensor(arr) for k, arr in loaded.items()}
     samples = _load_samples(v, enc)
+    out = Path(args.out)  # made once every input has been read
+    out.mkdir(parents=True, exist_ok=True)
     for start in range(0, len(samples), cfg.batch_size):
         chunk = samples[start:start + cfg.batch_size]
         f_vf, labels = teacher_targets(chunk, teacher, enc, cfg.gamma)

@@ -136,7 +136,7 @@ def encode(img: np.ndarray, params: dict[str, Tensor], cfg: EncoderConfig, *,
     ``ShapeMismatchError`` unless the block has a row per image and the
     layers use every column.
     """
-    patches = Tensor(patchify(img, cfg))
+    patches = patchify(img, cfg)
     adapters = adapters or {}
     if masks is not None:
         rows = math.prod(patches.shape[:-2])

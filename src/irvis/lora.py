@@ -67,37 +67,37 @@ class LoraAdapter:
     def delta(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Adapter branch (alpha/r) * (x * mask) A^T B^T: the adapted layer on
         a zero base weight and bias."""
-        w = Tensor(np.zeros((self.A.shape[1], self.B.shape[0])))
-        return ad.linear(x, w, Tensor(np.zeros(w.shape[1])), self.branch(mask))
+        w = np.zeros((self.A.shape[1], self.B.shape[0]))
+        return ad.linear(x, w, np.zeros(w.shape[1]), self.branch(mask))
 
     def update_matrix(self) -> np.ndarray:
         """(k, d) matrix added to W by merging."""
         return self.scaling * (self.B.data @ self.A.data).T
 
 
-def forward_adapted(x: Tensor, w: Tensor, adapter: LoraAdapter) -> Tensor:
+def forward_adapted(x, w, adapter: LoraAdapter) -> Tensor:
     """Two-path forward x W + adapter branch, without dropout (a zero bias);
-    gradients reach B and A only."""
-    zero = Tensor(np.zeros(adapter.B.shape[0]))
+    ``x`` and ``w`` may be constant arrays, and gradients reach B and A only."""
+    zero = np.zeros(adapter.B.shape[0])
     return ad.check_finite(ad.linear(x, w, zero, adapter.branch()), "adapted forward")
 
 
-def _apply_update(op, w: Tensor, adapter: LoraAdapter, what: str) -> Tensor:
-    """``op(W, update)`` as a new tensor; ``what`` names the call and W in
+def _apply_update(op, w: np.ndarray, adapter: LoraAdapter, what: str) -> np.ndarray:
+    """``op(W, update)`` as a new array; ``what`` names the call and W in
     the shape error."""
     upd = adapter.update_matrix()
     if upd.shape != w.shape:
         raise ShapeMismatchError(f"{what} {w.shape} vs update {upd.shape}")
-    return Tensor(op(w.data, upd))
+    return op(w, upd)
 
 
-def merge(w: Tensor, adapter: LoraAdapter) -> Tensor:
-    """W + (alpha/r) (B A)^T as a new tensor; W itself is untouched."""
+def merge(w: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
+    """W + (alpha/r) (B A)^T as a new array; W itself is untouched."""
     return _apply_update(np.add, w, adapter, "merge shape mismatch: W")
 
 
-def unmerge(w_star: Tensor, adapter: LoraAdapter) -> Tensor:
-    """W* - (alpha/r) (B A)^T as a new tensor, the inverse of ``merge``."""
+def unmerge(w_star: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
+    """W* - (alpha/r) (B A)^T as a new array, the inverse of ``merge``."""
     return _apply_update(np.subtract, w_star, adapter, "unmerge shape mismatch: W*")
 
 

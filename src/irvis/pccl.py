@@ -30,7 +30,7 @@ def similarity(f_a: Tensor, f_b: np.ndarray, tau: float) -> Tensor:
     give (2, B, N, N) against the same teacher features (B, N, D)."""
     if not 0.0 < tau < math.inf:  # written so that NaN fails it too
         raise ValueError(f"temperature must be positive and finite, got {tau}")
-    return ad.check_finite(ad.scale(ad.cosine_rows(f_a, f_b), 1.0 / tau), "similarity")
+    return ad.check_finite(ad.mul(ad.cosine_rows(f_a, f_b), 1.0 / tau), "similarity")
 
 
 def pseudo_labels(attention: np.ndarray, gamma: float) -> np.ndarray:
@@ -80,7 +80,7 @@ def loss_pccl(losses: Tensor, alpha: float = 1.0, beta: float = 1.0) -> Tensor:
     if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):  # NaN fails too
         raise ValueError(f"loss coefficients must be nonnegative and finite, "
                          f"got {alpha}, {beta}")
-    return ad.tsum(ad.scale(losses, np.array((alpha, beta))))
+    return ad.tsum(ad.mul(losses, np.array((alpha, beta))))
 
 
 def loss_variant_softmax(s: Tensor, labels: np.ndarray) -> Tensor:
@@ -101,7 +101,7 @@ def loss_variant_softmax(s: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def _term_mse(f_s: Tensor, f_t: np.ndarray, labels=None, tau=None) -> Tensor:
-    d = ad.add(f_s, Tensor(-f_t))
+    d = ad.add(f_s, -f_t)
     return ad.tmean(ad.mul(d, d), split=True)
 
 

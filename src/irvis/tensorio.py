@@ -5,8 +5,9 @@ little-endian f64 payload.  A checkpoint is a container holding a u32
 entry count followed by (u16 name length, utf-8 name, tensor record)
 entries; entries are written in sorted-name order so identical parameter
 maps serialize to identical bytes.  Every read is bounds-checked: a
-truncated, garbled or over-long file raises ``DataError``.  Every write
-goes to a temporary file that is then renamed over the target.
+truncated, garbled or over-long file raises ``DataError``, and so does a
+tensor holding a NaN or an infinity, since no command writes one.  Every
+write goes to a temporary file that is then renamed over the target.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ def _unpack_tensor(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     return arr.astype(np.float64), offset + 8 * count
 
 
+def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise DataError(f"non-finite values in {what}")
+    return arr
+
+
 def _unpack_container(buf: bytes, offset: int, path) -> dict[str, np.ndarray]:
     """Named tensors of one container starting at ``offset``; it must end the file."""
     if buf[offset:offset + 8] != MAGIC:
@@ -68,7 +75,8 @@ def _unpack_container(buf: bytes, offset: int, path) -> dict[str, np.ndarray]:
             raise DataError(f"bad tensor name in {path}: {exc}") from exc
         if name in named:
             raise DataError(f"duplicate tensor {name!r} in {path}")
-        named[name], offset = _unpack_tensor(buf, offset)
+        arr, offset = _unpack_tensor(buf, offset)
+        named[name] = _require_finite(arr, f"tensor {name!r} of {path}")
     if offset != len(buf):
         raise DataError(f"{len(buf) - offset} trailing bytes in {path}")
     return named
@@ -97,7 +105,7 @@ def read_tensor(path) -> np.ndarray:
     arr, offset = _unpack_tensor(buf, 0)
     if offset != len(buf):
         raise DataError(f"{len(buf) - offset} trailing bytes in {path}")
-    return arr
+    return _require_finite(arr, str(path))
 
 
 def checkpoint_bytes(named: dict[str, np.ndarray]) -> bytes:

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 import irvis.autodiff as ad
-from irvis.autodiff import (Tensor, bce_with_logits, cosine_rows, grad_check,
-                            matmul)
+from irvis.autodiff import Tensor, bce_with_logits, cosine_rows, grad_check
 from irvis.errors import DegenerateInputError, NumericError, ShapeMismatchError
 from conftest import same_bytes
 import tape_reference
-from tape_reference import attention, gelu
+from tape_reference import attention, gelu, matmul
 
 
 def weighted_sum(op, weights):
@@ -131,8 +130,8 @@ def unfused_attention(q, k, v, heads, dh):
 
     q, k, v = (split_heads(t) for t in (q, k, v))
     k_t = ad.transpose(k, (*batch_axes, b, b + 2, b + 1))
-    attn = softmax_rows(ad.scale(ad.matmul(q, k_t), 1.0 / np.sqrt(dh)))
-    merged = ad.reshape(ad.transpose(ad.matmul(attn, v), (*batch_axes, b + 1, b, b + 2)),
+    attn = softmax_rows(ad.mul(matmul(q, k_t), 1.0 / np.sqrt(dh)))
+    merged = ad.reshape(ad.transpose(matmul(attn, v), (*batch_axes, b + 1, b, b + 2)),
                         lead + (n, heads * dh))
     return merged, attn
 
@@ -272,7 +271,7 @@ class TestLoraDelta:
             x = chain["x"]
             xm = ad.mul(x, Tensor(mask)) if masked else x  # the former dropout op
             ref = matmul(matmul(xm, ad.transpose(chain["A"])), ad.transpose(chain["B"]))
-            ref = ad.add(matmul(x, chain["w"]), ad.add(chain["b"], ad.scale(ref, 2.5)))
+            ref = ad.add(matmul(x, chain["w"]), ad.add(chain["b"], ad.mul(ref, 2.5)))
             ad.tsum(ad.mul(ref, g)).backward()
             assert np.abs(out.data - ref.data).max() <= 1e-12, lead
             for n in values:
@@ -551,7 +550,7 @@ class TestGradCheck:
         # overflow inside an op must surface as NumericError, not Inf
         big = Tensor(np.full((2, 2), 500.0))
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            grad_check(lambda t: ad.scale(ad.scale(ad.tsum(t), 1e300), 1e300), big)
+            grad_check(lambda t: ad.mul(ad.mul(ad.tsum(t), 1e300), 1e300), big)
 
 
 class TestFiniteAtTheBoundary:
@@ -560,14 +559,14 @@ class TestFiniteAtTheBoundary:
 
     def test_ops_pass_non_finite_values_on(self):
         with np.errstate(over="ignore"):
-            y = ad.scale(Tensor([1e300], requires_grad=True), 1e300)
+            y = ad.mul(Tensor([1e300], requires_grad=True), 1e300)
         assert np.isinf(y.data).all()
 
     def test_names_first_non_finite_op(self):
         x = Tensor([1e300, 1.0], requires_grad=True)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = gelu(ad.layernorm(ad.scale(x, 1e300), Tensor([1.0, 1.0]), Tensor([0.0, 0.0])))
-        with pytest.raises(NumericError, match=r"in the test, first produced by scale$"):
+            out = gelu(ad.layernorm(ad.mul(x, 1e300), Tensor([1.0, 1.0]), Tensor([0.0, 0.0])))
+        with pytest.raises(NumericError, match=r"in the test, first produced by mul$"):
             ad.check_finite(out, "the test")
         assert ad.check_finite(x, "the test") is x
 
@@ -577,15 +576,15 @@ class TestFiniteAtTheBoundary:
         with pytest.raises(NumericError, match="first produced by a leaf tensor"):
             ad.check_finite(gelu(ad.add(w, Tensor(1.0))), "the test")
         with np.errstate(over="ignore"), \
-                pytest.raises(NumericError, match="scale or an op before it"):
-            ad.check_finite(ad.scale(Tensor([1e300]), 1e300), "the test")
+                pytest.raises(NumericError, match="mul or an op before it"):
+            ad.check_finite(ad.mul(Tensor([1e300]), 1e300), "the test")
 
     def test_non_finite_gradient_names_op(self):
         x = Tensor([1e-300], requires_grad=True)
-        loss = ad.tsum(ad.scale(ad.scale(x, 1e300), 1e300))  # 1e300: finite, as is every value
+        loss = ad.tsum(ad.mul(ad.mul(x, 1e300), 1e300))  # 1e300: finite, as is every value
         with np.errstate(over="ignore"):
             loss.backward()
-        with pytest.raises(NumericError, match="at an input of scale"):
+        with pytest.raises(NumericError, match="at an input of mul"):
             ad.check_grads_finite(loss, [x])
         ad.check_grads_finite(loss, [Tensor([1.0], requires_grad=True)])
 
@@ -643,6 +642,93 @@ class TestParentRule:
         assert a.grad is not None and bb.grad is not None
 
 
+def _block_operands(rng):
+    """``block``'s operands by name, and ``block`` on them: 2 images of 3
+    patches of width 4, 2 heads of width 2, a hidden width of 8, and a
+    rank-2 adapter with a dropout mask on every layer."""
+    arrays = {"x": rng.normal(size=(2, 3, 4))}
+    for name in ("norm1", "norm2"):
+        arrays[f"{name}.w"], arrays[f"{name}.b"] = 1.0 + 0.2 * rng.normal(size=(2, 4))
+    masks = {}
+    for name, (k, d) in {"qkv": (4, 12), "proj": (4, 4), "fc1": (4, 8), "fc2": (8, 4)}.items():
+        arrays[f"{name}.w"] = rng.normal(size=(k, d)) / np.sqrt(k)
+        arrays[f"{name}.b"] = 0.2 * rng.normal(size=d)
+        arrays[f"{name}.A"] = 0.5 * rng.normal(size=(2, k))
+        arrays[f"{name}.B"] = 0.5 * rng.normal(size=(d, 2))
+        masks[name] = (rng.random((2, 3, k)) >= 0.3) / 0.7
+
+    def f(a):
+        def layer(name):
+            return a[f"{name}.w"], a[f"{name}.b"], (a[f"{name}.A"], a[f"{name}.B"], 1.5,
+                                                   masks[name])
+        return ad.block(a["x"], (a["norm1.w"], a["norm1.b"]), layer("qkv"), layer("proj"),
+                        (a["norm2.w"], a["norm2.b"]), layer("fc1"), layer("fc2"),
+                        heads=2, dh=2)[0]
+    return arrays, f
+
+
+def _constant_cases():
+    """op -> make(rng) -> (arrays, f): ``f`` runs the op on a dict of
+    operands named as ``arrays`` is."""
+    def case(f, **shapes):
+        return lambda rng: ({name: rng.normal(size=s) for name, s in shapes.items()}, f)
+
+    mask = (np.random.default_rng(3).random((2, 3, 6)) >= 0.3) / 0.7
+    return {
+        "add": case(lambda a: ad.add(a["a"], a["b"]), a=(3, 4), b=(4,)),
+        "mul": case(lambda a: ad.mul(a["a"], a["b"]), a=(3, 4), b=(3, 1)),
+        "linear": case(lambda a: ad.linear(a["x"], a["w"], a["b"], (a["A"], a["B"], 2.5, mask)),
+                       x=(2, 3, 6), w=(6, 4), b=(4,), A=(2, 6), B=(4, 2)),
+        "layernorm": case(lambda a: ad.layernorm(a["x"], a["w"], a["b"]),
+                          x=(3, 5), w=(5,), b=(5,)),
+        "block": _block_operands,
+    }
+
+
+CONSTANT_CASES = _constant_cases()
+
+
+class TestConstantOperands:
+    """An operand that takes no gradient may be a plain array: the op gives
+    the bytes it gives for the same array in an untaped ``Tensor``, and its
+    node records no constant as a parent."""
+
+    @pytest.mark.parametrize("op,const", [
+        (op, name) for op, make in CONSTANT_CASES.items()
+        for name in make(np.random.default_rng(0))[0]])
+    def test_a_constant_array_equals_an_untaped_tensor(self, op, const):
+        arrays, f = CONSTANT_CASES[op](np.random.default_rng(20))
+
+        def run(constant):
+            t = {name: Tensor(v, requires_grad=True) for name, v in arrays.items()}
+            t[const] = constant
+            out = f(t)
+            g = np.random.default_rng(21).normal(size=out.shape)
+            ad.tsum(ad.mul(out, g)).backward()
+            return out, t
+
+        plain, plain_operands = run(arrays[const])
+        wrapped, wrapped_operands = run(Tensor(arrays[const]))
+        assert same_bytes(plain.data, wrapped.data)
+        for name in arrays.keys() - {const}:
+            assert same_bytes(plain_operands[name].grad, wrapped_operands[name].grad), name
+        assert len(plain._parents) == len(arrays) - 1
+        assert all(isinstance(p, Tensor) and p.requires_grad for p in plain._parents)
+        assert not any(p is arrays[const] for p in plain._parents)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_mul_by_a_float_equals_an_untaped_tensor(self, side):
+        x = np.random.default_rng(22).normal(size=(3, 4))
+        grads = []
+        for c in (0.25, Tensor(0.25)):
+            t = Tensor(x, requires_grad=True)
+            out = ad.mul(*((t, c) if side == 0 else (c, t)))
+            assert out._parents == (t,)
+            ad.tsum(out).backward()
+            grads.append((out.data, t.grad))
+        assert same_bytes(grads[0][0], grads[1][0]) and same_bytes(grads[0][1], grads[1][1])
+
+
 def _matmul_case(rng):
     b = Tensor(rng.normal(size=(4, 2)))
     w = Tensor(rng.normal(size=(3, 2)))
@@ -654,7 +740,7 @@ def _attention_batched_case(rng):
     # 2 images of 4 patches, 2 heads of width 2; scores scaled by 2 so that
     # the maps are far from uniform
     w = rng.normal(size=(2, 4, 4))
-    return (weighted_sum(lambda t: attention(ad.scale(t, 2.0), heads=2, dh=2)[0], w),
+    return (weighted_sum(lambda t: attention(ad.mul(t, 2.0), heads=2, dh=2)[0], w),
             Tensor(rng.normal(size=(2, 4, 12))))
 
 
@@ -816,7 +902,7 @@ def _mean_split_case(rng):
 def _scale_array_sum_case(rng):
     # loss_pccl's form: a (2,) vector weighted by a fixed array, then summed
     w = rng.normal(size=2)
-    return lambda t: ad.tsum(ad.scale(t, w)), Tensor(rng.normal(size=2))
+    return lambda t: ad.tsum(ad.mul(t, w)), Tensor(rng.normal(size=2))
 
 
 def _transpose_axes_case(rng):

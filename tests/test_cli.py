@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irvis import tensorio, training
-from irvis.autodiff import Tensor
 from irvis.cli import build_configs, build_parser, main, parse_config
 from irvis.data import (SCENE_CLASSES, SceneSpec, gen_scene, make_labeled_scenes,
                         make_pretrain_pairs, read_manifest, read_pgm, read_ppm, write_pgm,
@@ -218,7 +217,7 @@ class TestPretrain:
         adapters = adapters_from_tensors({n: want[n] for n in named}, 4, meta["alpha"])
         for target, adapter in adapters.items():
             w = f"{target}.weight"
-            assert np.array_equal(rebuilt[w], merge(Tensor(base[w]), adapter).data), w
+            assert np.array_equal(rebuilt[w], merge(base[w], adapter)), w
 
     def test_metrics_streamed_before_numeric_failure(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path / "c.cfg", base_lr=1e300, warmup_epochs=0,
@@ -228,7 +227,7 @@ class TestPretrain:
         assert code == 2 and "at step 1" in err, err
         # the message names the op, found by walking the step's tape
         assert re.search(r"first produced by (linear|attention|layernorm|block"
-                         r"|gelu|add|scale|cosine_rows|bce_with_logits)\b", err), err
+                         r"|gelu|add|mul|cosine_rows|bce_with_logits)\b", err), err
         lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 1
         m = json.loads(lines[0])
@@ -666,8 +665,7 @@ class TestMerge:
         named, _ = tensorio.read_adapter_checkpoint(out / "adapters.ckpt")
         want = dict(params)
         for target, adapter in adapters_from_tensors(named, 4, 32.123456789).items():
-            want[f"{target}.weight"] = merge(Tensor(params[f"{target}.weight"]),
-                                             adapter).data
+            want[f"{target}.weight"] = merge(params[f"{target}.weight"], adapter)
         assert merged.read_bytes() == tensorio.checkpoint_bytes(want)
 
     def test_overflowing_forward_exit_2(self, tmp_path, capsys):
@@ -920,3 +918,56 @@ class TestMalformedFiles:
         code, err = self._merge(lora_run, name, bytes(raw))
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+
+
+class TestNonFiniteFiles:
+    """No command writes a NaN or an infinity, so one read from a file is bad
+    data: exit 1 with a one-line error naming the file and the tensor, before
+    any output is written."""
+
+    def _spoiled(self, lora_run, tmp_path, name, tensor, value):
+        """A copy of the run's file ``name`` whose ``tensor`` holds ``value``
+        in its first entry."""
+        path = tmp_path / f"bad-{name}"
+        if name == "adapters.ckpt":
+            named, meta = tensorio.read_adapter_checkpoint(lora_run / "run" / name)
+        else:
+            named = tensorio.read_checkpoint(lora_run / "run" / name)
+        named[tensor] = named[tensor].copy()
+        named[tensor].flat[0] = value
+        if name == "adapters.ckpt":
+            tensorio.write_adapter_checkpoint(path, named, rank=int(meta["rank"]),
+                                              alpha=meta["alpha"], dropout=meta["dropout"])
+        else:
+            tensorio.write_checkpoint(path, named)
+        return path
+
+    def _merge_exits_1(self, tmp_path, checkpoint, adapters, tensor, bad):
+        code, err = merge_quietly(tmp_path, checkpoint, adapters)
+        assert code == 1
+        assert err == f"error: non-finite values in tensor {tensor!r} of {bad}\n", err
+        assert not (tmp_path / "merged.ckpt").exists()
+
+    def test_merge_nan_in_a_weight_no_adapter_touches_exit_1(self, lora_run, tmp_path):
+        bad = self._spoiled(lora_run, tmp_path, "final.ckpt", "norm.weight", np.nan)
+        self._merge_exits_1(tmp_path, bad, lora_run / "run" / "adapters.ckpt",
+                            "norm.weight", bad)
+
+    def test_merge_inf_in_an_adapted_weight_exit_1(self, lora_run, tmp_path):
+        name = "blocks.0.qkv.weight"
+        bad = self._spoiled(lora_run, tmp_path, "final.ckpt", name, np.inf)
+        self._merge_exits_1(tmp_path, bad, lora_run / "run" / "adapters.ckpt", name, bad)
+
+    def test_merge_nan_in_an_adapter_exit_1(self, lora_run, tmp_path):
+        name = "blocks.0.qkv.lora_A"
+        bad = self._spoiled(lora_run, tmp_path, "adapters.ckpt", name, np.nan)
+        self._merge_exits_1(tmp_path, lora_run / "run" / "final.ckpt", bad, name, bad)
+
+    def test_dump_matrices_nan_in_the_checkpoint_exit_1(self, lora_run, tmp_path, capsys):
+        bad = self._spoiled(lora_run, tmp_path, "final.ckpt", "norm.weight", np.nan)
+        cfgfile = write_config(tmp_path / "c.cfg", n_pairs=2)
+        code, _, err = run(capsys, "dump-matrices", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "mats"), "--checkpoint", str(bad))
+        assert code == 1
+        assert err == f"error: non-finite values in tensor 'norm.weight' of {bad}\n", err
+        assert not (tmp_path / "mats").exists()

@@ -5,7 +5,7 @@ from scipy.special import erf
 from irvis import autodiff as ad
 from irvis.autodiff import LN_EPS, Tensor
 from irvis.encoder import EncoderConfig, EncoderOutput, encode, init_params, patchify
-from irvis.errors import ConfigError, ShapeMismatchError
+from irvis.errors import ConfigError, NumericError, ShapeMismatchError
 from irvis.lora import LoraConfig, adapter_tensors, attach, dropout_mask
 import tape_reference
 
@@ -78,6 +78,18 @@ def test_attention_row_stochastic_100_images(toy_cfg, toy_params):
     for _ in range(100):
         out = encode(rng.random((3, 16, 16)), toy_params, toy_cfg)
         assert np.abs(out.attention_last.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_image_raises_naming_linear(toy_cfg, toy_params, value):
+    # the image is a constant: nothing scans it on the way in, and the
+    # features' check walks the tape back to the patch embedding
+    img = np.random.default_rng(1).random((3, 16, 16))
+    img[1, 5, 7] = value
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match=r"^non-finite values in encode features, "
+                                r"first produced by linear$"):
+        encode(img, toy_params, toy_cfg)
 
 
 def test_shape_mismatch_rejected(toy_cfg, toy_params):

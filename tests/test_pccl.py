@@ -393,7 +393,7 @@ def test_two_branch_term_equals_two_per_branch_evaluations(kind):
     per = [Tensor(f_s.data[b].copy(), requires_grad=True) for b in range(2)]
     want = [PER_BRANCH[kind](f, f_t, p, 0.04) for f in per]
     # the branches weighted apart
-    ad.add(ad.scale(want[0], alpha), ad.scale(want[1], beta)).backward()
+    ad.add(ad.mul(want[0], alpha), ad.mul(want[1], beta)).backward()
     assert losses.shape == (2,)
     assert losses.data.tobytes() == np.array([float(w.data) for w in want]).tobytes()
     assert f_s.grad.tobytes() == np.stack([f.grad for f in per]).tobytes()

@@ -36,6 +36,19 @@ KEPT = {
     "sparsity_report": "the planned run trace writes it at the end of a run",
 }
 
+# The functions of the package that may call ``Tensor(...)``: each builds
+# model weights, or the value a gradient is checked on.  Any other value the
+# program hands a tape op takes no gradient, so it is a plain array.
+TENSOR_CALLERS = {
+    "init_params": "the encoder's weights",
+    "student_state": "the student's trainable copy of the teacher",
+    "attach": "the adapters' A and B",
+    "adapters_from_tensors": "adapters read from a file",
+    "pooled_features": "the probe pass's untaped copies of the weights",
+    "cmd_dump_matrices": "a student checkpoint read from a file",
+    "grad_check": "the oracle's probe and its perturbed copies",
+}
+
 SCOPES = (ast.Module, ast.FunctionDef, ast.ClassDef, ast.Lambda,
           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -355,3 +368,43 @@ def test_every_tape_op_runs_in_a_program_path(toy_cfg, tmp_path, monkeypatch):
     assert made - ran == set(), "ops that no program path runs"
     test_modules = {"tests"} | {p.stem for p in Path(__file__).parent.glob("*.py")}
     assert imported & test_modules == set(), "the package imports from the tests"
+
+
+def tensor_calls(tree):
+    """function name -> how many ``Tensor(...)`` calls its body makes, for
+    each module-level function and method of ``tree``; ``Tensor.__new__``
+    is not a call of ``Tensor``."""
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [(node.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+    counts = {}
+    for name, fn in functions:
+        n = sum(isinstance(node, ast.Call)
+                and "Tensor" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                for node in ast.walk(fn))
+        if n:
+            counts[name] = n
+    return counts
+
+
+def test_only_weight_makers_construct_tensors():
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls.update(tensor_calls(parse(path)))
+    outside = {name: n for name, n in calls.items() if name not in TENSOR_CALLERS}
+    assert not outside, f"Tensor(...) outside the functions that make weights: {outside}"
+    assert set(calls) == set(TENSOR_CALLERS), f"listed functions that make no Tensor: " \
+        f"{set(TENSOR_CALLERS) - set(calls)}"
+
+
+def test_tensor_calls_are_counted_per_function():
+    tree = ast.parse(textwrap.dedent("""
+        def weights():
+            return {k: Tensor(v) for k, v in {}.items()}, ad.Tensor(0.0)
+        def node():
+            return Tensor.__new__(Tensor)
+        class Adapter:
+            def delta(self):
+                return Tensor(0.0)
+        """))
+    assert tensor_calls(tree) == {"weights": 2, "delta": 1}

@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -163,3 +164,22 @@ def test_write_onto_a_directory_is_an_os_error(tmp_path, monkeypatch, target):
         tensorio.write_tensor(target, np.zeros(2))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
     assert list((tmp_path / "sub").iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected_naming_the_file_and_tensor(tmp_path, value):
+    arr = np.arange(6.0).reshape(2, 3)
+    arr[1, 2] = value
+    tensorio.write_tensor(tmp_path / "t.tnsr", arr)
+    with pytest.raises(DataError,
+                       match=f"^non-finite values in {re.escape(str(tmp_path / 't.tnsr'))}$"):
+        tensorio.read_tensor(tmp_path / "t.tnsr")
+    named = {"a": np.ones(2), "b": arr}
+    tensorio.write_checkpoint(tmp_path / "c.ckpt", named)
+    tensorio.write_adapter_checkpoint(tmp_path / "a.ckpt", named, rank=2, alpha=8.0,
+                                      dropout=0.0)
+    for path, read in ((tmp_path / "c.ckpt", tensorio.read_checkpoint),
+                       (tmp_path / "a.ckpt", tensorio.read_adapter_checkpoint)):
+        with pytest.raises(DataError, match=f"^non-finite values in tensor 'b' of "
+                                            f"{re.escape(str(path))}$"):
+            read(path)

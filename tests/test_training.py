@@ -143,7 +143,7 @@ class TestTrainStep:
     def test_non_finite_gradient_of_finite_loss_stops_step(self, toy_cfg, monkeypatch):
         def term(f_s, f_t, labels, tau):
             # every value stays finite; the gradient is 1e300 * 1e300 = inf
-            return ad.scale(ad.scale(ad.scale(ad.tmean(f_s, split=True), 1e-300), 1e300), 1e300)
+            return ad.mul(ad.mul(ad.mul(ad.tmean(f_s, split=True), 1e-300), 1e300), 1e300)
 
         monkeypatch.setitem(pccl.LOSSES, "mse", term)
         teacher = frozen_teacher(toy_cfg)
@@ -152,7 +152,7 @@ class TestTrainStep:
         cfg = TrainConfig(epochs=1, warmup_epochs=0, loss_kind="mse")
         batch = make_pretrain_pairs(2, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                NumericError, match=r"at step 0 .*non-finite gradient.*input of scale"):
+                NumericError, match=r"at step 0 .*non-finite gradient.*input of mul"):
             train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
                        toy_cfg, cfg, lr_at(0, cfg, 1))
         for k, t in state.params.items():
@@ -296,8 +296,8 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
         # each term is a (1,) vector, one branch, summed to its one entry
         l_iv = ad.add(l_iv, ad.tsum(term(one(one(f_i)), f_t, labels, cfg.tau)))
         l_vv = ad.add(l_vv, ad.tsum(term(one(one(f_v)), f_t, labels, cfg.tau)))
-    l_iv, l_vv = ad.scale(l_iv, 1.0 / len(batch)), ad.scale(l_vv, 1.0 / len(batch))
-    loss = ad.add(ad.scale(l_iv, cfg.alpha), ad.scale(l_vv, cfg.beta))
+    l_iv, l_vv = ad.mul(l_iv, 1.0 / len(batch)), ad.mul(l_vv, 1.0 / len(batch))
+    loss = ad.add(ad.mul(l_iv, cfg.alpha), ad.mul(l_vv, cfg.beta))
     loss.backward()
     _adamw_update(state, cfg, lr_at(state.step, cfg, 1), loss)
     state.step += 1
@@ -479,7 +479,7 @@ class TestFlatAdamW:
                    enc, cfg, 1e-3)
         assert counts == [31]
         assert ops == [sorted(["linear", "add", "block", "block", "layernorm", "reshape",
-                               "transpose", "cosine_rows", "scale", "scale",
+                               "transpose", "cosine_rows", "mul", "mul",
                                "bce_with_logits", "sum"])]
 
 
