@@ -19,7 +19,6 @@ import numpy as np
 
 from . import data as datamod
 from . import tensorio
-from .autodiff import Tensor
 from .encoder import EncoderConfig
 from .encoder import encode  # noqa: F401  (benchmark wraps cli.encode)
 from .encoder import init_params  # noqa: F401  (benchmark wraps cli.init_params)
@@ -190,11 +189,13 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     v = parse_config(args.config)
     enc, cfg = build_configs(v)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     samples = _load_samples(v, enc)
+    if not samples:
+        raise DataError("no training samples")
     teacher = frozen_teacher(enc)
     state = student_state(teacher, cfg.lora, seed=cfg.seed)
+    out = Path(args.out)  # made once every input has been read
+    out.mkdir(parents=True, exist_ok=True)
     # a step's loss scores the trainable weights before its update: ``scored``
     # holds them.  Held by reference: each update gives every trainable tensor
     # a new array, and the frozen ones are never written.
@@ -211,9 +212,9 @@ def cmd_pretrain(args) -> int:
             scored = _arrays(trainable_map(state))
 
         run_training(samples, teacher, state, enc, cfg, on_step)
-    tensorio.write_checkpoint(out / "teacher.ckpt", _arrays(teacher))
+    tensorio.write_checkpoint(out / "teacher.ckpt", teacher)
     # the student starts as a byte-identical copy of the teacher
-    tensorio.write_checkpoint(out / "initial.ckpt", _arrays(teacher))
+    tensorio.write_checkpoint(out / "initial.ckpt", teacher)
     if cfg.epochs == 0:
         print("epochs=0: wrote initial checkpoint only")
         return 0
@@ -299,12 +300,10 @@ def cmd_dump_matrices(args) -> int:
     teacher = frozen_teacher(enc)
     student = teacher  # untrained: the student is a copy of the teacher
     if args.checkpoint:
-        loaded = tensorio.read_checkpoint(args.checkpoint)
-        shapes = {k: t.shape for k, t in teacher.items()}
-        if {k: a.shape for k, a in loaded.items()} != shapes:
+        student = tensorio.read_checkpoint(args.checkpoint)
+        if {k: a.shape for k, a in student.items()} != {k: a.shape for k, a in teacher.items()}:
             raise DataError(f"{args.checkpoint}: parameter names or shapes do not "
                             f"match the configured model")
-        student = {k: Tensor(arr) for k, arr in loaded.items()}
     samples = _load_samples(v, enc)
     out = Path(args.out)  # made once every input has been read
     out.mkdir(parents=True, exist_ok=True)

@@ -50,7 +50,7 @@ def dropout_mask(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.n
 
 @dataclass
 class LoraAdapter:
-    B: Tensor  # (d, r), zero at init
+    B: Tensor  # (d, r), zero at init; an array when no step trains it
     A: Tensor  # (r, k), Gaussian at init; its rows are the rank
     alpha: float
 
@@ -72,7 +72,7 @@ class LoraAdapter:
 
     def update_matrix(self) -> np.ndarray:
         """(k, d) matrix added to W by merging."""
-        return self.scaling * (self.B.data @ self.A.data).T
+        return self.scaling * (ad._data(self.B) @ ad._data(self.A)).T
 
 
 def forward_adapted(x, w, adapter: LoraAdapter) -> Tensor:
@@ -159,7 +159,7 @@ def adapters_from_tensors(named: dict[str, np.ndarray], rank: int,
         if (a is None or b is None or a.ndim != 2 or b.ndim != 2
                 or (a.shape[0], b.shape[1]) != (rank, rank)):
             raise DataError(f"adapter {target!r} lacks rank-{rank} lora_A and lora_B")
-        adapters[target] = LoraAdapter(B=Tensor(b), A=Tensor(a), alpha=alpha)
+        adapters[target] = LoraAdapter(B=b, A=a, alpha=alpha)
     extra = sorted(set(named) - set(adapter_tensors(adapters)))
     if extra:
         raise DataError(f"unexpected adapter tensors {extra}")
@@ -179,8 +179,8 @@ def sparsity_report(adapters: dict[str, LoraAdapter]) -> dict[str, dict]:
     over the per-rank-component magnitudes |b_j| * |a_j|."""
     report: dict[str, dict] = {}
     for target, a in sorted(adapters.items()):
-        b_cols = np.linalg.norm(a.B.data, axis=0)
-        a_rows = np.linalg.norm(a.A.data, axis=1)
+        b_cols = np.linalg.norm(ad._data(a.B), axis=0)
+        a_rows = np.linalg.norm(ad._data(a.A), axis=1)
         report[target] = {
             "b_column_norms": b_cols,
             "a_row_norms": a_rows,

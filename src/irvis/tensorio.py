@@ -84,16 +84,18 @@ def _unpack_container(buf: bytes, offset: int, path) -> dict[str, np.ndarray]:
 
 def _write_atomic(path, data: bytes) -> None:
     """Write a temporary file beside ``path``, then rename it over ``path``:
-    a write that fails part-way leaves any old file whole and no temporary
-    file behind."""
+    a write that fails part-way leaves any old file whole, no temporary file
+    behind and an ``OSError`` that names ``path``."""
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 def write_tensor(path, arr: np.ndarray) -> None:

@@ -100,18 +100,18 @@ def init_state(params: dict[str, Tensor], adapters: dict | None = None) -> Train
     return TrainState(step=0, params=params, adapters=adapters)
 
 
-def frozen_teacher(enc_cfg: EncoderConfig) -> dict[str, Tensor]:
-    """Freshly initialized encoder parameters with gradients switched off."""
+def frozen_teacher(enc_cfg: EncoderConfig) -> dict[str, np.ndarray]:
+    """Fresh encoder weights as arrays, in the dict ``init_params`` returned."""
     teacher = init_params(enc_cfg)
-    for t in teacher.values():
-        t.requires_grad = False
+    for name, t in teacher.items():
+        teacher[name] = t.data
     return teacher
 
 
-def student_state(teacher: dict[str, Tensor], lora: LoraConfig | None = None,
+def student_state(teacher: dict[str, np.ndarray], lora: LoraConfig | None = None,
                   seed: int = 0) -> TrainState:
     """A trainable copy of ``teacher``, with adapters attached when ``lora`` is set."""
-    student = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in teacher.items()}
+    student = {k: Tensor(a.copy(), requires_grad=True) for k, a in teacher.items()}
     adapters = attach(student, lora, seed=seed) if lora is not None else None
     return init_state(student, adapters)
 
@@ -179,7 +179,7 @@ def to_channels(img: np.ndarray, channels: int) -> np.ndarray:
     raise ConfigError(f"cannot map {img.shape[0]} channels to {channels}")
 
 
-def teacher_targets(samples, teacher: dict[str, Tensor], enc_cfg: EncoderConfig,
+def teacher_targets(samples, teacher: dict[str, np.ndarray], enc_cfg: EncoderConfig,
                     gamma: float):
     """(f_vf, labels), two arrays: the frozen teacher's visible features and
     the 0/1 pseudo-labels for ``samples``, in sample order, from one batched pass.
@@ -253,7 +253,7 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
     return metrics
 
 
-def run_training(samples, teacher: dict[str, Tensor], state: TrainState,
+def run_training(samples, teacher: dict[str, np.ndarray], state: TrainState,
                  enc_cfg: EncoderConfig, cfg: TrainConfig,
                  on_step=None) -> TrainState:
     """Epoch loop over seeded shuffled batches; ``on_step(metrics)`` after each step.
@@ -292,11 +292,10 @@ def pooled_features(samples, params: dict[str, Tensor], enc_cfg: EncoderConfig,
                           enc_cfg.channels) for s in samples]
     if not images:
         raise DataError("no samples to pool features from")
-    # weights without gradients: the pass records no tape for the whole probe set
-    params = {name: Tensor(t.data) for name, t in params.items()}
-    if adapters is not None:
-        adapters = {name: replace(a, A=Tensor(a.A.data), B=Tensor(a.B.data))
-                    for name, a in adapters.items()}
+    # arrays take no gradient: the pass records no tape for the whole probe set
+    params = {name: ad._data(t) for name, t in params.items()}
+    adapters = adapters and {name: replace(a, A=ad._data(a.A), B=ad._data(a.B))
+                             for name, a in adapters.items()}
     out = encode(np.stack(images), params, enc_cfg, adapters=adapters)
     return out.features.data.mean(axis=-2)
 
@@ -325,7 +324,7 @@ def linear_probe(features: np.ndarray, labels) -> float:
     return float((pred == truth).mean())
 
 
-def run_rows(rows, teacher: dict[str, Tensor], enc_cfg: EncoderConfig, sets) -> list[tuple]:
+def run_rows(rows, teacher: dict[str, np.ndarray], enc_cfg: EncoderConfig, sets) -> list[tuple]:
     """Train and probe each ``(name, cfg)`` row on every ``(offset, probes, pairs)``
     set, seed-major.  A row trains a fresh ``student_state`` on ``pairs`` under
     ``cfg``, at seed ``cfg.seed + offset``; a row whose ``cfg`` is None is the

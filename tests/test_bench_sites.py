@@ -12,6 +12,7 @@ import numpy as np
 
 from irvis import pccl
 from irvis.autodiff import Tensor
+from irvis.cli import main
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -63,3 +64,20 @@ def test_loss_table_looks_up_helpers_at_call_time(monkeypatch):
         calls.clear()
         pccl.LOSSES[kind](f_s, f_t, labels, 0.04)
         assert calls == names, kind
+
+
+def test_traced_pretrain_knows_its_teacher(tmp_path, capsys):
+    """The tracer takes the dict that ``init_params`` returns for the teacher,
+    by identity.  ``irvis pretrain`` must encode with that same dict, or the
+    traced ``encoder.teacher_*`` metrics silently read zero."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("epochs=1\nwarmup_epochs=0\nn_pairs=4\nlora_enabled=true\n")
+    with tracing.patched(tracer.patches()):
+        assert main(["pretrain", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == 0
+    encodes = [attrs for name, *_, attrs in tracer.take() if name == "encoder.encode"]
+    teacher = [attrs for attrs in encodes if attrs["teacher"]]
+    assert teacher, "no encode ran on the teacher"
+    assert not any(attrs["taped"] for attrs in teacher)
+    assert any(attrs["taped"] for attrs in encodes), "no student pass was traced"

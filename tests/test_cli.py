@@ -466,6 +466,24 @@ class TestMissingAndDegenerateInputs:
                                  "--out", str(tmp_path / "run"))
         assert "nope.tsv" in err
 
+    @pytest.mark.parametrize("case", ["missing_manifest", "rank_too_large", "empty_manifest"])
+    def test_failed_pretrain_makes_no_out(self, tmp_path, capsys, case):
+        # every input is read and checked before --out is made
+        (tmp_path / "empty.tsv").write_text("")
+        overrides, message = {
+            "missing_manifest": (dict(manifest=tmp_path / "nope.tsv"),
+                                 f"[Errno 2] No such file or directory: "
+                                 f"'{tmp_path / 'nope.tsv'}'"),
+            "rank_too_large": (dict(lora_enabled="true", lora_rank=64),
+                               "rank 64 exceeds min dim of blocks.0.fc1 (32)"),
+            "empty_manifest": (dict(manifest=tmp_path / "empty.tsv"), "no training samples"),
+        }[case]
+        err = self.assert_exit_1(capsys, "pretrain", "--config",
+                                 str(write_config(tmp_path / "c.cfg", **overrides)),
+                                 "--out", str(tmp_path / "run"))
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("model", ["missing_key", "other_dim"])
     def test_checkpoint_of_another_model(self, tmp_path, capsys, model):
         cfg = EncoderConfig(seed=7, dim=16 if model == "other_dim" else 32)
@@ -679,6 +697,14 @@ class TestMerge:
                            "--adapters", str(out / "adapters.ckpt"),
                            "--out", str(tmp_path / "m.ckpt"))
         assert code == 2 and "numeric failure:" in err, err
+
+    def test_write_error_names_the_out_path(self, tmp_path, capsys):
+        out = self._pretrained(tmp_path, capsys, epochs=1, n_pairs=4)
+        target = tmp_path / "missing" / "m.ckpt"
+        code, _, err = run(capsys, "merge", "--checkpoint", str(out / "final.ckpt"),
+                           "--adapters", str(out / "adapters.ckpt"), "--out", str(target))
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
     def test_mismatched_target_exit_1(self, tmp_path, capsys):
         out = self._pretrained(tmp_path, capsys)

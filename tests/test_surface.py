@@ -37,15 +37,13 @@ KEPT = {
 }
 
 # The functions of the package that may call ``Tensor(...)``: each builds
-# model weights, or the value a gradient is checked on.  Any other value the
-# program hands a tape op takes no gradient, so it is a plain array.
+# weights a step trains, or the value a gradient is checked on.  Any other
+# value the program hands a tape op, the weights of a model that no step
+# trains included, takes no gradient, so it is a plain array.
 TENSOR_CALLERS = {
     "init_params": "the encoder's weights",
     "student_state": "the student's trainable copy of the teacher",
     "attach": "the adapters' A and B",
-    "adapters_from_tensors": "adapters read from a file",
-    "pooled_features": "the probe pass's untaped copies of the weights",
-    "cmd_dump_matrices": "a student checkpoint read from a file",
     "grad_check": "the oracle's probe and its perturbed copies",
 }
 
@@ -395,6 +393,41 @@ def test_only_weight_makers_construct_tensors():
     assert not outside, f"Tensor(...) outside the functions that make weights: {outside}"
     assert set(calls) == set(TENSOR_CALLERS), f"listed functions that make no Tensor: " \
         f"{set(TENSOR_CALLERS) - set(calls)}"
+
+
+def requires_grad_stores(tree):
+    """The names of the module-level functions and methods of ``tree`` that
+    store to an attribute ``requires_grad``."""
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+    return {fn.name for fn in functions for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr == "requires_grad"
+            and isinstance(node.ctx, ast.Store)}
+
+
+def test_only_autodiff_and_attach_set_requires_grad():
+    """A weight that no step trains is an array, so nothing outside the tape
+    switches a gradient off but ``attach``, which freezes the student's base."""
+    stores = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+              for name in requires_grad_stores(parse(path))}
+    outside = {site for site in stores if site[0] != "autodiff" and site != ("lora", "attach")}
+    assert not outside, f"requires_grad set outside autodiff and lora.attach: {outside}"
+    assert ("lora", "attach") in stores
+
+
+def test_requires_grad_stores_are_found_per_function():
+    tree = ast.parse(textwrap.dedent("""
+        def freeze(params):
+            for t in params.values():
+                t.requires_grad = False
+        def read(t):
+            return t.requires_grad
+        class Weight:
+            def thaw(self):
+                self.w.requires_grad = True
+        """))
+    assert requires_grad_stores(tree) == {"freeze", "thaw"}
 
 
 def test_tensor_calls_are_counted_per_function():

@@ -166,6 +166,22 @@ def test_write_onto_a_directory_is_an_os_error(tmp_path, monkeypatch, target):
     assert list((tmp_path / "sub").iterdir()) == []
 
 
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("target, code", [("missing/out.bin", errno.ENOENT),
+                                          ("afile/out.bin", errno.ENOTDIR),
+                                          ("adir", errno.EISDIR)])
+def test_write_error_names_the_path_asked_for(tmp_path, monkeypatch, writer, target, code):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_bytes(b"")
+    Path("adir").mkdir()
+    with pytest.raises(OSError) as caught:
+        WRITERS[writer](target)
+    assert (caught.value.errno, caught.value.filename) == (code, target)
+    assert f"'{target}'" in str(caught.value) and ".tmp" not in str(caught.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert list(Path("adir").iterdir()) == []
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_rejected_naming_the_file_and_tensor(tmp_path, value):
     arr = np.arange(6.0).reshape(2, 3)

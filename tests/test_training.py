@@ -214,12 +214,11 @@ class TestTrainStep:
 
     def test_teacher_bytes_unchanged_by_run(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
-        ref = tensorio.checkpoint_bytes({k: t.data for k, t in teacher.items()})
+        ref = tensorio.checkpoint_bytes(teacher)
         state = student_state(teacher)
         cfg = TrainConfig(epochs=3, warmup_epochs=1, base_lr=1e-3, batch_size=4)
         run_training(make_pretrain_pairs(8, seed=2), teacher, state, toy_cfg, cfg)
-        assert tensorio.checkpoint_bytes(
-            {k: t.data for k, t in teacher.items()}) == ref
+        assert tensorio.checkpoint_bytes(teacher) == ref
 
     def test_lora_run_changes_adapters_and_pos_embed_only(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
@@ -376,6 +375,22 @@ class TestBatchedStep:
         want = trainable_map(ran)
         for name, t in trainable_map(state).items():
             assert np.array_equal(t.data, want[name].data), name
+
+    def test_frozen_teacher_is_the_init_params_dict_of_arrays(self, toy_cfg, monkeypatch):
+        # the benchmark's tracer knows the teacher by the identity of this dict
+        made = []
+
+        def recording(cfg):
+            made.append(init_params(cfg))
+            return made[-1]
+
+        monkeypatch.setattr(training, "init_params", recording)
+        teacher = frozen_teacher(toy_cfg)
+        assert len(made) == 1 and made[0] is teacher
+        assert all(type(a) is np.ndarray for a in teacher.values())
+        fresh = init_params(toy_cfg)
+        assert list(teacher) == list(fresh)
+        assert all(same_bytes(teacher[k], t.data) for k, t in fresh.items())
 
     def test_teacher_targets_are_plain_arrays(self, toy_cfg):
         # nothing on the teacher's side takes a gradient, so none of it is a Tensor
