@@ -25,9 +25,8 @@ their targets or mask.
 Gradient buffers are owned.  A backward hands ``_accumulate`` an array that
 nothing else holds: the first write to a tensor's ``.grad`` keeps that array,
 and later writes add into it in place.  Most backwards build a new array
-anyway; the ops whose gradient passes the incoming one through (``add``,
-``reshape`` and ``transpose``) hand over a copy, so no two tensors on a tape
-share a ``.grad`` buffer.
+anyway; ``add``, whose gradient passes the incoming one through, hands over
+a copy, so no two tensors on a tape share a ``.grad`` buffer.
 
 A node saves only the arrays its backward reads.  A layer's input is read only by
 its weight's gradient, so ``linear`` and ``block`` keep it only when that
@@ -296,7 +295,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-# -- elementwise and structural ops ------------------------------------
+# -- elementwise ops and the sum ---------------------------------------
 
 
 def add(a, b) -> Tensor:
@@ -325,27 +324,6 @@ def mul(a, b) -> Tensor:
             b._accumulate(_unbroadcast(g * a_data, b.shape))
 
     return _make(data, (a, b), backward, "mul")
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute axes by ``axes``, a permutation of ``range(ndim)``; by default reverse them."""
-    inverse = None if axes is None else np.argsort(axes)
-
-    def backward(g):
-        a._accumulate(np.transpose(g, inverse).copy())
-
-    return _make(np.transpose(a.data, axes).copy(), (a,), backward, "transpose")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    def backward(g):
-        a._accumulate(g.reshape(a.shape).copy())
-
-    try:
-        data = a.data.reshape(shape).copy()
-    except ValueError:
-        raise ShapeMismatchError(f"cannot reshape {a.shape} to {shape}") from None
-    return _make(data, (a,), backward, "reshape")
 
 
 def tsum(a: Tensor) -> Tensor:

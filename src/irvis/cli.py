@@ -142,6 +142,9 @@ def build_configs(v: dict) -> tuple[EncoderConfig, TrainConfig]:
 
 
 def _load_samples(v: dict, enc: EncoderConfig):
+    if enc.channels not in (1, 3):  # checked here, before a command creates anything
+        raise ConfigError(f"channels must be 1 or 3 to take 3-channel visible and "
+                          f"1-channel infrared images, got {enc.channels}")
     if v["manifest"]:
         samples = list(datamod.load_pairs(v["manifest"]))
         for s in samples:  # checked here, so no batch stacks images of two sizes

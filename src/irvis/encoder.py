@@ -57,12 +57,12 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    features: Tensor          # (N, dim), or (B, N, dim) for a batch
-    attention_heads: np.ndarray  # the last block's maps, (heads, N, N) or (B, heads, N, N)
+    features: Tensor          # (..., N, dim): the images' leading axes, then (N, dim)
+    attention_heads: np.ndarray  # the last block's maps, (..., heads, N, N)
 
     @property
     def attention_last(self) -> np.ndarray:
-        """(N, N) or (B, N, N): the last block's maps averaged over heads;
+        """(..., N, N): the last block's maps averaged over heads;
         averaged only when read, as a training step never does."""
         return self.attention_heads.mean(axis=-3)
 
@@ -104,13 +104,13 @@ def init_params(cfg: EncoderConfig) -> dict[str, Tensor]:
 
 
 def patchify(img: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """(C, H, W) image to (N, C*P*P) row-major patch matrix; a leading batch
-    axis, (B, C, H, W), gives (B, N, C*P*P)."""
-    lead, chw = img.shape[:-3], img.shape[-3:]
-    if img.ndim not in (3, 4) or chw != (cfg.channels, cfg.image_size, cfg.image_size):
+    """(C, H, W) image to (N, C*P*P) row-major patch matrix; leading axes
+    carry through, so (..., C, H, W) gives (..., N, C*P*P)."""
+    lead = img.shape[:-3]
+    if img.shape[-3:] != (cfg.channels, cfg.image_size, cfg.image_size):
         raise ConfigError(
             f"image shape {img.shape} does not match config "
-            f"([B,]{cfg.channels},{cfg.image_size},{cfg.image_size})"
+            f"(...,{cfg.channels},{cfg.image_size},{cfg.image_size})"
         )
     c, p, n = cfg.channels, cfg.patch_size, cfg.image_size // cfg.patch_size
     b = len(lead)
@@ -124,26 +124,29 @@ def encode(img: np.ndarray, params: dict[str, Tensor], cfg: EncoderConfig, *,
     """Forward pass; pure in (img, params), deterministic unless ``masks`` is
     passed, which makes the adapters' dropout live.
 
-    ``img`` is one (C, H, W) image or a (B, C, H, W) batch; a batch gives
-    features (B, N, dim) and the last block's maps (B, heads, N, N).
+    ``img`` is one (C, H, W) image or images with any leading axes,
+    (..., C, H, W); those give features (..., N, dim) and the last block's
+    maps (..., heads, N, N).
 
-    ``masks`` is a training step's block of dropout masks, one row per image.
-    Each adapted layer takes the next columns, as many as its input holds per
+    ``masks`` is a training step's block of dropout masks: the images'
+    leading shape, (1,) for a single image, then one axis of columns.  Each
+    adapted layer takes the next columns, as many as its input holds per
     image, in the order the layers run: ``patch_embed``, then each block's
     ``qkv``, ``proj``, ``fc1`` and ``fc2``.  A generator fills an array in C
-    order, so if the block was drawn in one call, row ``i`` holds, segment by
-    segment, what image ``i`` would have drawn in a pass of its own.
+    order, so if the block was drawn in one call, each image's row holds,
+    segment by segment, what it would have drawn in a pass of its own.
     ``ShapeMismatchError`` unless the block has a row per image and the
     layers use every column.
     """
     patches = patchify(img, cfg)
     adapters = adapters or {}
     if masks is not None:
-        rows = math.prod(patches.shape[:-2])
+        rows = patches.shape[:-2] or (1,)
         cols = cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
-        if masks.shape != (rows, cols):
-            raise ShapeMismatchError(f"dropout masks {masks.shape} do not fit {rows} "
-                                     f"images and adapted layers of {cols} columns")
+        if masks.shape != rows + (cols,):
+            raise ShapeMismatchError(f"dropout masks {masks.shape} do not fit images of "
+                                     f"leading shape {rows} and adapted layers of "
+                                     f"{cols} columns")
     col = 0
 
     def layer(name, shape):
@@ -153,7 +156,7 @@ def encode(img: np.ndarray, params: dict[str, Tensor], cfg: EncoderConfig, *,
         mask = None
         if masks is not None and name in adapters:
             width = math.prod(shape[-2:])
-            mask = masks[:, col:col + width].reshape(shape)
+            mask = masks[..., col:col + width].reshape(shape)
             col += width
         lora = adapters[name].branch(mask) if name in adapters else None
         return params[f"{name}.weight"], params[f"{name}.bias"], lora

@@ -194,14 +194,11 @@ def teacher_targets(samples, teacher: dict[str, np.ndarray], enc_cfg: EncoderCon
 def student_features(batch, params: dict[str, Tensor], enc_cfg: EncoderConfig,
                      **encode_kwargs) -> Tensor:
     """Student features of a batch of pairs, branch-first: (2, B, N, dim), the
-    infrared images' then the visible images'.  They come from one
-    (2B, C, H, W) stack ordered ir_0, vis_0, ir_1, ..., the order in which
-    the images draw their dropout rows, and are then reordered on the tape."""
-    images = [to_channels(img, enc_cfg.channels)
-              for s in batch for img in (s.infrared, s.visible)]
-    features = encode(np.stack(images), params, enc_cfg, **encode_kwargs).features
-    pairs = ad.reshape(features, (len(batch), 2) + features.shape[1:])
-    return ad.transpose(pairs, (1, 0, 2, 3))
+    infrared images' then the visible images', from one pass over their
+    (2, B, C, H, W) stack."""
+    images = np.stack([[to_channels(s.infrared, enc_cfg.channels) for s in batch],
+                       [to_channels(s.visible, enc_cfg.channels) for s in batch]])
+    return encode(images, params, enc_cfg, **encode_kwargs).features
 
 
 def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
@@ -211,8 +208,9 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
 
     ``targets`` is ``teacher_targets`` of the batch.  The adapters' dropout
     masks, at ``cfg.lora.dropout``, come from one draw of
-    ``default_rng(cfg.seed + state.step)``: a row per student image, in
-    ``student_features``' order, and a column per adapted input value.
+    ``default_rng(cfg.seed + state.step)``: a row per student image, pair by
+    pair, the infrared image's row before the visible one's, and a column per
+    adapted input value.  ``encode`` reads them as a (2, B, cols) view.
     ``ConfigError`` if the state has adapters but ``cfg.lora`` is None.
     """
     f_vf, labels = targets
@@ -222,8 +220,9 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
             raise ConfigError("the state has LoRA adapters but the config has no lora")
         if cfg.lora.dropout > 0.0:
             width = enc_cfg.num_patches * sum(a.A.shape[1] for a in state.adapters.values())
-            masks = np.random.default_rng(cfg.seed + state.step).random((2 * len(batch), width))
-            dropout_mask(masks, cfg.lora.dropout, out=masks)
+            draws = np.random.default_rng(cfg.seed + state.step).random((2 * len(batch), width))
+            dropout_mask(draws, cfg.lora.dropout, out=draws)
+            masks = draws.reshape(len(batch), 2, width).swapaxes(0, 1)
     try:
         f_s = student_features(batch, state.params, enc_cfg,
                                adapters=state.adapters, masks=masks)
@@ -286,18 +285,17 @@ def run_training(samples, teacher: dict[str, np.ndarray], state: TrainState,
 
 
 def pooled_features(samples, params: dict[str, Tensor], enc_cfg: EncoderConfig,
-                    adapters=None, modality: str = "visible") -> np.ndarray:
-    """Mean-pooled patch features per sample, from one batched forward pass."""
-    images = [to_channels(s.visible if modality == "visible" else s.infrared,
-                          enc_cfg.channels) for s in samples]
-    if not images:
+                    adapters=None) -> np.ndarray:
+    """Mean-pooled patch features per sample and modality, (2, n, dim): the
+    infrared images', then the visible images', from one ``student_features``
+    pass."""
+    if not samples:
         raise DataError("no samples to pool features from")
     # arrays take no gradient: the pass records no tape for the whole probe set
     params = {name: ad._data(t) for name, t in params.items()}
     adapters = adapters and {name: replace(a, A=ad._data(a.A), B=ad._data(a.B))
                              for name, a in adapters.items()}
-    out = encode(np.stack(images), params, enc_cfg, adapters=adapters)
-    return out.features.data.mean(axis=-2)
+    return student_features(samples, params, enc_cfg, adapters=adapters).data.mean(axis=-2)
 
 
 def linear_probe(features: np.ndarray, labels) -> float:
@@ -348,10 +346,9 @@ def run_rows(rows, teacher: dict[str, np.ndarray], enc_cfg: EncoderConfig, sets)
                 state = run_training(pairs, teacher, student_state(teacher, cfg.lora, cfg.seed),
                                      enc_cfg, cfg)
                 trainable[name] = sum(t.size for t in trainable_map(state).values())
-            scores[name].append([state.log[-1]["loss"] if state.log else math.nan] + [
-                linear_probe(pooled_features(probes, state.params, enc_cfg, state.adapters,
-                                             modality=modality), labels)
-                for modality in ("visible", "infrared")])
+            ir, vis = pooled_features(probes, state.params, enc_cfg, state.adapters)
+            scores[name].append([state.log[-1]["loss"] if state.log else math.nan,
+                                 linear_probe(vis, labels), linear_probe(ir, labels)])
     return [(trainable[name], *(float(np.median(column)) for column in zip(*scores[name])))
             for name, _ in rows]
 

@@ -484,6 +484,24 @@ class TestMissingAndDegenerateInputs:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("source", ["generated", "manifest"])
+    @pytest.mark.parametrize("command", ["pretrain", "dump-matrices"])
+    def test_channels_that_cannot_take_the_images_make_no_out(self, tmp_path, capsys,
+                                                              command, source):
+        # the visible images have 3 channels and the infrared ones 1: only a
+        # channels of 1 or 3 takes both, and any other is refused before --out
+        overrides = dict(channels=2, n_pairs=2)
+        if source == "manifest":
+            assert main(["gen-data", "--out", str(tmp_path / "d"), "--pairs", "2"]) == 0
+            capsys.readouterr()
+            overrides["manifest"] = tmp_path / "d" / "manifest.tsv"
+        err = self.assert_exit_1(capsys, command, "--config",
+                                 str(write_config(tmp_path / "c.cfg", **overrides)),
+                                 "--out", str(tmp_path / "out"))
+        assert err == ("error: channels must be 1 or 3 to take 3-channel visible and "
+                       "1-channel infrared images, got 2\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("model", ["missing_key", "other_dim"])
     def test_checkpoint_of_another_model(self, tmp_path, capsys, model):
         cfg = EncoderConfig(seed=7, dim=16 if model == "other_dim" else 32)
@@ -572,10 +590,8 @@ class TestAblate:
                               lora=LoraConfig(dropout=0.1), loss_kind=kind, seed=3)
             state = training.student_state(teacher, cfg.lora, seed=cfg.seed)
             training.run_training(pairs, teacher, state, enc, cfg)
-            vis, ir = (training.linear_probe(
-                training.pooled_features(probes, state.params, enc, state.adapters,
-                                         modality=modality), labels)
-                for modality in ("visible", "infrared"))
+            ir, vis = (training.linear_probe(features, labels) for features in
+                       training.pooled_features(probes, state.params, enc, state.adapters))
             table.append(f"{label:<8} {state.log[-1]['loss']:>12.6f} {vis:>14.4f} {ir:>15.4f}")
         assert [l for l in stdout.splitlines() if not l.startswith("config: ")] == table
 

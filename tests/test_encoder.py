@@ -8,6 +8,7 @@ from irvis.encoder import EncoderConfig, EncoderOutput, encode, init_params, pat
 from irvis.errors import ConfigError, NumericError, ShapeMismatchError
 from irvis.lora import LoraConfig, adapter_tensors, attach, dropout_mask
 import tape_reference
+from conftest import same_bytes
 
 
 def test_config_validation():
@@ -202,11 +203,27 @@ def test_batched_encode_matches_stacked_single_images(toy_cfg, toy_params):
         single = encode(img, toy_params, toy_cfg)
         assert np.abs(single.features.data - features).max() <= 1e-12
         assert np.abs(single.attention_last - attention).max() <= 1e-12
+    # a modality axis in front, as a training step stacks a batch of pairs:
+    # (2, B, C, H, W) gives each image's features and maps byte for byte
+    pairs = np.random.default_rng(10).random((2, 3, 3, 16, 16))
+    stacked = encode(pairs, toy_params, toy_cfg)
+    singles = [encode(img, toy_params, toy_cfg) for img in pairs.reshape(6, 3, 16, 16)]
+    assert same_bytes(patchify(pairs, toy_cfg),
+                      np.stack([patchify(img, toy_cfg) for img in pairs.reshape(6, 3, 16, 16)]
+                               ).reshape(2, 3, toy_cfg.num_patches, toy_cfg.patch_dim))
+    assert same_bytes(stacked.features.data,
+                      np.stack([s.features.data for s in singles]).reshape(
+                          2, 3, toy_cfg.num_patches, toy_cfg.dim))
+    assert same_bytes(stacked.attention_heads,
+                      np.stack([s.attention_heads for s in singles]).reshape(
+                          2, 3, toy_cfg.heads, toy_cfg.num_patches, toy_cfg.num_patches))
 
 
 def test_batched_input_rank_checked(toy_cfg, toy_params):
-    with pytest.raises(ConfigError):
-        encode(np.zeros((2, 2, 3, 16, 16)), toy_params, toy_cfg)
+    # any leading axes are images, but an image has three axes
+    for shape in [(16, 16), (3, 256), (768,), ()]:
+        with pytest.raises(ConfigError, match="does not match config"):
+            encode(np.zeros(shape), toy_params, toy_cfg)
 
 
 def test_parameters_of_another_width_rejected(toy_cfg):
@@ -276,13 +293,18 @@ def test_block_nodes_equal_the_per_op_chain(lora):
         assert grad.tobytes() == want_grads[name].tobytes(), name
 
 
-@pytest.mark.parametrize("rows, extra", [(3, 0), (5, 0), (4, -1), (4, 1)],
-                         ids=["fewer-rows", "more-rows", "too-few-columns", "too-many-columns"])
-def test_mask_block_must_fit_the_images_and_layers(toy_cfg, rows, extra):
+@pytest.mark.parametrize("lead, rows, extra", [
+    ((4,), (3,), 0), ((4,), (5,), 0), ((4,), (4,), -1), ((4,), (4,), 1),
+    ((), (), 0), ((), (1, 1), 0), ((2, 2), (4,), 0), ((2, 2), (2, 1), 0), ((2, 2), (2, 2, 1), 0)],
+    ids=["fewer-rows", "more-rows", "too-few-columns", "too-many-columns",
+         "lone-image-without-a-row", "lone-image-with-two-row-axes", "stack-with-flat-rows",
+         "stack-with-fewer-rows", "stack-with-an-extra-axis"])
+def test_mask_block_must_fit_the_images_and_layers(toy_cfg, lead, rows, extra):
+    # a row per image in the images' own leading shape; a lone image takes one row
     params = init_params(toy_cfg)
     adapters = attach(params, LoraConfig(rank=4), seed=0)
     width = toy_cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
-    imgs = np.random.default_rng(0).random((4, 3, 16, 16))
-    encode(imgs, params, toy_cfg, adapters=adapters, masks=np.ones((4, width)))
+    imgs = np.random.default_rng(0).random(lead + (3, 16, 16))
+    encode(imgs, params, toy_cfg, adapters=adapters, masks=np.ones((lead or (1,)) + (width,)))
     with pytest.raises(ShapeMismatchError, match="dropout masks"):
-        encode(imgs, params, toy_cfg, adapters=adapters, masks=np.ones((rows, width + extra)))
+        encode(imgs, params, toy_cfg, adapters=adapters, masks=np.ones(rows + (width + extra,)))

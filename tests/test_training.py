@@ -262,11 +262,6 @@ class TestTrainStep:
         assert last < 0.5 * first
 
 
-def one(a):
-    """``a`` with a leading axis of one, on the tape."""
-    return ad.reshape(a, (1,) + a.shape)
-
-
 def reference_train_step(state, batch, teacher, enc_cfg, cfg):
     """The step as one forward pass per image: per pair the teacher, then the
     infrared and the visible student pass, each drawing its own row of
@@ -276,11 +271,12 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
     term = pccl.LOSSES[cfg.loss_kind]
 
     def student(img):
+        """(1, 1, N, dim): a branch axis of one and a batch of one."""
         masks = None
         if cfg.lora is not None and cfg.lora.dropout > 0.0:
             width = enc_cfg.num_patches * sum(a.A.shape[1] for a in state.adapters.values())
-            masks = dropout_mask(rng.random((1, width)), cfg.lora.dropout)
-        return encode(img, state.params, enc_cfg, adapters=state.adapters,
+            masks = dropout_mask(rng.random((1, 1, width)), cfg.lora.dropout)
+        return encode(img[None, None], state.params, enc_cfg, adapters=state.adapters,
                       masks=masks).features
 
     l_iv = l_vv = ad.Tensor(0.0)
@@ -288,13 +284,13 @@ def reference_train_step(state, batch, teacher, enc_cfg, cfg):
         vis = to_channels(sample.visible, enc_cfg.channels)
         ir = to_channels(sample.infrared, enc_cfg.channels)
         t = encode(vis, teacher, enc_cfg)
-        # a branch axis of one and a batch of one
+        # a batch of one
         f_t = t.features.data[None]
         labels = pccl.pseudo_labels(t.attention_last, cfg.gamma)[None]
         f_i, f_v = student(ir), student(vis)
         # each term is a (1,) vector, one branch, summed to its one entry
-        l_iv = ad.add(l_iv, ad.tsum(term(one(one(f_i)), f_t, labels, cfg.tau)))
-        l_vv = ad.add(l_vv, ad.tsum(term(one(one(f_v)), f_t, labels, cfg.tau)))
+        l_iv = ad.add(l_iv, ad.tsum(term(f_i, f_t, labels, cfg.tau)))
+        l_vv = ad.add(l_vv, ad.tsum(term(f_v, f_t, labels, cfg.tau)))
     l_iv, l_vv = ad.mul(l_iv, 1.0 / len(batch)), ad.mul(l_vv, 1.0 / len(batch))
     loss = ad.add(ad.mul(l_iv, cfg.alpha), ad.mul(l_vv, cfg.beta))
     loss.backward()
@@ -469,12 +465,12 @@ class TestFlatAdamW:
             for k, a in frozen.items():
                 assert state.params[k].data is a, (step, k)
 
-    def test_default_lora_step_records_31_tape_nodes(self, monkeypatch):
+    def test_default_lora_step_records_29_tape_nodes(self, monkeypatch):
         # 5 for the patch stage (the adapted linear and its adapter's A and B,
         # pos_embed and its add), 9 per block (one block node and its 4
-        # adapters' A and B) and 8 for the final norm, the branch-first reorder
-        # and the loss: frozen weights, the patches and the teacher's features
-        # take no gradient, so they are not recorded
+        # adapters' A and B) and 6 for the final norm and the loss: frozen
+        # weights, the patches and the teacher's features take no gradient,
+        # so they are not recorded, and the batch is stacked branch-first
         enc = EncoderConfig()
         teacher = frozen_teacher(enc)
         cfg = TrainConfig(lora=LoraConfig())
@@ -492,10 +488,9 @@ class TestFlatAdamW:
         batch = make_pretrain_pairs(4, seed=0)
         train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
                    enc, cfg, 1e-3)
-        assert counts == [31]
-        assert ops == [sorted(["linear", "add", "block", "block", "layernorm", "reshape",
-                               "transpose", "cosine_rows", "mul", "mul",
-                               "bce_with_logits", "sum"])]
+        assert counts == [29]
+        assert ops == [sorted(["linear", "add", "block", "block", "layernorm",
+                               "cosine_rows", "mul", "mul", "bce_with_logits", "sum"])]
 
 
 class TestStepBuffers:
@@ -555,8 +550,8 @@ class TestStepBuffers:
         batch = make_pretrain_pairs(4, seed=0)
         train_step(state, batch, teacher_targets(batch, teacher, enc, cfg.gamma),
                    enc, cfg, 1e-3)
-        # 19 trainable leaves and the 12 op nodes above them, and nothing else
-        assert seen == [(31, 31)]
+        # 19 trainable leaves and the 10 op nodes above them, and nothing else
+        assert seen == [(29, 29)]
 
     def test_whole_block_masks_equal_the_rule_per_segment(self, monkeypatch):
         # the nine adapted layers' inputs, in the order the encoder runs them
@@ -594,9 +589,37 @@ class TestStepBuffers:
         [block] = blocks
         width = toy_cfg.num_patches * sum(a.A.shape[1] for a in state.adapters.values())
         uniforms = np.random.default_rng(cfg.seed).random((4, width))
-        assert same_bytes(block, dropout_mask(uniforms, 0.1))
+        # encode reads the draws branch-first, as a (2, B, cols) view
+        assert same_bytes(block, dropout_mask(uniforms, 0.1).reshape(2, 2, width).swapaxes(0, 1))
         assert len(masks) == 9
         assert all(np.shares_memory(mask, block) for mask in masks)
+
+    def test_each_image_cuts_its_masks_from_its_interleaved_draw_row(self, toy_cfg,
+                                                                     monkeypatch):
+        # pair i's infrared image takes draw row 2i and its visible image row
+        # 2i + 1, segment by segment in the order the adapted layers run
+        teacher = frozen_teacher(toy_cfg)
+        lora = LoraConfig(rank=4, dropout=0.3)
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, lora=lora, seed=5)
+        state = student_state(teacher, lora, seed=5)
+        batch = make_pretrain_pairs(3, seed=1)
+        masks, branch = [], LoraAdapter.branch
+        monkeypatch.setattr(LoraAdapter, "branch",
+                            lambda self, mask=None: masks.append(mask) or branch(self, mask))
+        train_step(state, batch, teacher_targets(batch, teacher, toy_cfg, cfg.gamma),
+                   toy_cfg, cfg, 1e-3)
+        width = toy_cfg.num_patches * sum(a.A.shape[1] for a in state.adapters.values())
+        rows = dropout_mask(np.random.default_rng(cfg.seed).random((6, width)), 0.3)
+        assert len(masks) == 9
+        col = 0
+        for mask in masks:
+            assert mask.shape[:2] == (2, 3)
+            segment = math.prod(mask.shape[2:])
+            for modality, i in np.ndindex(2, 3):
+                assert same_bytes(mask[modality, i].reshape(-1),
+                                  rows[2 * i + modality, col:col + segment]), (col, modality, i)
+            col += segment
+        assert col == width
 
     def test_adapters_need_a_lora_config(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
@@ -716,10 +739,8 @@ class TestForgettingGrid:
                 probes = make_labeled_scenes(n_probe, seed=1000 + seed,
                                              height=enc_cfg.image_size,
                                              width=enc_cfg.image_size)
-                vis, ir = (linear_probe(pooled_features(probes[0], state.params, enc_cfg,
-                                                        state.adapters, modality=modality),
-                                        probes[1])
-                           for modality in ("visible", "infrared"))
+                ir, vis = (linear_probe(features, probes[1]) for features in pooled_features(
+                    probes[0], state.params, enc_cfg, state.adapters))
                 vis_scores.append(vis)
                 ir_scores.append(ir)
             report.append({
@@ -751,19 +772,17 @@ class TestForgettingGrid:
                               lora=lora, seed=2)
             state = student_state(teacher, lora, seed=cfg.seed)
             run_training(pairs, teacher, state, toy_cfg, cfg)
-            for modality in ("visible", "infrared"):
-                linear_probe(pooled_features(probes, state.params, toy_cfg, state.adapters,
-                                             modality=modality), labels)
+            for features in pooled_features(probes, state.params, toy_cfg, state.adapters):
+                linear_probe(features, labels)
         for s, (vis, ir) in zip(pairs + probes, before, strict=True):
             assert same_bytes(s.visible, vis) and same_bytes(s.infrared, ir)
 
 
 def test_pooled_features_shape(toy_cfg, toy_params):
     samples, _ = make_labeled_scenes(4, seed=1)
-    feats = pooled_features(samples, toy_params, toy_cfg)
-    assert feats.shape == (4, toy_cfg.dim)
-    ir = pooled_features(samples, toy_params, toy_cfg, modality="infrared")
-    assert not np.array_equal(feats, ir)
+    ir, vis = pooled_features(samples, toy_params, toy_cfg)
+    assert ir.shape == vis.shape == (4, toy_cfg.dim)
+    assert not np.array_equal(vis, ir)
 
 
 def test_pooled_features_equal_per_image_means_without_a_tape(toy_cfg, monkeypatch):
@@ -779,16 +798,15 @@ def test_pooled_features_equal_per_image_means_without_a_tape(toy_cfg, monkeypat
         return out
 
     monkeypatch.setattr(training, "encode", recording_encode)
-    for modality in ("visible", "infrared"):
-        per_image = [encode(to_channels(getattr(s, modality), toy_cfg.channels),
-                            state.params, toy_cfg, adapters=state.adapters
-                            ).features.data.mean(axis=0)
-                     for s in samples]
-        assert np.array_equal(
-            pooled_features(samples, state.params, toy_cfg, state.adapters,
-                            modality=modality),
-            np.array(per_image))
-    assert taped == [False, False]
+    per_image = [[encode(to_channels(getattr(s, modality), toy_cfg.channels),
+                         state.params, toy_cfg, adapters=state.adapters
+                         ).features.data.mean(axis=0)
+                  for s in samples]
+                 for modality in ("infrared", "visible")]
+    # one pass for both modalities, in the rows' order: infrared, visible
+    assert same_bytes(pooled_features(samples, state.params, toy_cfg, state.adapters),
+                      np.array(per_image))
+    assert taped == [False]
     with pytest.raises(DataError):
         pooled_features([], state.params, toy_cfg)
 
