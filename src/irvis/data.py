@@ -2,10 +2,12 @@
 sets built from it (pretraining pairs, labeled probe scenes), PPM/PGM
 codecs, manifests, and batching.  Images are plain float arrays in [0, 1].
 
-The synthetic generator bakes in the modality asymmetry the training
-loop relies on: the visible channel carries color and is scaled by an
-illumination factor, the infrared channel carries per-class heat and is
-illumination-invariant.
+A synthetic scene is its palette plus its objects.  The palette maps each
+class to its look, ``{"color": (r, g, b), "heat": h, "kind": shape}``, and
+each object names its class and where it sits.  The generator bakes in the
+modality asymmetry the training loop relies on: the visible channel carries
+the class's color and is scaled by an illumination factor, the infrared
+channel carries its heat and is illumination-invariant.
 """
 
 from __future__ import annotations
@@ -22,20 +24,20 @@ from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class SceneObject:
-    kind: str  # "circle" | "square" | "bar"
+    cls: str  # a key of the scene's palette
     cx: float
     cy: float
     size: float
-    cls: str
 
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """One geometry for both modalities: each object takes its color, heat
+    and kind ("circle" | "square" | "bar") from ``palette[obj.cls]``."""
     height: int = 16
     width: int = 16
     objects: tuple[SceneObject, ...] = ()
-    colors: dict = field(default_factory=dict)       # cls -> (r, g, b) in [0,1]
-    heats: dict = field(default_factory=dict)        # cls -> intensity in [0,1]
+    palette: dict = field(default_factory=dict)  # cls -> {"color", "heat", "kind"}
     noise_visible: float = 0.0
     noise_infrared: float = 0.0
     illumination: float = 1.0
@@ -74,15 +76,15 @@ def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return yy, xx
 
 
-def _object_mask(obj: SceneObject, h: int, w: int) -> np.ndarray:
+def _object_mask(obj: SceneObject, kind: str, h: int, w: int) -> np.ndarray:
     yy, xx = _pixel_grid(h, w)
-    if obj.kind == "circle":
+    if kind == "circle":
         return (xx - obj.cx) ** 2 + (yy - obj.cy) ** 2 <= obj.size ** 2
-    if obj.kind == "square":
+    if kind == "square":
         return (np.abs(xx - obj.cx) <= obj.size) & (np.abs(yy - obj.cy) <= obj.size)
-    if obj.kind == "bar":
+    if kind == "bar":
         return (np.abs(yy - obj.cy) <= obj.size / 2.0) & (np.abs(xx - obj.cx) <= 2.5 * obj.size)
-    raise ConfigError(f"unknown object kind {obj.kind!r}")
+    raise ConfigError(f"unknown object kind {kind!r}")
 
 
 def gen_scene(spec: SceneSpec, seed: int, scene_id: str = "synthetic") -> PairedSample:
@@ -97,8 +99,9 @@ def gen_scene(spec: SceneSpec, seed: int, scene_id: str = "synthetic") -> Paired
     pair = np.empty((4, h, w))
     pair[:] = _BACKGROUND[:, None, None]
     for obj in spec.objects:
-        value = np.array((*spec.colors[obj.cls], spec.heats[obj.cls]))
-        np.copyto(pair, value[:, None, None], where=_object_mask(obj, h, w))
+        look = spec.palette[obj.cls]
+        value = np.array((*look["color"], look["heat"]))
+        np.copyto(pair, value[:, None, None], where=_object_mask(obj, look["kind"], h, w))
     visible, infrared = pair[:3], pair[3:]
     visible *= spec.illumination
     if spec.noise_visible > 0.0:
@@ -122,7 +125,7 @@ def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
     return low + (high - low) * rng.random()
 
 
-def _place(rng: np.random.Generator, cls: str, classes: dict, min_size: float,
+def _place(rng: np.random.Generator, cls: str, min_size: float,
            height: int, width: int) -> SceneObject:
     """An object of class ``cls`` at a random size and a center that keeps it
     inside the image."""
@@ -132,18 +135,11 @@ def _place(rng: np.random.Generator, cls: str, classes: dict, min_size: float,
                           f"scenes: both sides must be at least {4.0 * min_size:g}")
     size = _uniform(rng, min_size, max_size)
     return SceneObject(
-        kind=classes[cls]["kind"],
+        cls=cls,
         cx=_uniform(rng, size, width - 1 - size),
         cy=_uniform(rng, size, height - 1 - size),
         size=size,
-        cls=cls,
     )
-
-
-def _spec(classes: dict, objects, height: int, width: int, **kwargs) -> SceneSpec:
-    return SceneSpec(height=height, width=width, objects=tuple(objects),
-                     colors={c: info["color"] for c, info in classes.items()},
-                     heats={c: info["heat"] for c, info in classes.items()}, **kwargs)
 
 
 def random_scene_spec(rng: np.random.Generator, *, height: int = 16, width: int = 16,
@@ -151,11 +147,10 @@ def random_scene_spec(rng: np.random.Generator, *, height: int = 16, width: int 
                       illumination: float = 1.0) -> SceneSpec:
     """Sample a plausible scene: one to three objects from a class palette."""
     names = sorted(classes)
-    objects = [_place(rng, names[int(rng.integers(len(names)))], classes, 1.5,
-                      height, width)
-               for _ in range(int(rng.integers(1, 4)))]
-    return _spec(classes, objects, height, width, noise_visible=0.02,
-                 noise_infrared=0.03, illumination=illumination)
+    objects = tuple(_place(rng, names[int(rng.integers(len(names)))], 1.5, height, width)
+                    for _ in range(int(rng.integers(1, 4))))
+    return SceneSpec(height=height, width=width, objects=objects, palette=classes,
+                     noise_visible=0.02, noise_infrared=0.03, illumination=illumination)
 
 
 def make_pretrain_pairs(n: int, seed: int, *, height: int = 16, width: int = 16,
@@ -180,8 +175,9 @@ def make_labeled_scenes(n: int, seed: int, *, height: int = 16, width: int = 16)
     for i in range(n):
         # period-2 blocks so the probe's even/odd split sees both classes
         cls = names[(i // 2) % len(names)]
-        spec = _spec(PROBE_CLASSES, [_place(rng, cls, PROBE_CLASSES, 2.0, height, width)],
-                     height, width, noise_visible=0.05, noise_infrared=0.08)
+        spec = SceneSpec(height=height, width=width,
+                         objects=(_place(rng, cls, 2.0, height, width),),
+                         palette=PROBE_CLASSES, noise_visible=0.05, noise_infrared=0.08)
         samples.append(gen_scene(spec, seed=seed * 100003 + i, scene_id=f"probe-{i}"))
         labels.append(cls)
     return samples, labels

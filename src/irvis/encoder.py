@@ -37,6 +37,9 @@ class EncoderConfig:
                      "heads", "mlp_ratio"):
             if not getattr(self, name) >= 1:  # NaN fails it too
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.channels not in (1, 3):
+            raise ConfigError(f"channels must be 1 or 3 to take 3-channel visible and "
+                              f"1-channel infrared images, got {self.channels}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irvis import tensorio, training
-from irvis.cli import build_configs, build_parser, main, parse_config
+from irvis.cli import _SCHEMA, build_configs, build_parser, main, parse_config
 from irvis.data import (SCENE_CLASSES, SceneSpec, gen_scene, make_labeled_scenes,
                         make_pretrain_pairs, read_manifest, read_pgm, read_ppm, write_pgm,
                         write_ppm)
@@ -424,6 +424,40 @@ class TestConfigRanges:
         assert "UNIV_SEED" in err
 
 
+SWEEP_CONFIG = dict(image_size=8, depth=1, dim=8, heads=2, n_pairs=2, n_probe=4,
+                    grid_seeds=1, epochs=1)
+SWEEP_TOKENS = ("", "nan", "inf", "-1", "0", "1", "2", "1e309", "abc", "true")
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate", "forget", "dump-matrices"])
+def test_exit_contract_over_every_config_key(tmp_path, capsys, monkeypatch, command):
+    """Each schema key, one at a time, set to each token of a fixed pool on a
+    tiny valid config: the command exits 0, 1 or 2 without raising, a failure
+    prints one stderr line and a success none, and an exit 1 leaves no
+    ``--out``."""
+    monkeypatch.chdir(tmp_path)  # a relative manifest token names no file
+    monkeypatch.delenv("UNIV_SEED", raising=False)
+    (tmp_path / "empty.tsv").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    cases = [(key, token) for key in _SCHEMA for token in SWEEP_TOKENS]
+    cases += [("manifest", tmp_path / name) for name in ("missing.tsv", "a_dir", "empty.tsv")]
+    violations = []
+    for i, (key, token) in enumerate(cases):
+        cfgfile = write_config(tmp_path / "c.cfg", **{**SWEEP_CONFIG, key: token})
+        out = tmp_path / f"out{i}"
+        argv = [command, "--config", str(cfgfile)]
+        if command in ("pretrain", "dump-matrices"):
+            argv += ["--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        if code not in (0, 1, 2):
+            violations.append((key, token, f"exit {code}"))
+        elif err.count("\n") != (code != 0):
+            violations.append((key, token, f"exit {code}, stderr {err!r}"))
+        elif code == 1 and out.exists():
+            violations.append((key, token, "exit 1 left --out"))
+    assert violations == []
+
+
 class TestMissingAndDegenerateInputs:
     def assert_exit_1(self, capsys, *argv):
         code, out, err = run(capsys, *argv)
@@ -501,6 +535,14 @@ class TestMissingAndDegenerateInputs:
         assert err == ("error: channels must be 1 or 3 to take 3-channel visible and "
                        "1-channel infrared images, got 2\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "forget"])
+    def test_channels_refused_by_the_commands_with_no_out(self, tmp_path, capsys, command):
+        # forget builds its own pairs, so the config is where the check can run
+        err = self.assert_exit_1(capsys, command, "--config",
+                                 str(write_config(tmp_path / "c.cfg", channels=2)))
+        assert err == ("error: channels must be 1 or 3 to take 3-channel visible and "
+                       "1-channel infrared images, got 2\n")
 
     @pytest.mark.parametrize("model", ["missing_key", "other_dim"])
     def test_checkpoint_of_another_model(self, tmp_path, capsys, model):

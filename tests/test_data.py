@@ -13,10 +13,10 @@ from irvis.errors import ConfigError, DataError
 
 def two_class_spec(**overrides):
     base = SceneSpec(
-        objects=(SceneObject("square", 4.0, 4.0, 2.0, "vehicle"),
-                 SceneObject("circle", 11.0, 11.0, 2.5, "person")),
-        colors={"vehicle": (0.8, 0.15, 0.1), "person": (0.2, 0.3, 0.85)},
-        heats={"vehicle": 0.9, "person": 0.75},
+        objects=(SceneObject("vehicle", 4.0, 4.0, 2.0),
+                 SceneObject("person", 11.0, 11.0, 2.5)),
+        palette={"vehicle": {"color": (0.8, 0.15, 0.1), "heat": 0.9, "kind": "square"},
+                 "person": {"color": (0.2, 0.3, 0.85), "heat": 0.75, "kind": "circle"}},
     )
     return replace(base, **overrides)
 
@@ -56,14 +56,15 @@ class TestGenScene:
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
     def test_unknown_object_kind_rejected(self):
-        bad = replace(two_class_spec(),
-                      objects=(SceneObject("triangle", 4.0, 4.0, 2.0, "person"),))
+        spec = two_class_spec()
+        bad = replace(spec, palette={**spec.palette,
+                                     "person": {**spec.palette["person"], "kind": "triangle"}})
         with pytest.raises(ConfigError, match="unknown object kind 'triangle'"):
             gen_scene(bad, seed=0)
 
     def test_out_of_bounds_center_rejected(self):
         spec = two_class_spec()
-        bad = replace(spec, objects=(SceneObject("circle", 40.0, 4.0, 2.0, "person"),))
+        bad = replace(spec, objects=(SceneObject("person", 40.0, 4.0, 2.0),))
         with pytest.raises(ConfigError):
             gen_scene(bad, seed=0)
 
@@ -83,11 +84,11 @@ class TestGeneratorEqualsItsFormerCode:
     arrays for illumination, noise and the clip, and ``rng.uniform`` draws."""
 
     @staticmethod
-    def former_mask(obj, h, w):
+    def former_mask(obj, kind, h, w):
         yy, xx = np.mgrid[0:h, 0:w]
-        if obj.kind == "circle":
+        if kind == "circle":
             return (xx - obj.cx) ** 2 + (yy - obj.cy) ** 2 <= obj.size ** 2
-        if obj.kind == "square":
+        if kind == "square":
             return (np.abs(xx - obj.cx) <= obj.size) & (np.abs(yy - obj.cy) <= obj.size)
         return (np.abs(yy - obj.cy) <= obj.size / 2.0) & (np.abs(xx - obj.cx) <= 2.5 * obj.size)
 
@@ -99,11 +100,12 @@ class TestGeneratorEqualsItsFormerCode:
         visible[:] = np.asarray(data.BACKGROUND_COLOR)[:, None, None]
         infrared = np.full((1, h, w), data.BACKGROUND_HEAT)
         for obj in spec.objects:
-            mask = cls.former_mask(obj, h, w)
-            color = np.asarray(spec.colors[obj.cls])
+            look = spec.palette[obj.cls]
+            mask = cls.former_mask(obj, look["kind"], h, w)
+            color = np.asarray(look["color"])
             for c in range(3):
                 visible[c][mask] = color[c]
-            infrared[0][mask] = spec.heats[obj.cls]
+            infrared[0][mask] = look["heat"]
         visible = visible * spec.illumination
         if spec.noise_visible > 0.0:
             visible = visible + rng.normal(0.0, spec.noise_visible, visible.shape)
@@ -113,12 +115,12 @@ class TestGeneratorEqualsItsFormerCode:
                                  infrared=np.clip(infrared, 0.0, 1.0), scene_id=scene_id)
 
     @staticmethod
-    def former_place(rng, cls, classes, min_size, height, width):
+    def former_place(rng, cls, min_size, height, width):
         size = float(rng.uniform(min_size, min(height, width) / 4.0))
-        return SceneObject(kind=classes[cls]["kind"],
+        return SceneObject(cls=cls,
                            cx=float(rng.uniform(size, width - 1 - size)),
                            cy=float(rng.uniform(size, height - 1 - size)),
-                           size=size, cls=cls)
+                           size=size)
 
     def former(self, monkeypatch, build):
         with monkeypatch.context() as m:
@@ -155,11 +157,10 @@ class TestGeneratorEqualsItsFormerCode:
 
     def test_every_kind_with_illumination_and_one_noise_off(self):
         spec = SceneSpec(height=12, width=20,
-                         objects=(SceneObject("bar", 9.0, 6.0, 2.0, "plant"),
-                                  SceneObject("square", 4.5, 4.5, 2.5, "vehicle"),
-                                  SceneObject("circle", 15.2, 7.7, 2.8, "person")),
-                         colors={c: v["color"] for c, v in SCENE_CLASSES.items()},
-                         heats={c: v["heat"] for c, v in SCENE_CLASSES.items()},
+                         objects=(SceneObject("plant", 9.0, 6.0, 2.0),
+                                  SceneObject("vehicle", 4.5, 4.5, 2.5),
+                                  SceneObject("person", 15.2, 7.7, 2.8)),
+                         palette=SCENE_CLASSES,
                          noise_infrared=0.3, illumination=0.4)
         for variant in (spec, replace(spec, noise_visible=0.3, noise_infrared=0.0)):
             self.assert_same_samples([gen_scene(variant, seed=2)],

@@ -38,6 +38,14 @@ def test_counts_must_be_integers(bad):
     assert EncoderConfig(**{field: np.int64(1 if field in ("depth", "seed") else 16)})
 
 
+def test_channels_must_take_both_modalities():
+    # 3-channel visible and 1-channel infrared images: only 1 or 3 takes both
+    assert EncoderConfig(channels=1).patch_dim == 16
+    assert EncoderConfig(channels=3).patch_dim == 48
+    with pytest.raises(ConfigError, match="channels must be 1 or 3 .*, got 2$"):
+        EncoderConfig(channels=2)
+
+
 def test_init_deterministic_and_seed_sensitive():
     cfg = EncoderConfig(seed=5)
     p1, p2 = init_params(cfg), init_params(cfg)
