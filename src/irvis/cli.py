@@ -142,6 +142,7 @@ def build_configs(v: dict) -> tuple[EncoderConfig, TrainConfig]:
 
 
 def _load_samples(v: dict, enc: EncoderConfig):
+    """The configured pairs; ``DataError`` if there are none."""
     if v["manifest"]:
         samples = list(datamod.load_pairs(v["manifest"]))
         for s in samples:  # checked here, so no batch stacks images of two sizes
@@ -149,10 +150,13 @@ def _load_samples(v: dict, enc: EncoderConfig):
             if (h, w) != (enc.image_size, enc.image_size):
                 raise DataError(f"{s.scene_id}: a {w}x{h} image, but image_size is "
                                 f"{enc.image_size}")
-        return samples
-    return make_pretrain_pairs(v["n_pairs"], seed=v["seed"],
-                               height=enc.image_size, width=enc.image_size,
-                               night_fraction=v["night_fraction"])
+    else:
+        samples = make_pretrain_pairs(v["n_pairs"], seed=v["seed"],
+                                      height=enc.image_size, width=enc.image_size,
+                                      night_fraction=v["night_fraction"])
+    if not samples:
+        raise DataError("no training samples")
+    return samples
 
 
 def _arrays(tensors) -> dict[str, np.ndarray]:
@@ -190,8 +194,6 @@ def cmd_pretrain(args) -> int:
     v = parse_config(args.config)
     enc, cfg = build_configs(v)
     samples = _load_samples(v, enc)
-    if not samples:
-        raise DataError("no training samples")
     teacher = frozen_teacher(enc)
     state = student_state(teacher, cfg.lora, seed=cfg.seed)
     out = Path(args.out)  # made once every input has been read

@@ -6,6 +6,7 @@ and of the catastrophic-forgetting grid."""
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -201,8 +202,20 @@ def student_features(batch, params: dict[str, Tensor], enc_cfg: EncoderConfig,
     return encode(images, params, enc_cfg, **encode_kwargs).features
 
 
+def _dropout_block(seed: int, rows: int, width: int, p: float) -> np.ndarray:
+    """A step's (rows, width) dropout masks at probability ``p``: one draw of
+    ``default_rng(seed)``, its masks written over the uniforms."""
+    draws = np.random.default_rng(seed).random((rows, width))
+    return dropout_mask(draws, p, out=draws)
+
+
+def _mask_width(adapters: dict, enc_cfg: EncoderConfig) -> int:
+    """Columns of a step's dropout draw: ``N`` per input value of each adapter."""
+    return enc_cfg.num_patches * sum(a.A.shape[1] for a in adapters.values())
+
+
 def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
-               cfg: TrainConfig, lr: float) -> dict:
+               cfg: TrainConfig, lr: float, mask_block: np.ndarray | None = None) -> dict:
     """One optimization step at learning rate ``lr`` on a batch of aligned
     pairs; mutates ``state``.  A step that raises leaves no gradient behind.
 
@@ -210,8 +223,10 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
     masks, at ``cfg.lora.dropout``, come from one draw of
     ``default_rng(cfg.seed + state.step)``: a row per student image, pair by
     pair, the infrared image's row before the visible one's, and a column per
-    adapted input value.  ``encode`` reads them as a (2, B, cols) view.
-    ``ConfigError`` if the state has adapters but ``cfg.lora`` is None.
+    adapted input value.  ``mask_block`` is that (2B, cols) block made ahead,
+    as ``run_training`` does; without it the step draws the block itself.
+    ``encode`` reads it as a (2, B, cols) view.  ``ConfigError`` if the state
+    has adapters but ``cfg.lora`` is None.
     """
     f_vf, labels = targets
     masks = None
@@ -219,10 +234,11 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
         if cfg.lora is None:
             raise ConfigError("the state has LoRA adapters but the config has no lora")
         if cfg.lora.dropout > 0.0:
-            width = enc_cfg.num_patches * sum(a.A.shape[1] for a in state.adapters.values())
-            draws = np.random.default_rng(cfg.seed + state.step).random((2 * len(batch), width))
-            dropout_mask(draws, cfg.lora.dropout, out=draws)
-            masks = draws.reshape(len(batch), 2, width).swapaxes(0, 1)
+            if mask_block is None:
+                mask_block = _dropout_block(cfg.seed + state.step, 2 * len(batch),
+                                            _mask_width(state.adapters, enc_cfg),
+                                            cfg.lora.dropout)
+            masks = mask_block.reshape(len(batch), 2, -1).swapaxes(0, 1)
     try:
         f_s = student_features(batch, state.params, enc_cfg,
                                adapters=state.adapters, masks=masks)
@@ -252,6 +268,57 @@ def train_step(state: TrainState, batch, targets, enc_cfg: EncoderConfig,
     return metrics
 
 
+class _OneAhead:
+    """A worker thread that makes ``fn(*args)`` for each ``args`` of ``jobs``
+    in turn, one ahead of the caller: it starts on job k + 1 once ``take`` has
+    handed over job k's result.  ``take`` raises the error of the job it waits
+    for, and the worker stops there; ``close`` joins the worker."""
+
+    def __init__(self, fn, jobs):
+        self._fn, self._jobs = fn, jobs
+        self._out = None
+        self._closed = False
+        # plain locks, each released by the thread that did not acquire it:
+        # ``_made`` is free while ``_out`` holds a result, ``_taken`` once the
+        # caller has taken it.  They cost the worker less interpreted work than
+        # semaphores, and it runs while the caller's step wants the GIL.
+        self._made, self._taken = threading.Lock(), threading.Lock()
+        self._made.acquire()
+        self._taken.acquire()
+        self._thread = threading.Thread(target=self._work, daemon=True)
+        self._thread.start()
+
+    def _work(self):
+        for args in self._jobs:
+            try:
+                self._out = self._fn(*args), None
+            except BaseException as exc:  # raised in the caller by ``take``
+                self._out = None, exc
+                return
+            finally:
+                self._made.release()
+            self._taken.acquire()
+            if self._closed:
+                return
+
+    def take(self):
+        self._made.acquire()
+        # dropped here, so a result lives no longer than its caller keeps it
+        (value, exc), self._out = self._out, None
+        self._taken.release()
+        if exc is not None:
+            raise exc
+        return value
+
+    def close(self):
+        self._closed = True
+        # only this thread frees ``_taken``: if it is free, the worker is
+        # about to take it and will see ``_closed``
+        if self._taken.locked():
+            self._taken.release()
+        self._thread.join()
+
+
 def run_training(samples, teacher: dict[str, np.ndarray], state: TrainState,
                  enc_cfg: EncoderConfig, cfg: TrainConfig,
                  on_step=None) -> TrainState:
@@ -259,7 +326,13 @@ def run_training(samples, teacher: dict[str, np.ndarray], state: TrainState,
 
     The teacher's targets are computed once per call, in ``batch_size`` chunks,
     so each scene goes through the frozen teacher once however many epochs run,
-    and not at all when none does.
+    and not at all when none does.  When the state has adapters and
+    ``cfg.lora.dropout`` is above 0, one worker thread makes each step's
+    dropout ``mask_block`` for ``train_step`` while the step before it runs,
+    with the draw the step would make itself, so every mask keeps its bytes.
+    The worker starts before the teacher pass and is joined before this call
+    returns or raises; an error in its draw is raised at the step that needs
+    the block.
     """
     samples = list(samples)
     if not samples:
@@ -267,17 +340,29 @@ def run_training(samples, teacher: dict[str, np.ndarray], state: TrainState,
     if cfg.epochs == 0:
         return state
     steps_per_epoch = -(-len(samples) // cfg.batch_size)
-    chunks = [teacher_targets(samples[i:i + cfg.batch_size], teacher, enc_cfg, cfg.gamma)
-              for i in range(0, len(samples), cfg.batch_size)]
-    f_vf, labels = (np.concatenate(part) for part in zip(*chunks))
-    del chunks  # the copies replace them; keeping both doubles the targets' memory
-    for epoch in range(cfg.epochs):
-        for idx in datamod.batch(range(len(samples)), cfg.batch_size,
-                                 seed=cfg.seed + epoch):
+    plan = [idx for epoch in range(cfg.epochs)
+            for idx in datamod.batch(range(len(samples)), cfg.batch_size,
+                                     seed=cfg.seed + epoch)]
+    ahead = None
+    if state.adapters and cfg.lora is not None and cfg.lora.dropout > 0.0:
+        width = _mask_width(state.adapters, enc_cfg)
+        ahead = _OneAhead(_dropout_block, [
+            (cfg.seed + state.step + k, 2 * len(idx), width, cfg.lora.dropout)
+            for k, idx in enumerate(plan)])
+    try:
+        chunks = [teacher_targets(samples[i:i + cfg.batch_size], teacher, enc_cfg, cfg.gamma)
+                  for i in range(0, len(samples), cfg.batch_size)]
+        f_vf, labels = (np.concatenate(part) for part in zip(*chunks))
+        del chunks  # the copies replace them; keeping both doubles the targets' memory
+        for idx in plan:
             metrics = train_step(state, [samples[i] for i in idx], (f_vf[idx], labels[idx]),
-                                 enc_cfg, cfg, lr_at(state.step, cfg, steps_per_epoch))
+                                 enc_cfg, cfg, lr_at(state.step, cfg, steps_per_epoch),
+                                 ahead.take() if ahead else None)
             if on_step is not None:
                 on_step(metrics)
+    finally:
+        if ahead is not None:
+            ahead.close()
     return state
 
 

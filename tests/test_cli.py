@@ -3,6 +3,8 @@ import io
 import json
 import re
 import shlex
+import shutil
+import threading
 import warnings
 from pathlib import Path
 
@@ -518,6 +520,18 @@ class TestMissingAndDegenerateInputs:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("source", ["empty_manifest", "no_pairs"])
+    def test_dump_matrices_refuses_no_samples_before_out(self, tmp_path, capsys, source):
+        # the message pretrain and ablate give, and no empty --out
+        (tmp_path / "empty.tsv").write_text("")
+        overrides = (dict(manifest=tmp_path / "empty.tsv") if source == "empty_manifest"
+                     else dict(n_pairs=0))
+        err = self.assert_exit_1(capsys, "dump-matrices", "--config",
+                                 str(write_config(tmp_path / "c.cfg", **overrides)),
+                                 "--out", str(tmp_path / "mats"))
+        assert err == "error: no training samples\n"
+        assert not (tmp_path / "mats").exists()
+
     @pytest.mark.parametrize("source", ["generated", "manifest"])
     @pytest.mark.parametrize("command", ["pretrain", "dump-matrices"])
     def test_channels_that_cannot_take_the_images_make_no_out(self, tmp_path, capsys,
@@ -867,6 +881,20 @@ def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("config")
 
 
+@pytest.fixture(scope="module")
+def contract_pairs(tmp_path_factory):
+    """A directory with two ``gen-data`` pairs, the bytes of its files, and a
+    tiny LoRA config with dropout that trains from its manifest."""
+    d = tmp_path_factory.mktemp("contract")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-data", "--out", str(d), "--pairs", "2"]) == 0
+    files = {p.name: p.read_bytes() for p in d.iterdir()}
+    write_config(d / "c.cfg", depth=1, dim=8, heads=2, epochs=1, warmup_epochs=0,
+                 batch_size=2, lora_enabled="true", lora_rank=2, lora_dropout=0.1,
+                 manifest=d / "manifest.tsv")
+    return d, files
+
+
 def merge_quietly(d, checkpoint, adapters):
     """Exit code and stderr of ``irvis merge`` run in this process."""
     err = io.StringIO()
@@ -1002,6 +1030,43 @@ class TestMalformedFiles:
         code, err = self._merge(lora_run, name, bytes(raw))
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["manifest.tsv", "scene-00000.ppm", "scene-00001.pgm"]),
+       edit=st.sampled_from(["cut", "flip", "insert", "delete"]), data=st.data())
+def test_exit_contract_over_mutated_pairs(contract_pairs, name, edit, data):
+    """A manifest, PPM or PGM cut short, with a bit flipped, or with bytes put
+    in or taken out: ``pretrain`` and ``dump-matrices`` exit 0, 1 or 2 without
+    raising, a failure prints one stderr line and a success none, an exit 1
+    leaves no ``--out``, and no thread outlives the command."""
+    work, files = contract_pairs
+    raw = bytearray(files[name])
+    # half the positions fall in the PNM headers, which take 13 bytes
+    pos = data.draw(st.one_of(st.integers(0, 13), st.integers(0, len(raw) - 1)))
+    if edit == "cut":
+        del raw[pos:]
+    elif edit == "flip":
+        raw[pos] ^= 1 << data.draw(st.integers(0, 7))
+    elif edit == "insert":
+        raw[pos:pos] = data.draw(st.binary(min_size=1, max_size=4))
+    else:
+        del raw[pos:pos + data.draw(st.integers(1, 4))]
+    for other, content in files.items():
+        (work / other).write_bytes(bytes(raw) if other == name else content)
+    threads = threading.active_count()
+    for command in ("pretrain", "dump-matrices"):
+        out = work / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(work / "c.cfg"), "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 1, 2), (command, err)
+        assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0), \
+            (command, err)
+        assert not (code == 1 and out.exists()), (command, err)
+        assert threading.active_count() == threads, command
 
 
 class TestNonFiniteFiles:

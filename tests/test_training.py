@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -644,6 +646,194 @@ class TestStepBuffers:
             # the adapter branch keeps its masked input, a new array
             assert not any(a is x for a in cache[1:] if isinstance(a, np.ndarray))
             assert (cache[0] is x) == trainable
+
+
+def stepped_by_hand(pairs, teacher, state, enc_cfg, cfg):
+    """``run_training``'s steps, one ``train_step`` call each, every step
+    drawing its own dropout masks inline."""
+    steps_per_epoch = -(-len(pairs) // cfg.batch_size)
+    for epoch in range(cfg.epochs):
+        for batch in datamod.batch(pairs, cfg.batch_size, seed=cfg.seed + epoch):
+            train_step(state, batch, teacher_targets(batch, teacher, enc_cfg, cfg.gamma),
+                       enc_cfg, cfg, lr_at(state.step, cfg, steps_per_epoch))
+    return state
+
+
+def assert_same_state(got, want):
+    assert got.step == want.step and got.log == want.log
+    mine, theirs = trainable_map(got), trainable_map(want)
+    assert list(mine) == list(theirs)
+    for name, t in mine.items():
+        assert same_bytes(t.data, theirs[name].data), name
+    assert all(same_bytes(a, b) for a, b in zip(got.moments, want.moments, strict=True))
+
+
+class TestMasksDrawnAhead:
+    """``run_training`` draws each step's dropout masks one step ahead on a
+    worker thread: the steps see the bytes of inline draws, and no thread
+    outlives the call."""
+
+    LORA = LoraConfig(rank=4, dropout=0.3)
+
+    @pytest.fixture
+    def drawn_on(self, monkeypatch):
+        """The thread of each dropout draw, by seed."""
+        seen, draw = {}, training._dropout_block
+
+        def recording(seed, *args):
+            seen[seed] = threading.current_thread()
+            return draw(seed, *args)
+
+        monkeypatch.setattr(training, "_dropout_block", recording)
+        return seen
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads started while the test runs."""
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recording)
+        return started
+
+    def test_equals_inline_draws_with_a_partial_final_batch(self, toy_cfg, drawn_on):
+        teacher = frozen_teacher(toy_cfg)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=3, lora=self.LORA, seed=2)
+        pairs = make_pretrain_pairs(7, seed=12)  # batches of 3, 3 and 1 per epoch
+        ran = run_training(pairs, teacher, student_state(teacher, self.LORA, seed=2),
+                           toy_cfg, cfg)
+        assert sorted(drawn_on) == list(range(2, 8))
+        assert all(t is not threading.main_thread() for t in drawn_on.values())
+        drawn_on.clear()
+        by_hand = stepped_by_hand(pairs, teacher, student_state(teacher, self.LORA, seed=2),
+                                  toy_cfg, cfg)
+        assert all(t is threading.main_thread() for t in drawn_on.values())
+        assert_same_state(ran, by_hand)
+
+    def test_equals_inline_draws_on_a_resumed_state(self, toy_cfg):
+        # the second call starts at step 6: its masks come from seeds 7 to 18
+        teacher = frozen_teacher(toy_cfg)
+        first = TrainConfig(epochs=2, warmup_epochs=1, batch_size=3, lora=self.LORA, seed=1)
+        second = replace(first, epochs=4)
+        pairs = make_pretrain_pairs(7, seed=13)
+        ran, by_hand = (student_state(teacher, self.LORA, seed=1) for _ in range(2))
+        for cfg in (first, second):
+            run_training(pairs, teacher, ran, toy_cfg, cfg)
+            stepped_by_hand(pairs, teacher, by_hand, toy_cfg, cfg)
+            assert_same_state(ran, by_hand)
+        assert ran.step == 18
+
+    def run(self, toy_cfg, **kwargs):
+        teacher = frozen_teacher(toy_cfg)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=2, lora=self.LORA, seed=3)
+        state = student_state(teacher, self.LORA, seed=3)
+        return state, run_training(make_pretrain_pairs(6, seed=14), teacher, state, toy_cfg,
+                                   cfg, **kwargs)
+
+    def test_worker_joined_after_a_normal_return(self, toy_cfg, started):
+        before = threading.active_count()
+        state, ran = self.run(toy_cfg)
+        assert ran is state and state.step == 6
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_numeric_error_propagates_and_joins_the_worker(self, toy_cfg, started,
+                                                           monkeypatch):
+        pccl_loss, calls = pccl.LOSSES["pccl"], []
+
+        def failing_at_step_2(f_s, f_t, labels, tau):
+            calls.append(None)
+            out = pccl_loss(f_s, f_t, labels, tau)
+            return ad.mul(out, math.nan) if len(calls) == 3 else out
+
+        monkeypatch.setitem(pccl.LOSSES, "pccl", failing_at_step_2)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match=r"^non-finite values at step 2 "):
+            self.run(toy_cfg)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_on_step_error_propagates_and_joins_the_worker(self, toy_cfg, started):
+        error = KeyError("from on_step")
+
+        def on_step(metrics):
+            if metrics["step"] == 1:
+                raise error
+
+        before = threading.active_count()
+        with pytest.raises(KeyError) as info:
+            self.run(toy_cfg, on_step=on_step)
+        assert info.value is error
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_draw_error_raised_at_the_step_that_needs_it(self, toy_cfg, started,
+                                                         monkeypatch):
+        error, draw, steps = MemoryError("from the draw"), training._dropout_block, []
+
+        def failing_at_step_2(seed, *args):
+            if seed == 3 + 2:
+                assert threading.current_thread() is not threading.main_thread()
+                raise error
+            return draw(seed, *args)
+
+        monkeypatch.setattr(training, "_dropout_block", failing_at_step_2)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
+            self.run(toy_cfg, on_step=lambda m: steps.append(m["step"]))
+        assert info.value is error and steps == [0, 1]
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("lora, epochs", [(None, 1), (LoraConfig(rank=4, dropout=0.0), 1),
+                                              (LORA, 0)], ids=["full", "dropout-0", "epochs-0"])
+    def test_no_worker_without_draws(self, toy_cfg, started, lora, epochs):
+        teacher = frozen_teacher(toy_cfg)
+        cfg = TrainConfig(epochs=epochs, warmup_epochs=0, batch_size=2, lora=lora)
+        state = run_training(make_pretrain_pairs(4, seed=15), teacher,
+                             student_state(teacher, lora), toy_cfg, cfg)
+        assert state.step == 2 * epochs and started == []
+
+    def test_one_ahead_under_contention(self):
+        # four callers, eight threads on a switch interval of 10 µs: each
+        # caller gets its results in order, its worker never starts a job more
+        # than one past the last one taken, and closing at any point joins it
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        got, ahead_by = {}, []
+
+        def caller(stop):
+            started = []
+
+            def job(k):
+                started.append(k)
+                return k
+
+            ahead = training._OneAhead(job, [(k,) for k in range(300)])
+            try:
+                got[stop] = []
+                for _ in range(stop):
+                    got[stop].append(ahead.take())
+                    ahead_by.append(started[-1] - got[stop][-1])
+            finally:
+                ahead.close()
+
+        callers = [threading.Thread(target=caller, args=(stop,)) for stop in (0, 1, 150, 300)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == {stop: list(range(stop)) for stop in (0, 1, 150, 300)}
+        assert set(ahead_by) <= {0, 1}
+        assert threading.active_count() == before
 
 
 class TestEndToEndGradients:
