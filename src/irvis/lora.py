@@ -44,8 +44,12 @@ def dropout_mask(u: np.ndarray, p: float, out: np.ndarray | None = None) -> np.n
     ``u``, byte for byte: a kept entry is 1 / (1 - p) rounded once either
     way, and multiplying skips the divide.  Elementwise, so the mask of a
     block of draws, cut into segments, is the mask of each segment.  It is
-    written to ``out`` if given, which may be ``u`` itself."""
-    return np.multiply(u >= p, 1.0 / (1.0 - p), out=out)
+    written to ``out`` if given, which may be ``u`` itself: the comparison
+    writes its 0.0s and 1.0s there and the scale multiplies them in place,
+    with no bool temporary."""
+    out = np.greater_equal(u, p, out=np.empty(np.shape(u)) if out is None else out)
+    out *= 1.0 / (1.0 - p)
+    return out
 
 
 @dataclass

@@ -8,6 +8,7 @@ from irvis.errors import ConfigError, DataError, ShapeMismatchError
 from irvis.lora import (LoraAdapter, LoraConfig, adapter_tensors, adapters_from_tensors,
                         attach, dropout_mask, forward_adapted, merge, sparsity_report,
                         unmerge)
+from conftest import same_bytes
 from tape_reference import matmul
 
 
@@ -21,6 +22,19 @@ def make_adapter(rng, k=16, d=24, rank=4, alpha=8.0, zero_b=False):
 def drawn_mask(seed, shape, p):
     """The dropout mask at ``p`` of ``default_rng(seed).random(shape)``."""
     return dropout_mask(np.random.default_rng(seed).random(shape), p)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 1 / 3, 0.5])
+def test_dropout_mask_bytes_equal_the_bool_product(p):
+    # draws at p and one ulp either side of it, among uniform ones
+    u = np.concatenate([[p, np.nextafter(p, 1.0), np.nextafter(p, -1.0), 0.0],
+                        np.random.default_rng(9).random(60)]).reshape(4, 16)
+    want = np.multiply(u >= p, 1 / (1 - p))
+    assert same_bytes(dropout_mask(u, p), want)
+    out = np.full_like(u, np.nan)
+    assert dropout_mask(u, p, out=out) is out and same_bytes(out, want)
+    assert dropout_mask(u, p, out=u) is u and same_bytes(u, want)
+    assert same_bytes(want.ravel()[:3], [1 / (1 - p), 1 / (1 - p), 0.0])
 
 
 class TestForward:

@@ -1,5 +1,6 @@
+import contextlib
+import io
 import math
-import sys
 import threading
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import irvis.training as training
 from irvis import data as datamod
 from irvis import pccl, tensorio
 from irvis.autodiff import grad_check
+from irvis.cli import main
 from irvis.encoder import EncoderConfig, encode, init_params
 from irvis.errors import ConfigError, DataError, NumericError
 from irvis.lora import LoraAdapter, LoraConfig, attach, dropout_mask
@@ -669,49 +671,32 @@ def assert_same_state(got, want):
 
 
 class TestMasksDrawnAhead:
-    """``run_training`` draws each step's dropout masks one step ahead on a
-    worker thread: the steps see the bytes of inline draws, and no thread
-    outlives the call."""
+    """Each step draws its dropout masks ahead of its forward pass, in place:
+    ``run_training`` hands every step one buffer, and the steps see the bytes
+    of the draws a step makes into a block of its own.  No thread starts."""
 
     LORA = LoraConfig(rank=4, dropout=0.3)
 
     @pytest.fixture
-    def drawn_on(self, monkeypatch):
-        """The thread of each dropout draw, by seed."""
-        seen, draw = {}, training._dropout_block
-
-        def recording(seed, *args):
-            seen[seed] = threading.current_thread()
-            return draw(seed, *args)
-
-        monkeypatch.setattr(training, "_dropout_block", recording)
-        return seen
-
-    @pytest.fixture
     def started(self, monkeypatch):
         """The threads started while the test runs."""
-        started = []
+        started, start = [], threading.Thread.start
 
-        class Recording(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def recording(thread):
+            started.append(thread)
+            start(thread)
 
-        monkeypatch.setattr(threading, "Thread", Recording)
+        monkeypatch.setattr(threading.Thread, "start", recording)
         return started
 
-    def test_equals_inline_draws_with_a_partial_final_batch(self, toy_cfg, drawn_on):
+    def test_equals_inline_draws_with_a_partial_final_batch(self, toy_cfg):
         teacher = frozen_teacher(toy_cfg)
         cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=3, lora=self.LORA, seed=2)
         pairs = make_pretrain_pairs(7, seed=12)  # batches of 3, 3 and 1 per epoch
         ran = run_training(pairs, teacher, student_state(teacher, self.LORA, seed=2),
                            toy_cfg, cfg)
-        assert sorted(drawn_on) == list(range(2, 8))
-        assert all(t is not threading.main_thread() for t in drawn_on.values())
-        drawn_on.clear()
         by_hand = stepped_by_hand(pairs, teacher, student_state(teacher, self.LORA, seed=2),
                                   toy_cfg, cfg)
-        assert all(t is threading.main_thread() for t in drawn_on.values())
         assert_same_state(ran, by_hand)
 
     def test_equals_inline_draws_on_a_resumed_state(self, toy_cfg):
@@ -727,67 +712,46 @@ class TestMasksDrawnAhead:
             assert_same_state(ran, by_hand)
         assert ran.step == 18
 
-    def run(self, toy_cfg, **kwargs):
+    def test_partial_batch_draws_into_the_buffer_prefix(self, toy_cfg, monkeypatch):
         teacher = frozen_teacher(toy_cfg)
-        cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=2, lora=self.LORA, seed=3)
-        state = student_state(teacher, self.LORA, seed=3)
-        return state, run_training(make_pretrain_pairs(6, seed=14), teacher, state, toy_cfg,
-                                   cfg, **kwargs)
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=3, lora=self.LORA, seed=4)
+        state = student_state(teacher, self.LORA, seed=4)
+        width = training._mask_width(state.adapters, toy_cfg)
+        step, seen = training.train_step, []
 
-    def test_worker_joined_after_a_normal_return(self, toy_cfg, started):
-        before = threading.active_count()
-        state, ran = self.run(toy_cfg)
-        assert ran is state and state.step == 6
-        assert len(started) == 1 and not started[0].is_alive()
-        assert threading.active_count() == before
+        def recording(state, batch, *args):
+            seed = cfg.seed + state.step
+            out = step(state, batch, *args)
+            seen.append((seed, len(batch), args[-1], args[-1].copy()))
+            return out
 
-    def test_numeric_error_propagates_and_joins_the_worker(self, toy_cfg, started,
-                                                           monkeypatch):
-        pccl_loss, calls = pccl.LOSSES["pccl"], []
+        monkeypatch.setattr(training, "train_step", recording)
+        run_training(make_pretrain_pairs(7, seed=16), teacher, state, toy_cfg, cfg)
+        assert [(seed, n) for seed, n, *_ in seen] == [(4, 3), (5, 3), (6, 1)]
+        assert all(buf is seen[0][2] for *_, buf, _ in seen)
+        assert seen[0][2].shape == (6, width)
+        for seed, n, _, after in seen:
+            fresh = dropout_mask(np.random.default_rng(seed).random((2 * n, width)), 0.3)
+            assert same_bytes(after[:2 * n], fresh), seed
+        # the partial batch writes its two rows and leaves the rest as it found them
+        assert same_bytes(seen[2][3][2:], seen[1][3][2:])
 
-        def failing_at_step_2(f_s, f_t, labels, tau):
-            calls.append(None)
-            out = pccl_loss(f_s, f_t, labels, tau)
-            return ad.mul(out, math.nan) if len(calls) == 3 else out
-
-        monkeypatch.setitem(pccl.LOSSES, "pccl", failing_at_step_2)
-        before = threading.active_count()
-        with pytest.raises(NumericError, match=r"^non-finite values at step 2 "):
-            self.run(toy_cfg)
-        assert len(started) == 1 and not started[0].is_alive()
-        assert threading.active_count() == before
-
-    def test_on_step_error_propagates_and_joins_the_worker(self, toy_cfg, started):
-        error = KeyError("from on_step")
-
-        def on_step(metrics):
-            if metrics["step"] == 1:
-                raise error
-
-        before = threading.active_count()
-        with pytest.raises(KeyError) as info:
-            self.run(toy_cfg, on_step=on_step)
-        assert info.value is error
-        assert len(started) == 1 and not started[0].is_alive()
-        assert threading.active_count() == before
-
-    def test_draw_error_raised_at_the_step_that_needs_it(self, toy_cfg, started,
-                                                         monkeypatch):
+    def test_draw_error_raised_at_the_step_that_needs_it(self, toy_cfg, monkeypatch):
         error, draw, steps = MemoryError("from the draw"), training._dropout_block, []
 
         def failing_at_step_2(seed, *args):
             if seed == 3 + 2:
-                assert threading.current_thread() is not threading.main_thread()
                 raise error
             return draw(seed, *args)
 
         monkeypatch.setattr(training, "_dropout_block", failing_at_step_2)
-        before = threading.active_count()
+        teacher = frozen_teacher(toy_cfg)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=2, lora=self.LORA, seed=3)
         with pytest.raises(MemoryError) as info:
-            self.run(toy_cfg, on_step=lambda m: steps.append(m["step"]))
+            run_training(make_pretrain_pairs(6, seed=14), teacher,
+                         student_state(teacher, self.LORA, seed=3), toy_cfg, cfg,
+                         on_step=lambda m: steps.append(m["step"]))
         assert info.value is error and steps == [0, 1]
-        assert len(started) == 1 and not started[0].is_alive()
-        assert threading.active_count() == before
 
     @pytest.mark.parametrize("lora, epochs", [(None, 1), (LoraConfig(rank=4, dropout=0.0), 1),
                                               (LORA, 0)], ids=["full", "dropout-0", "epochs-0"])
@@ -798,42 +762,19 @@ class TestMasksDrawnAhead:
                              student_state(teacher, lora), toy_cfg, cfg)
         assert state.step == 2 * epochs and started == []
 
-    def test_one_ahead_under_contention(self):
-        # four callers, eight threads on a switch interval of 10 µs: each
-        # caller gets its results in order, its worker never starts a job more
-        # than one past the last one taken, and closing at any point joins it
-        before, interval = threading.active_count(), sys.getswitchinterval()
-        got, ahead_by = {}, []
-
-        def caller(stop):
-            started = []
-
-            def job(k):
-                started.append(k)
-                return k
-
-            ahead = training._OneAhead(job, [(k,) for k in range(300)])
-            try:
-                got[stop] = []
-                for _ in range(stop):
-                    got[stop].append(ahead.take())
-                    ahead_by.append(started[-1] - got[stop][-1])
-            finally:
-                ahead.close()
-
-        callers = [threading.Thread(target=caller, args=(stop,)) for stop in (0, 1, 150, 300)]
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert got == {stop: list(range(stop)) for stop in (0, 1, 150, 300)}
-        assert set(ahead_by) <= {0, 1}
-        assert threading.active_count() == before
+    def test_no_thread_starts_while_masks_are_drawn(self, toy_cfg, started, tmp_path):
+        teacher = frozen_teacher(toy_cfg)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=3, lora=self.LORA)
+        state = run_training(make_pretrain_pairs(5, seed=15), teacher,
+                             student_state(teacher, self.LORA), toy_cfg, cfg)
+        assert state.step == 4
+        config = tmp_path / "c.cfg"
+        config.write_text("image_size=8\ndepth=1\ndim=8\nheads=2\nn_pairs=3\nepochs=1\n"
+                          "warmup_epochs=0\nbatch_size=2\nlora_enabled=true\nlora_rank=2\n"
+                          "lora_dropout=0.3\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["pretrain", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert started == []
 
 
 class TestEndToEndGradients:
